@@ -161,13 +161,39 @@ func (p *Platform) finishBootstrap(profiles []*profiler.ColumnProfile, profiling
 	p.ProfilingTime = profilingTime
 
 	// Phase 2: Data Global Schema (Algorithm 3).
-	start := time.Now()
-	p.Edges = p.newBuilder().BuildGraph(p.Store, p.Profiles)
-	p.SchemaBuildTime = time.Since(start)
+	buildGraph := func() {
+		start := time.Now()
+		p.Edges = p.newBuilder().BuildGraph(p.Store, p.Profiles)
+		p.SchemaBuildTime = time.Since(start)
+	}
+	// Phases 2 and 3 read the profiles and write disjoint state (the store
+	// and edges; the embedding indexes), so phase 3 runs beside phase 2
+	// unless the platform is held to one worker, which keeps it serial.
+	if p.cfg.Workers == 1 {
+		buildGraph()
+		p.buildEmbeddingIndexes()
+	} else {
+		indexed := make(chan struct{})
+		go func() {
+			defer close(indexed)
+			p.buildEmbeddingIndexes()
+		}()
+		buildGraph()
+		<-indexed
+	}
 
-	// Phase 3: embedding stores (column + table level, Eq. 1). Tables are
-	// indexed in sorted ID order so bootstrap is deterministic — the HNSW
-	// graph and tie-breaking in exact search depend on insertion order.
+	// Phase 4: Graph Linker and interfaces.
+	p.Linker = schema.NewLinker(p.Profiles)
+	p.abstractor = pipeline.NewAbstractor()
+	p.graphs = p.newGraphBuilder()
+	p.Discovery = discovery.New(p.Store)
+}
+
+// buildEmbeddingIndexes is bootstrap phase 3: the embedding stores (column
+// + table level, Eq. 1). Tables are indexed in sorted ID order so bootstrap
+// is deterministic — the HNSW graph and tie-breaking in exact search depend
+// on insertion order.
+func (p *Platform) buildEmbeddingIndexes() {
 	byTable := map[string]map[embed.Type][]embed.Vector{}
 	for _, cp := range p.Profiles {
 		p.ColumnIndex.Add(cp.ID(), cp.Embed)
@@ -189,12 +215,16 @@ func (p *Platform) finishBootstrap(profiles []*profiler.ColumnProfile, profiling
 		p.TableIndex.Add(tid, emb)
 		p.TableANN.Add(tid, emb)
 	}
+}
 
-	// Phase 4: Graph Linker and interfaces.
-	p.Linker = schema.NewLinker(p.Profiles)
-	p.abstractor = pipeline.NewAbstractor()
-	p.graphs = pipeline.NewGraphBuilder(p.Linker)
-	p.Discovery = discovery.New(p.Store)
+// newGraphBuilder returns the pipeline graph builder over the platform's
+// linker, at the configured worker count.
+func (p *Platform) newGraphBuilder() *pipeline.GraphBuilder {
+	g := pipeline.NewGraphBuilder(p.Linker)
+	if p.cfg.Workers > 0 {
+		g.Workers = p.cfg.Workers
+	}
+	return g
 }
 
 // HNSW parameters for the table ANN index (m=16, ef=64 are the customary

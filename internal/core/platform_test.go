@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"kglids/internal/lakegen"
@@ -9,6 +11,7 @@ import (
 	"kglids/internal/pipeline"
 	"kglids/internal/rdf"
 	"kglids/internal/schema"
+	"kglids/internal/sparql"
 )
 
 func scriptsOf(corpus []pipegen.Generated) []pipeline.Script {
@@ -198,4 +201,77 @@ func TestAddTablesBlockedDeltaEquivalence(t *testing.T) {
 			t.Fatalf("edge %d diverges: fresh %+v, incremental %+v", i, fe[i], ie[i])
 		}
 	}
+}
+
+// TestBootstrapOneWorkerMatchesDefault: Config.Workers reaches every stage
+// that takes a width (profiler, schema builder, pipeline graph builder), and
+// holding the platform to one worker — which also runs the embedding-index
+// phase after the graph phase instead of beside it — changes nothing that
+// can be observed: statistics, edges, dictionary, index insertion order,
+// the HNSW graph and SPARQL rows.
+func TestBootstrapOneWorkerMatchesDefault(t *testing.T) {
+	b := lakegen.Generate(lakegen.Spec{
+		Name: "mini", Families: 4, TablesPerFamily: 3, NoiseTables: 4,
+		RowsPerTable: 60, QueryTables: 4, Seed: 31,
+	})
+	var tables []Table
+	for _, df := range b.Tables {
+		tables = append(tables, Table{Dataset: b.Dataset[df.Name], Frame: df})
+	}
+	df := b.Tables[0]
+	ds := pipegen.FrameDataset(b.Dataset[df.Name], df, df.Columns()[0])
+	scripts := scriptsOf(pipegen.Generate(pipegen.Options{NumPipelines: 6, Datasets: []pipegen.Dataset{ds}, Seed: 5}))
+	serialCfg := DefaultConfig()
+	serialCfg.Workers = 1
+	serial, wide := Bootstrap(serialCfg, tables), Bootstrap(DefaultConfig(), tables)
+	serial.AddPipelines(scripts)
+	wide.AddPipelines(scripts)
+
+	if serial.profiler.Workers != 1 || serial.newBuilder().Workers != 1 || serial.graphs.Workers != 1 {
+		t.Errorf("Workers: 1 not honoured: profiler %d, schema builder %d, graph builder %d",
+			serial.profiler.Workers, serial.newBuilder().Workers, serial.graphs.Workers)
+	}
+	if serial.Stats() != wide.Stats() {
+		t.Errorf("Stats: %+v at one worker, %+v by default", serial.Stats(), wide.Stats())
+	}
+	if !reflect.DeepEqual(serial.Edges, wide.Edges) {
+		t.Errorf("edges differ: %d at one worker, %d by default", len(serial.Edges), len(wide.Edges))
+	}
+	if !reflect.DeepEqual(serial.ColumnIndex.IDs(), wide.ColumnIndex.IDs()) || !reflect.DeepEqual(serial.TableIndex.IDs(), wide.TableIndex.IDs()) {
+		t.Error("embedding indexes were filled in a different order")
+	}
+	if !reflect.DeepEqual(serial.TableANN.Export(), wide.TableANN.Export()) {
+		t.Error("HNSW graphs differ")
+	}
+	for _, q := range []string{
+		`SELECT ?t ?n WHERE { ?t a kglids:Table ; kglids:name ?n . } ORDER BY ?t`,
+		`SELECT ?a ?b WHERE { ?a kglids:contentSimilarity ?b . } ORDER BY ?a ?b`,
+		`SELECT ?edge ?score WHERE { ?edge kglids:withCertainty ?score . }`,
+		`SELECT ?p (COUNT(?s) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p ORDER BY ?p`,
+	} {
+		one, err := serial.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		def, err := wide.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(one.Rows) == 0 || !reflect.DeepEqual(sortedRows(one), sortedRows(def)) {
+			t.Errorf("%s: %d rows at one worker, %d by default, or they differ", q, len(one.Rows), len(def.Rows))
+		}
+	}
+}
+
+// sortedRows renders a result's rows, sorted, so that two results compare
+// equal whatever order unordered rows came back in.
+func sortedRows(res *sparql.Result) []string {
+	rows := make([]string, len(res.Rows))
+	for i := range res.Rows {
+		for _, v := range res.Vars {
+			rows[i] += res.Get(i, v).String() + "\t"
+		}
+	}
+	sort.Strings(rows)
+	return rows
 }

@@ -100,7 +100,7 @@ func Restore(st RestoredState) (*Platform, error) {
 	}
 	p.Linker = schema.NewLinker(st.Profiles)
 	p.abstractor = pipeline.NewAbstractor()
-	p.graphs = pipeline.NewGraphBuilder(p.Linker)
+	p.graphs = p.newGraphBuilder()
 	p.Discovery = discovery.New(p.Store)
 	if len(st.Scripts) > 0 {
 		p.AddPipelines(st.Scripts)

@@ -246,12 +246,35 @@ var dateLayouts = []string{
 // ParseDate attempts to parse s with the supported layouts.
 func ParseDate(s string) (time.Time, bool) {
 	t := strings.TrimSpace(s)
+	if !hasYear(t) {
+		return time.Time{}, false
+	}
 	for _, layout := range dateLayouts {
 		if parsed, err := time.Parse(layout, t); err == nil {
 			return parsed, true
 		}
 	}
 	return time.Time{}, false
+}
+
+// hasYear reports whether s could match any of dateLayouts. Every layout
+// has a four-digit year, which time.Parse takes only from four consecutive
+// digits, and the shortest layout is seven bytes long — so most non-date
+// cells are rejected here, before time.Parse allocates an error for each
+// layout it tries.
+func hasYear(s string) bool {
+	if len(s) < len("2006-01") {
+		return false
+	}
+	run := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			run = 0
+		} else if run++; run == 4 {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *CoLR) encodeDates(v Vector, sample []string) {

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestVectorOps(t *testing.T) {
@@ -194,16 +196,77 @@ func TestCoLRDates(t *testing.T) {
 }
 
 func TestParseDate(t *testing.T) {
-	ok := []string{"2020-05-17", "2020/05/17", "05/17/2020", "Jan 2, 2006", "2006-01-02 15:04:05"}
-	for _, s := range ok {
-		if _, parsed := ParseDate(s); !parsed {
-			t.Errorf("ParseDate(%q) failed", s)
+	for _, c := range []struct {
+		in   string
+		want string // RFC 3339, "" when no layout matches
+	}{
+		// One value per layout.
+		{"2020-05-17", "2020-05-17T00:00:00Z"},
+		{"2020/05/17", "2020-05-17T00:00:00Z"},
+		{"05/17/2020", "2020-05-17T00:00:00Z"},
+		{"17-05-2020", "2020-05-17T00:00:00Z"},
+		{"2006-01-02 15:04:05", "2006-01-02T15:04:05Z"},
+		{"2006-01-02T15:04:05", "2006-01-02T15:04:05Z"},
+		{"Jan 2, 2006", "2006-01-02T00:00:00Z"},
+		{"2 Jan 2006", "2006-01-02T00:00:00Z"},
+		{"January 2, 2006", "2006-01-02T00:00:00Z"},
+		{"2006-01", "2006-01-01T00:00:00Z"},
+		{"  2020-05-17\t", "2020-05-17T00:00:00Z"},
+		{"0001-01", "0001-01-01T00:00:00Z"},
+		// Rejected before any layout is tried: no year, or too short.
+		{"hello", ""}, {"123", ""}, {"", ""}, {"May 17", ""}, {"12/31/99", ""}, {"2020-1", ""}, {"١٢٣٤-٠١", ""},
+		// Has a year, matches no layout.
+		{"20200517", ""}, {"2020-13-01", ""}, {"order 12345", ""}, {"1234567", ""},
+	} {
+		got, ok := ParseDate(c.in)
+		if ok != (c.want != "") || ok && got.Format(time.RFC3339) != c.want {
+			t.Errorf("ParseDate(%q) = %v, %v; want %q", c.in, got, ok, c.want)
 		}
 	}
-	for _, s := range []string{"hello", "123", ""} {
-		if _, parsed := ParseDate(s); parsed {
-			t.Errorf("ParseDate(%q) unexpectedly succeeded", s)
+}
+
+// TestParseDatePrecheckIsExact: rejecting year-less strings up front never
+// changes the outcome of trying every layout. Inputs are dates in each
+// layout with a few bytes replaced, dropped or doubled, so many sit right
+// at the edge of what a layout accepts.
+func TestParseDatePrecheckIsExact(t *testing.T) {
+	plain := func(s string) (time.Time, bool) {
+		s = strings.TrimSpace(s)
+		for _, layout := range dateLayouts {
+			if parsed, err := time.Parse(layout, s); err == nil {
+				return parsed, true
+			}
 		}
+		return time.Time{}, false
+	}
+	rng := rand.New(rand.NewSource(11))
+	const alphabet = "0123456789-/:, TJanuryFebMchApilgstSmOoNvDx"
+	base := time.Date(1987, 6, 5, 4, 3, 2, 0, time.UTC)
+	parsed := 0
+	for i := 0; i < 20000; i++ {
+		b := []byte(base.AddDate(rng.Intn(60), rng.Intn(12), rng.Intn(28)).Format(dateLayouts[rng.Intn(len(dateLayouts))]))
+		for edits := rng.Intn(4); edits > 0 && len(b) > 0; edits-- {
+			at := rng.Intn(len(b))
+			switch rng.Intn(3) {
+			case 0:
+				b[at] = alphabet[rng.Intn(len(alphabet))]
+			case 1:
+				b = append(b[:at], b[at+1:]...)
+			default:
+				b = append(b[:at+1], b[at:]...)
+			}
+		}
+		got, ok := ParseDate(string(b))
+		want, wantOK := plain(string(b))
+		if ok != wantOK || !got.Equal(want) {
+			t.Fatalf("ParseDate(%q) = %v, %v; every layout in turn gives %v, %v", b, got, ok, want, wantOK)
+		}
+		if ok {
+			parsed++
+		}
+	}
+	if parsed < 2000 || parsed > 18000 {
+		t.Fatalf("%d of 20000 inputs parsed: the generator no longer straddles the boundary", parsed)
 	}
 }
 

@@ -41,7 +41,7 @@ func TestRunEvalConcurrent(t *testing.T) {
 		t.Errorf("platform tasks = %v, want unionable and joinable", tasks)
 	}
 
-	// Perf must cover all six standing experiments.
+	// Perf must cover all seven standing experiments.
 	perf := map[string]bool{}
 	for _, p := range tr.Perf {
 		perf[p.Experiment] = true
@@ -49,14 +49,19 @@ func TestRunEvalConcurrent(t *testing.T) {
 			t.Errorf("perf experiment %q has no metrics", p.Experiment)
 		}
 	}
-	for _, want := range []string{"snapshot", "ingest", "sparql", "server", "edges", "connectors"} {
+	for _, want := range []string{"snapshot", "ingest", "sparql", "server", "edges", "connectors", "replicas"} {
 		if !perf[want] {
 			t.Errorf("perf experiment %q missing (have %v)", want, perf)
 		}
 	}
 
-	// An eval compared against itself must pass its own gate.
-	regs, _ := Compare(tr, tr, DefaultTolerance())
+	// An eval compared against itself must pass the quality gate. The perf
+	// section stays out of it: its absolute caps are wall-clock ratios that
+	// hold on the quiet machine kglids-bench eval runs on, not on one that
+	// is running the rest of the test suite at the same time.
+	quality := *tr
+	quality.Perf = nil
+	regs, _ := Compare(&quality, &quality, Tolerance{Quality: DefaultTolerance().Quality})
 	if len(regs) != 0 {
 		t.Errorf("self-comparison regressed: %v", regs)
 	}

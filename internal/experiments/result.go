@@ -47,8 +47,9 @@ func (q QualityResult) key() string {
 
 // PerfResult is one perf experiment's scalar medians, keyed by metric
 // name. Unit suffixes carry comparison semantics: *_ms/*_us/*_mib are
-// lower-is-better, *speedup* is higher-is-better, anything else (counts,
-// sizes of the workload itself) is informational.
+// lower-is-better, *speedup* is higher-is-better (except the ratios in
+// perfInformational), anything else (counts, sizes of the workload itself)
+// is informational.
 type PerfResult struct {
 	Experiment string             `json:"experiment"`
 	Metrics    map[string]float64 `json:"metrics"`
@@ -196,9 +197,21 @@ func (r Regression) String() string {
 	return fmt.Sprintf("%s: %.4g -> %.4g (limit %.4g)", r.Metric, r.Old, r.New, r.Limit)
 }
 
-// perfDirection classifies a perf metric key by its unit suffix.
-func perfDirection(key string) int {
+// perfInformational lists ratios of two metrics that are gated on their
+// own (bootstrap_ms ÷ load_ms, rebootstrap_ms ÷ incremental_ms). Gating the
+// ratio as well would read a faster bootstrap — the numerator — as a
+// regression while nothing got slower.
+var perfInformational = map[string]bool{
+	"snapshot/load_speedup": true,
+	"ingest/ingest_speedup": true,
+}
+
+// perfDirection classifies a perf metric of an experiment by its unit
+// suffix.
+func perfDirection(experiment, key string) int {
 	switch {
+	case perfInformational[experiment+"/"+key]:
+		return 0
 	case strings.Contains(key, "speedup"):
 		return +1 // higher is better
 	case strings.HasSuffix(key, "_ms") || strings.HasSuffix(key, "_us") || strings.HasSuffix(key, "_mib"):
@@ -312,7 +325,7 @@ func Compare(old, fresh *Trajectory, tol Tolerance) (regs []Regression, notes []
 				continue
 			}
 			metric := fmt.Sprintf("perf:%s:%s", op.Experiment, k)
-			switch perfDirection(k) {
+			switch perfDirection(op.Experiment, k) {
 			case -1:
 				limit := ov * (1 + tol.Perf)
 				if nv > limit {
@@ -346,7 +359,7 @@ func Demote(t *Trajectory) *Trajectory {
 	for _, p := range t.Perf {
 		metrics := make(map[string]float64, len(p.Metrics))
 		for k, v := range p.Metrics {
-			switch perfDirection(k) {
+			switch perfDirection(p.Experiment, k) {
 			case -1:
 				metrics[k] = v * 4
 			case +1:

@@ -23,9 +23,11 @@ func sampleTrajectory() *Trajectory {
 		},
 		Perf: []PerfResult{
 			{Experiment: "snapshot", Metrics: map[string]float64{
-				"load_ms": 5, "load_speedup": 4, "tables": 18, "file_mib": 0.7}},
+				"bootstrap_ms": 20, "load_ms": 5, "load_speedup": 4, "tables": 18, "file_mib": 0.7}},
+			{Experiment: "ingest", Metrics: map[string]float64{
+				"rebootstrap_ms": 20, "incremental_ms": 2, "ingest_speedup": 10}},
 			{Experiment: "sparql", Metrics: map[string]float64{
-				"int-columns_id_us": 12, "triples": 1446}},
+				"int-columns_id_us": 12, "parallel_speedup": 2, "triples": 1446}},
 		},
 	}
 }
@@ -120,7 +122,7 @@ func TestCompareWithinTolerancePasses(t *testing.T) {
 	fresh := sampleTrajectory()
 	fresh.Quality[0].Precision -= 0.01   // within 0.02 quality tolerance
 	fresh.Perf[0].Metrics["load_ms"] = 7 // 1.4x, within 1.5x perf tolerance
-	fresh.Perf[0].Metrics["load_speedup"] = 3
+	fresh.Perf[2].Metrics["parallel_speedup"] = 1.5
 	regs, _ := Compare(sampleTrajectory(), fresh, DefaultTolerance())
 	if len(regs) != 0 {
 		t.Errorf("within-tolerance drift regressed: %v", regs)
@@ -238,17 +240,41 @@ func TestCompareDirectionSemantics(t *testing.T) {
 	// Informational metrics (no unit suffix, no "speedup") never gate.
 	fresh := sampleTrajectory()
 	fresh.Perf[0].Metrics["tables"] = 99999
-	fresh.Perf[1].Metrics["triples"] = 1
+	fresh.Perf[2].Metrics["triples"] = 1
 	regs, _ := Compare(sampleTrajectory(), fresh, DefaultTolerance())
 	if len(regs) != 0 {
 		t.Errorf("informational metrics gated: %v", regs)
 	}
 	// A collapsed speedup does gate.
 	fresh = sampleTrajectory()
-	fresh.Perf[0].Metrics["load_speedup"] = 1
+	fresh.Perf[2].Metrics["parallel_speedup"] = 1
 	regs, _ = Compare(sampleTrajectory(), fresh, DefaultTolerance())
-	if len(regs) != 1 || !strings.Contains(regs[0].Metric, "load_speedup") {
+	if len(regs) != 1 || !strings.Contains(regs[0].Metric, "parallel_speedup") {
 		t.Errorf("collapsed speedup not gated: %v", regs)
+	}
+}
+
+// TestCompareFasterBootstrapIsNotARegression: load_speedup and
+// ingest_speedup are bootstrap time over something else, so a bootstrap
+// twice as fast halves both while nothing got slower. The gate reads their
+// _ms components, which still catch the slowdowns the ratios stood for.
+func TestCompareFasterBootstrapIsNotARegression(t *testing.T) {
+	fresh := sampleTrajectory()
+	snap, ingest := fresh.Perf[0].Metrics, fresh.Perf[1].Metrics
+	snap["bootstrap_ms"] /= 2
+	snap["load_speedup"] /= 2
+	ingest["rebootstrap_ms"] /= 2
+	ingest["ingest_speedup"] /= 2
+	if regs, _ := Compare(sampleTrajectory(), fresh, DefaultTolerance()); len(regs) != 0 {
+		t.Errorf("a bootstrap twice as fast regressed: %v", regs)
+	}
+
+	fresh = sampleTrajectory()
+	fresh.Perf[0].Metrics["load_ms"] *= 2
+	fresh.Perf[1].Metrics["incremental_ms"] *= 2
+	regs, _ := Compare(sampleTrajectory(), fresh, DefaultTolerance())
+	if len(regs) != 2 || !strings.Contains(regs[0].Metric, "load_ms") || !strings.Contains(regs[1].Metric, "incremental_ms") {
+		t.Errorf("slower load and slower ingest should each gate on their own metric, got %v", regs)
 	}
 }
 

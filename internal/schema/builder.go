@@ -329,6 +329,16 @@ func MetadataQuads(profiles []*profiler.ColumnProfile) []rdf.Quad {
 // annotations. It is a pure function of the edges, so the exact quads an
 // edge contributed can be reconstructed later to remove it.
 func EdgeQuads(edges []Edge) []rdf.Quad {
+	// A column takes part in many edges; its IRI is escaped once per call.
+	iris := map[string]rdf.Term{}
+	iri := func(id string) rdf.Term {
+		t, ok := iris[id]
+		if !ok {
+			t = ColumnIRI(id)
+			iris[id] = t
+		}
+		return t
+	}
 	quads := make([]rdf.Quad, 0, 4*len(edges))
 	for _, e := range edges {
 		pred := rdf.PropLabelSimilarity
@@ -336,8 +346,8 @@ func EdgeQuads(edges []Edge) []rdf.Quad {
 			pred = rdf.PropContentSimilarity
 		}
 		score := rdf.Float(e.Score)
-		ta := rdf.T(ColumnIRI(e.A), pred, ColumnIRI(e.B))
-		tb := rdf.T(ColumnIRI(e.B), pred, ColumnIRI(e.A))
+		a, b := iri(e.A), iri(e.B)
+		ta, tb := rdf.T(a, pred, b), rdf.T(b, pred, a)
 		quads = append(quads,
 			rdf.Quad{Triple: ta, Graph: rdf.DefaultGraph},
 			rdf.Quad{Triple: rdf.T(rdf.QuotedTriple(ta), rdf.PropCertainty, score), Graph: rdf.DefaultGraph},

@@ -50,24 +50,18 @@ func (st *Store) statRemove(s, p, o TermID) {
 	}
 }
 
-// rebuildStats recomputes pstat wholesale from the union indexes (the bulk
-// load path builds indexes in parallel and fixes stats up afterwards).
-// Caller holds st.mu.
-func (st *Store) rebuildStats() {
-	st.pstat = map[TermID]*PredicateStats{}
-	for p, byObj := range st.pos[unionGraph] {
-		ps := &PredicateStats{Objects: len(byObj)}
-		for _, subs := range byObj {
-			ps.Triples += len(subs)
+// statMerge adds the per-predicate counts the bulk loader collected while
+// it built the union index. Caller holds st.mu.
+func (st *Store) statMerge(delta map[TermID]PredicateStats) {
+	for p, d := range delta {
+		ps := st.pstat[p]
+		if ps == nil {
+			ps = &PredicateStats{}
+			st.pstat[p] = ps
 		}
-		st.pstat[p] = ps
-	}
-	for _, byPred := range st.spo[unionGraph] {
-		for p := range byPred {
-			if ps := st.pstat[p]; ps != nil {
-				ps.Subjects++
-			}
-		}
+		ps.Triples += d.Triples
+		ps.Subjects += d.Subjects
+		ps.Objects += d.Objects
 	}
 }
 

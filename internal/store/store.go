@@ -7,9 +7,9 @@ import (
 	"kglids/internal/rdf"
 )
 
-// encQuad is a dictionary-encoded quad.
-type encQuad struct {
-	s, p, o, g TermID
+// EncodedQuad is a dictionary-encoded quad. G is 0 for the default graph.
+type EncodedQuad struct {
+	S, P, O, G TermID
 }
 
 // Store is an in-memory RDF-star quad store. Triples are dictionary-encoded
@@ -26,17 +26,14 @@ type Store struct {
 
 	// spo[g][s][p] -> sorted []o, and so on. Graph 0 indexes the union of
 	// all graphs for cross-graph pattern matching.
-	spo map[TermID]map[TermID]map[TermID][]TermID
-	pos map[TermID]map[TermID]map[TermID][]TermID
-	osp map[TermID]map[TermID]map[TermID][]TermID
+	spo, pos, osp index
 
 	// graphsOf records, for every (s,p,o) in the union index, the set of
 	// graphs containing it, as a small unordered slice — almost every
 	// triple lives in exactly one graph, and a pointer-free slice is far
 	// cheaper to allocate and GC-scan than a per-triple map (it is the
-	// dominant allocation of a bulk load). Key layout matches encQuad with
-	// g==0.
-	graphsOf map[encQuad][]TermID
+	// dominant allocation of a bulk load). Keys have G == 0.
+	graphsOf map[EncodedQuad][]TermID
 
 	count  int // total quads (union, deduplicated per graph)
 	graphs map[TermID]int
@@ -69,10 +66,10 @@ const UnionGraph = unionGraph
 func New() *Store {
 	return &Store{
 		dict:     NewDictionary(),
-		spo:      map[TermID]map[TermID]map[TermID][]TermID{},
-		pos:      map[TermID]map[TermID]map[TermID][]TermID{},
-		osp:      map[TermID]map[TermID]map[TermID][]TermID{},
-		graphsOf: map[encQuad][]TermID{},
+		spo:      index{},
+		pos:      index{},
+		osp:      index{},
+		graphsOf: map[EncodedQuad][]TermID{},
 		graphs:   map[TermID]int{},
 		pstat:    map[TermID]*PredicateStats{},
 	}
@@ -89,44 +86,40 @@ func (st *Store) AddToGraph(t rdf.Triple, g rdf.Term) { st.AddQuad(rdf.Quad{Trip
 
 // AddQuad inserts a quad. Duplicate quads are ignored.
 func (st *Store) AddQuad(q rdf.Quad) {
-	s := st.dict.Intern(q.Subject)
-	p := st.dict.Intern(q.Predicate)
-	o := st.dict.Intern(q.Object)
-	var g TermID = unionGraph
+	// Terms are interned in AddBatch's order (graph first), so a primary's
+	// AddQuad and a follower's replay of it as a batch assign the same IDs.
+	var e EncodedQuad
 	if q.Graph.Value != "" {
-		g = st.dict.Intern(q.Graph)
+		e.G = st.dict.Intern(q.Graph)
 	}
+	e.S, e.P, e.O = st.dict.Intern(q.Subject), st.dict.Intern(q.Predicate), st.dict.Intern(q.Object)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	before := st.gen
-	st.addEncoded(s, p, o, g)
-	if st.log != nil && st.gen != before {
+	if st.addEncoded(e) && st.log != nil {
 		st.log.append(ChangeAddQuads, []rdf.Quad{q}, rdf.Term{}, nil, st.gen)
 	}
 }
 
-// AddBatch inserts many quads under a single lock acquisition.
+// AddBatch inserts many quads under a single lock acquisition; the result
+// (indexes, statistics, generation, dictionary IDs) is that of adding them
+// one by one through AddQuad. A batch at least as large as the store it
+// lands in goes through the bulk loader, whose whole-store fix-ups are then
+// bounded by the batch; a smaller one is inserted quad by quad.
 func (st *Store) AddBatch(quads []rdf.Quad) {
-	enc := make([]encQuad, len(quads))
-	for i, q := range quads {
-		var g TermID = unionGraph
-		if q.Graph.Value != "" {
-			g = st.dict.Intern(q.Graph)
-		}
-		enc[i] = encQuad{
-			s: st.dict.Intern(q.Subject),
-			p: st.dict.Intern(q.Predicate),
-			o: st.dict.Intern(q.Object),
-			g: g,
-		}
-	}
+	enc := st.dict.internQuads(quads)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	before := st.gen
-	for _, e := range enc {
-		st.addEncoded(e.s, e.p, e.o, e.g)
+	accepted := 0
+	if len(enc) >= st.count {
+		accepted = st.bulkLoad(enc)
+	} else {
+		for _, e := range enc {
+			if st.addEncoded(e) {
+				accepted++
+			}
+		}
 	}
-	if st.log != nil && st.gen != before {
+	if st.log != nil && accepted > 0 {
 		// The record carries the full requested batch: duplicates no-op
 		// identically on a follower holding identical state, so replay
 		// reproduces the same acceptance set and the same generation.
@@ -134,11 +127,14 @@ func (st *Store) AddBatch(quads []rdf.Quad) {
 	}
 }
 
-func (st *Store) addEncoded(s, p, o, g TermID) {
-	key := encQuad{s: s, p: p, o: o}
+// addEncoded inserts one encoded quad and reports whether it was new.
+// Caller holds st.mu.
+func (st *Store) addEncoded(q EncodedQuad) bool {
+	s, p, o, g := q.S, q.P, q.O, q.G
+	key := EncodedQuad{S: s, P: p, O: o}
 	set := st.graphsOf[key]
 	if containsID(set, g) {
-		return
+		return false
 	}
 	// Any existing membership implies the triple is already in the union
 	// index, so it is new there exactly when the membership set was empty.
@@ -162,6 +158,7 @@ func (st *Store) addEncoded(s, p, o, g TermID) {
 		insertIdx(st.pos, unionGraph, p, o, s)
 		insertIdx(st.osp, unionGraph, o, s, p)
 	}
+	return true
 }
 
 func containsID(s []TermID, v TermID) bool {
@@ -258,8 +255,8 @@ func (st *Store) NodeCount() int {
 	defer st.mu.RUnlock()
 	seen := map[TermID]struct{}{}
 	for q := range st.graphsOf {
-		seen[q.s] = struct{}{}
-		seen[q.o] = struct{}{}
+		seen[q.S] = struct{}{}
+		seen[q.O] = struct{}{}
 	}
 	return len(seen)
 }
@@ -271,15 +268,9 @@ func (st *Store) PredicateCount() int {
 	defer st.mu.RUnlock()
 	seen := map[TermID]struct{}{}
 	for q := range st.graphsOf {
-		seen[q.p] = struct{}{}
+		seen[q.P] = struct{}{}
 	}
 	return len(seen)
-}
-
-// EncodedQuad is a dictionary-encoded quad exposed for snapshot
-// serialization. G is 0 for the default graph.
-type EncodedQuad struct {
-	S, P, O, G TermID
 }
 
 // ForEachEncodedQuad streams every (s, p, o, g) combination in the store in
@@ -291,96 +282,250 @@ func (st *Store) ForEachEncodedQuad(fn func(q EncodedQuad)) {
 	defer st.mu.RUnlock()
 	for q, gs := range st.graphsOf {
 		for _, g := range gs {
-			fn(EncodedQuad{S: q.s, P: q.p, O: q.o, G: g})
+			fn(EncodedQuad{S: q.S, P: q.P, O: q.O, G: g})
 		}
 	}
 }
 
-// AddEncodedBatch inserts already-encoded quads under one lock acquisition.
-// Term IDs must have been interned in this store's dictionary; it is the
-// snapshot-restore fast path that skips per-term map lookups. The three
-// index orderings are rebuilt by parallel workers (they share no state),
-// which loads large snapshots ~3x faster than sequential replay; the
-// result is identical to adding each quad through AddQuad.
+// AddEncodedBatch inserts already-encoded quads under one lock acquisition
+// through the bulk loader. Term IDs must have been interned in this store's
+// dictionary; it is the snapshot-restore path, which skips the dictionary
+// altogether and is not logged. The result is identical to adding each quad
+// through AddQuad.
 func (st *Store) AddEncodedBatch(quads []EncodedQuad) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.bulkLoad(quads)
+}
 
-	// Phase 1 (sequential): dedupe against graphsOf and update counts.
-	accepted := make([]EncodedQuad, 0, len(quads))
-	for _, q := range quads {
-		key := encQuad{s: q.S, p: q.P, o: q.O}
+// bulkLoad is the store's one bulk loader: it inserts a batch by sorting it
+// once per index ordering instead of probing three nested maps per quad,
+// and returns how many quads were new. Beyond the batch it only re-makes
+// maps that the batch at least doubles, so its cost is bounded by the batch
+// whenever that is not small next to the store. Caller holds st.mu.
+func (st *Store) bulkLoad(quads []EncodedQuad) int {
+	// The three orderings and the membership sets share no state, so each
+	// is built by one goroutine outright with no further synchronization;
+	// all join before the store lock is released. The per-predicate
+	// statistics fall out of the union graph's posting lists as they are
+	// made: a new (s, p) list is a new subject of p, a new (p, o) list a new
+	// object.
+	var wg sync.WaitGroup
+	build := func(idx index, perm func(EncodedQuad) (a, b, c TermID), visit func(a, b TermID, added int, fresh bool)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			idx.load(quads, perm, visit)
+		}()
+	}
+	bySubject, byObject := map[TermID]PredicateStats{}, map[TermID]PredicateStats{}
+	build(st.spo, func(q EncodedQuad) (TermID, TermID, TermID) { return q.S, q.P, q.O },
+		func(_, p TermID, _ int, fresh bool) {
+			if fresh {
+				d := bySubject[p]
+				d.Subjects++
+				bySubject[p] = d
+			}
+		})
+	build(st.pos, func(q EncodedQuad) (TermID, TermID, TermID) { return q.P, q.O, q.S },
+		func(p, _ TermID, added int, fresh bool) {
+			d := byObject[p]
+			d.Triples += added
+			if fresh {
+				d.Objects++
+			}
+			byObject[p] = d
+		})
+	build(st.osp, func(q EncodedQuad) (TermID, TermID, TermID) { return q.O, q.S, q.P }, nil)
+
+	// Meanwhile, here: the membership sets, which also say which quads are
+	// new. They are carved cap-clipped out of one array, so a later append
+	// to one of them reallocates it and cannot touch its neighbour.
+	if len(st.graphsOf) <= len(quads) {
+		st.graphsOf = grown(st.graphsOf, len(quads))
+	}
+	members := make([]TermID, len(quads))
+	accepted := 0
+	for i, q := range quads {
+		key := EncodedQuad{S: q.S, P: q.P, O: q.O}
 		set := st.graphsOf[key]
 		if containsID(set, q.G) {
 			continue
 		}
-		st.graphsOf[key] = append(set, q.G)
-		st.count++
+		if len(set) == 0 {
+			members[i] = q.G
+			st.graphsOf[key] = members[i : i+1 : i+1]
+		} else {
+			st.graphsOf[key] = append(set, q.G)
+		}
 		st.graphs[q.G]++
-		accepted = append(accepted, q)
+		accepted++
 	}
+	st.count += accepted
+	st.gen += uint64(accepted)
 
-	// Phase 2 (parallel): each worker owns one ordering outright, so no
-	// further synchronization is needed; all of them join before the store
-	// lock is released. Named-graph quads are indexed in their graph and
-	// in the union pseudo-graph. Values are appended unsorted and each
-	// posting list is sorted and deduplicated once at the end — one-by-one
-	// sorted insertion would memmove quadratically on hot lists like the
-	// subjects of rdf:type.
-	var wg sync.WaitGroup
-	build := func(idx map[TermID]map[TermID]map[TermID][]TermID, order func(EncodedQuad) (a, b, c TermID)) {
-		defer wg.Done()
-		append3 := func(g, a, b, c TermID) {
-			l1 := idx[g]
-			if l1 == nil {
-				l1 = map[TermID]map[TermID][]TermID{}
-				idx[g] = l1
+	wg.Wait()
+	st.statMerge(bySubject)
+	st.statMerge(byObject)
+	return accepted
+}
+
+// index is one ordering of the store: graph -> a -> b -> sorted []c (spo
+// holds g -> s -> p -> objects, and so on).
+type index map[TermID]map[TermID]map[TermID][]TermID
+
+// indexKey is one entry of an ordering: g, a, b, c.
+type indexKey [4]TermID
+
+// sortKeys orders keys by g, then a, b and c, and returns them (in keys or
+// in a second array of the same size); no ID in them exceeds maxID. IDs
+// are dense, so this is an LSD radix sort with a whole ID as the digit: one
+// stable counting pass per field, none for a field that holds a single
+// value.
+func sortKeys(keys []indexKey, maxID TermID) []indexKey {
+	if len(keys) == 0 {
+		return keys
+	}
+	tmp := make([]indexKey, len(keys))
+	starts := make([]uint32, int(maxID)+2)
+	for f := len(indexKey{}) - 1; f >= 0; f-- {
+		clear(starts)
+		for i := range keys {
+			starts[keys[i][f]+1]++
+		}
+		if int(starts[keys[0][f]+1]) == len(keys) {
+			continue
+		}
+		for id := 1; id < len(starts); id++ {
+			starts[id] += starts[id-1]
+		}
+		for i := range keys {
+			at := &starts[keys[i][f]]
+			tmp[*at] = keys[i]
+			*at++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
+}
+
+// load merges a batch into the ordering: every quad in the union graph
+// and, if it has one, in its named graph, with perm picking the ordering's
+// a, b and c out of a quad. After one sort every posting list is a run of
+// consecutive keys. The c values of each run, duplicates dropped, are
+// written to one backing array and the list is a cap-clipped slice of it
+// (so a later insertSorted on one list reallocates rather than overwriting
+// the next), merged with the list already there if there is one; every map
+// is made, or re-made, at the size its run length says it will reach.
+// visit, if not nil, is told of every posting list that grew in the union
+// graph: its a and b, how many entries it gained and whether it is new.
+func (idx index) load(quads []EncodedQuad, perm func(EncodedQuad) (a, b, c TermID), visit func(a, b TermID, added int, fresh bool)) {
+	n := len(quads)
+	for _, q := range quads {
+		if q.G != unionGraph {
+			n++
+		}
+	}
+	keys := make([]indexKey, 0, n)
+	var maxID TermID
+	for _, q := range quads {
+		a, b, c := perm(q)
+		maxID = max(maxID, a, b, c, q.G)
+		keys = append(keys, indexKey{unionGraph, a, b, c})
+		if q.G != unionGraph {
+			keys = append(keys, indexKey{q.G, a, b, c})
+		}
+	}
+	keys = sortKeys(keys, maxID)
+
+	postings := make([]TermID, 0, len(keys))
+	for i := 0; i < len(keys); {
+		g := keys[i][0]
+		gEnd, as := i+1, 1
+		for ; gEnd < len(keys) && keys[gEnd][0] == g; gEnd++ {
+			if keys[gEnd][1] != keys[gEnd-1][1] {
+				as++
+			}
+		}
+		l1 := idx[g]
+		if len(l1) <= as {
+			l1 = grown(l1, as)
+			idx[g] = l1
+		}
+		for i < gEnd {
+			a := keys[i][1]
+			aEnd, bs := i+1, 1
+			for ; aEnd < gEnd && keys[aEnd][1] == a; aEnd++ {
+				if keys[aEnd][2] != keys[aEnd-1][2] {
+					bs++
+				}
 			}
 			l2 := l1[a]
-			if l2 == nil {
-				l2 = map[TermID][]TermID{}
+			if len(l2) <= bs {
+				l2 = grown(l2, bs)
 				l1[a] = l2
 			}
-			l2[b] = append(l2[b], c)
-		}
-		for _, q := range accepted {
-			a, b, c := order(q)
-			append3(q.G, a, b, c)
-			if q.G != unionGraph {
-				append3(unionGraph, a, b, c)
-			}
-		}
-		for _, l1 := range idx {
-			for _, l2 := range l1 {
-				for b, vals := range l2 {
-					// Most posting lists hold one or two IDs; avoid the
-					// sort.Slice closure machinery for those.
-					switch {
-					case len(vals) <= 1:
-						continue
-					case len(vals) <= 16:
-						insertionSortIDs(vals)
-					default:
-						sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+			for i < aEnd {
+				b, from := keys[i][2], len(postings)
+				for ; i < aEnd && keys[i][2] == b; i++ {
+					if c := keys[i][3]; len(postings) == from || c != postings[len(postings)-1] {
+						postings = append(postings, c)
 					}
-					l2[b] = dedupSorted(vals)
+				}
+				old := l2[b]
+				list := mergeSorted(old, postings[from:len(postings):len(postings)])
+				if len(list) == len(old) {
+					continue
+				}
+				l2[b] = list
+				if visit != nil && g == unionGraph {
+					visit(a, b, len(list)-len(old), len(old) == 0)
 				}
 			}
 		}
 	}
-	wg.Add(3)
-	go build(st.spo, func(q EncodedQuad) (TermID, TermID, TermID) { return q.S, q.P, q.O })
-	go build(st.pos, func(q EncodedQuad) (TermID, TermID, TermID) { return q.P, q.O, q.S })
-	go build(st.osp, func(q EncodedQuad) (TermID, TermID, TermID) { return q.O, q.S, q.P })
-	wg.Wait()
+}
 
-	if len(accepted) > 0 {
-		st.gen++
-		// Incremental per-quad stat maintenance would serialize the parallel
-		// build; one wholesale recomputation over the finished indexes costs
-		// the same as a single extra index pass.
-		st.rebuildStats()
+// grown returns a copy of m (nil included) made at the size it reaches
+// after extra more entries. The loader calls it for maps that are about to
+// at least double, so a load costs one allocation per map instead of a
+// series of incremental growths, and the copying is bounded by the entries
+// being added.
+func grown[K comparable, V any](m map[K]V, extra int) map[K]V {
+	out := make(map[K]V, len(m)+extra)
+	for k, v := range m {
+		out[k] = v
 	}
+	return out
+}
+
+// mergeSorted returns the union of two sorted posting lists: add itself
+// when old is empty, old itself when add brings nothing new, and a new list
+// otherwise.
+func mergeSorted(old, add []TermID) []TermID {
+	if len(old) == 0 {
+		return add
+	}
+	out := make([]TermID, 0, len(old)+len(add))
+	i, j := 0, 0
+	for i < len(old) && j < len(add) {
+		switch {
+		case old[i] < add[j]:
+			out = append(out, old[i])
+			i++
+		case old[i] > add[j]:
+			out = append(out, add[j])
+			j++
+		default:
+			out = append(out, old[i])
+			i, j = i+1, j+1
+		}
+	}
+	out = append(append(out, old[i:]...), add[j:]...)
+	if len(out) == len(old) {
+		return old
+	}
+	return out
 }
 
 // RemoveQuad deletes a quad from its graph. The triple leaves the union
@@ -394,7 +539,7 @@ func (st *Store) RemoveQuad(q rdf.Quad) bool {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	removed := st.removeEncoded(ids.s, ids.p, ids.o, ids.g)
+	removed := st.removeEncoded(ids)
 	if removed && st.log != nil {
 		st.log.append(ChangeRemoveQuads, []rdf.Quad{q}, rdf.Term{}, nil, st.gen)
 	}
@@ -404,7 +549,7 @@ func (st *Store) RemoveQuad(q rdf.Quad) bool {
 // RemoveBatch deletes many quads under a single lock acquisition and
 // returns how many were actually present.
 func (st *Store) RemoveBatch(quads []rdf.Quad) int {
-	enc := make([]encQuad, 0, len(quads))
+	enc := make([]EncodedQuad, 0, len(quads))
 	for _, q := range quads {
 		if ids, ok := st.lookupQuad(q); ok {
 			enc = append(enc, ids)
@@ -414,7 +559,7 @@ func (st *Store) RemoveBatch(quads []rdf.Quad) int {
 	defer st.mu.Unlock()
 	removed := 0
 	for _, e := range enc {
-		if st.removeEncoded(e.s, e.p, e.o, e.g) {
+		if st.removeEncoded(e) {
 			removed++
 		}
 	}
@@ -429,21 +574,20 @@ func (st *Store) RemoveBatch(quads []rdf.Quad) int {
 // lookupQuad resolves a quad's terms without interning new ones. ok is
 // false when any term (or the graph) is not in the dictionary, which means
 // the quad cannot be in the store.
-func (st *Store) lookupQuad(q rdf.Quad) (encQuad, bool) {
-	var out encQuad
+func (st *Store) lookupQuad(q rdf.Quad) (EncodedQuad, bool) {
+	var out EncodedQuad
 	var ok bool
-	if out.s, ok = st.dict.Lookup(q.Subject); !ok {
+	if out.S, ok = st.dict.Lookup(q.Subject); !ok {
 		return out, false
 	}
-	if out.p, ok = st.dict.Lookup(q.Predicate); !ok {
+	if out.P, ok = st.dict.Lookup(q.Predicate); !ok {
 		return out, false
 	}
-	if out.o, ok = st.dict.Lookup(q.Object); !ok {
+	if out.O, ok = st.dict.Lookup(q.Object); !ok {
 		return out, false
 	}
-	out.g = unionGraph
 	if q.Graph.Value != "" {
-		if out.g, ok = st.dict.Lookup(q.Graph); !ok {
+		if out.G, ok = st.dict.Lookup(q.Graph); !ok {
 			return out, false
 		}
 	}
@@ -451,8 +595,9 @@ func (st *Store) lookupQuad(q rdf.Quad) (encQuad, bool) {
 }
 
 // removeEncoded is the mutation core of quad removal. Caller holds st.mu.
-func (st *Store) removeEncoded(s, p, o, g TermID) bool {
-	key := encQuad{s: s, p: p, o: o}
+func (st *Store) removeEncoded(q EncodedQuad) bool {
+	s, p, o, g := q.S, q.P, q.O, q.G
+	key := EncodedQuad{S: s, P: p, O: o}
 	set := st.graphsOf[key]
 	if !containsID(set, g) {
 		return false
@@ -501,17 +646,17 @@ func (st *Store) RemoveGraph(g rdf.Term) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	// Collect first: removeEncoded mutates the very index being walked.
-	var triples []encQuad
+	var triples []EncodedQuad
 	for s, l2 := range st.spo[gid] {
 		for p, objs := range l2 {
 			for _, o := range objs {
-				triples = append(triples, encQuad{s: s, p: p, o: o})
+				triples = append(triples, EncodedQuad{S: s, P: p, O: o, G: gid})
 			}
 		}
 	}
 	removed := 0
 	for _, t := range triples {
-		if st.removeEncoded(t.s, t.p, t.o, gid) {
+		if st.removeEncoded(t) {
 			removed++
 		}
 	}
@@ -542,7 +687,7 @@ func removeSorted(s []TermID, v TermID) []TermID {
 
 // removeIdx deletes (a, b, c) from one index ordering of graph g, pruning
 // emptied levels so Graphs() and full scans never see ghost entries.
-func removeIdx(idx map[TermID]map[TermID]map[TermID][]TermID, g, a, b, c TermID) {
+func removeIdx(idx index, g, a, b, c TermID) {
 	l1 := idx[g]
 	if l1 == nil {
 		return
@@ -565,26 +710,7 @@ func removeIdx(idx map[TermID]map[TermID]map[TermID][]TermID, g, a, b, c TermID)
 	}
 }
 
-func insertionSortIDs(s []TermID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// dedupSorted removes adjacent duplicates in place.
-func dedupSorted(s []TermID) []TermID {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func insertIdx(idx map[TermID]map[TermID]map[TermID][]TermID, g, a, b, c TermID) {
+func insertIdx(idx index, g, a, b, c TermID) {
 	l1 := idx[g]
 	if l1 == nil {
 		l1 = map[TermID]map[TermID][]TermID{}
@@ -606,7 +732,7 @@ func (st *Store) ApproxBytes() int64 {
 	defer st.mu.RUnlock()
 	var total int64
 	for q, gs := range st.graphsOf {
-		line := int64(len(st.dict.Term(q.s).String()) + len(st.dict.Term(q.p).String()) + len(st.dict.Term(q.o).String()) + 6)
+		line := int64(len(st.dict.Term(q.S).String()) + len(st.dict.Term(q.P).String()) + len(st.dict.Term(q.O).String()) + 6)
 		total += line * int64(len(gs))
 	}
 	return total
