@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"kglids/internal/lakegen"
+	"kglids/internal/schema"
 )
 
 var ingestSpec = lakegen.Spec{
@@ -56,6 +57,28 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
+// assertSameCanonicalEdges fails unless got and want are the same edge list
+// element for element and that list is strictly increasing in (A, B, Kind):
+// sorted and duplicate-free, however the platform came by it.
+func assertSameCanonicalEdges(t *testing.T, label string, got, want []schema.Edge) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d edges, want %d", label, len(got), len(want))
+	}
+	for i, e := range got {
+		if e != want[i] {
+			t.Fatalf("%s: edge %d = %+v, want %+v", label, i, e, want[i])
+		}
+		if i == 0 {
+			continue
+		}
+		prev := got[i-1]
+		if prev.A > e.A || prev.A == e.A && (prev.B > e.B || prev.B == e.B && prev.Kind >= e.Kind) {
+			t.Fatalf("%s: edge %d %+v does not sort strictly after %+v", label, i, e, prev)
+		}
+	}
+}
+
 // TestIncrementalIngestEquivalence drives a scripted add → add → update →
 // remove sequence through the live mutation path and checks the result is
 // equivalent to a fresh Bootstrap over the final tables: same Stats, same
@@ -96,6 +119,7 @@ func TestIncrementalIngestEquivalence(t *testing.T) {
 	if got, want := inc.Stats(), fresh.Stats(); got != want {
 		t.Errorf("stats diverge:\n incremental %+v\n fresh       %+v", got, want)
 	}
+	assertSameCanonicalEdges(t, "incremental vs fresh", inc.Core().EdgesView(), fresh.Core().EdgesView())
 
 	// Top-k similarity (exact index) for every benchmark query table still
 	// in the lake.

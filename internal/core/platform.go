@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -92,10 +93,11 @@ type Platform struct {
 	// Profiles, Edges, TableEmbeddings, Abstractions — against concurrent
 	// readers; the store, indexes, and linker carry their own locks.
 	mu sync.RWMutex
-	// ingestMu serializes whole mutations (AddTables/RemoveTable) so delta
-	// similarity computation always sees the final profile set of the
-	// previous mutation, and so snapshots taken via IngestLock observe a
-	// job-consistent platform.
+	// ingestMu serializes whole table mutations. apply, the only writer of
+	// Profiles, Edges and TableEmbeddings, runs under it, so its holder may
+	// read them without mu, delta similarity always sees the final profile
+	// set of the previous mutation, and snapshots taken via IngestLock
+	// observe a job-consistent platform.
 	ingestMu   sync.Mutex
 	cfg        Config
 	profiler   *profiler.Profiler
@@ -135,12 +137,11 @@ func Bootstrap(cfg Config, tables []Table) *Platform {
 // BootstrapSource.
 func newPlatform(cfg Config) *Platform {
 	p := &Platform{
-		Store:           store.New(),
-		ColumnIndex:     vectorindex.NewExact(),
-		TableIndex:      vectorindex.NewExact(),
-		TableEmbeddings: map[string]embed.Vector{},
-		cfg:             cfg,
-		labels:          schema.NewLabelCache(),
+		Store:       store.New(),
+		ColumnIndex: vectorindex.NewExact(),
+		TableIndex:  vectorindex.NewExact(),
+		cfg:         cfg,
+		labels:      schema.NewLabelCache(),
 	}
 	p.profiler = profiler.New()
 	if cfg.CoLR != nil {
@@ -194,27 +195,44 @@ func (p *Platform) finishBootstrap(profiles []*profiler.ColumnProfile, profiling
 // is deterministic — the HNSW graph and tie-breaking in exact search depend
 // on insertion order.
 func (p *Platform) buildEmbeddingIndexes() {
-	byTable := map[string]map[embed.Type][]embed.Vector{}
 	for _, cp := range p.Profiles {
 		p.ColumnIndex.Add(cp.ID(), cp.Embed)
+	}
+	p.TableEmbeddings = tableEmbeddings(p.Profiles)
+	p.TableANN = vectorindex.NewHNSW(defaultANNM, defaultANNEfConstruction, defaultANNEfSearch)
+	for _, tid := range sortedIDs(p.TableEmbeddings) {
+		p.TableIndex.Add(tid, p.TableEmbeddings[tid])
+		p.TableANN.Add(tid, p.TableEmbeddings[tid])
+	}
+}
+
+// tableEmbeddings groups column embeddings by table and fine-grained type
+// and folds each table's groups into its embedding (Eq. 1).
+func tableEmbeddings(profiles []*profiler.ColumnProfile) map[string]embed.Vector {
+	byTable := map[string]map[embed.Type][]embed.Vector{}
+	for _, cp := range profiles {
 		tid := cp.TableID()
 		if byTable[tid] == nil {
 			byTable[tid] = map[embed.Type][]embed.Vector{}
 		}
 		byTable[tid][cp.Type] = append(byTable[tid][cp.Type], cp.Embed)
 	}
-	tids := make([]string, 0, len(byTable))
-	for tid := range byTable {
-		tids = append(tids, tid)
+	embs := make(map[string]embed.Vector, len(byTable))
+	for tid, byType := range byTable {
+		embs[tid] = embed.TableEmbedding(byType)
 	}
-	sort.Strings(tids)
-	p.TableANN = vectorindex.NewHNSW(defaultANNM, defaultANNEfConstruction, defaultANNEfSearch)
-	for _, tid := range tids {
-		emb := embed.TableEmbedding(byTable[tid])
-		p.TableEmbeddings[tid] = emb
-		p.TableIndex.Add(tid, emb)
-		p.TableANN.Add(tid, emb)
+	return embs
+}
+
+// sortedIDs returns the table IDs of an embedding map in sorted order —
+// the order tables enter the indexes in, on every path.
+func sortedIDs(embs map[string]embed.Vector) []string {
+	ids := make([]string, 0, len(embs))
+	for id := range embs {
+		ids = append(ids, id)
 	}
+	sort.Strings(ids)
+	return ids
 }
 
 // newGraphBuilder returns the pipeline graph builder over the platform's
@@ -270,12 +288,13 @@ func (p *Platform) SetEdgeTuning(blockSize, candidates int) {
 // delta profiling (Algorithm 2 over just the new tables), delta similarity
 // edges (new columns against all columns), per-table named-graph insertion
 // into the store, and embedding-index upserts — no re-bootstrap. A table
-// whose ID already exists is an update: the old version is removed first.
+// whose ID already exists is an update: the old version is replaced.
 // After any sequence of AddTables/RemoveTable, discovery results are
 // equivalent to a fresh Bootstrap over the final table set.
 //
-// Safe to call while the platform serves queries; concurrent mutations are
-// serialized. Returns the IDs ("dataset/table") of the tables ingested.
+// Safe to call while the platform serves queries; profiling runs before
+// the mutation lock is taken, and concurrent mutations are serialized.
+// Returns the IDs ("dataset/table") of the tables ingested.
 func (p *Platform) AddTables(tables []Table) ([]string, error) {
 	if len(tables) == 0 {
 		return nil, nil
@@ -298,82 +317,57 @@ func (p *Platform) AddTables(tables []Table) ([]string, error) {
 		ids = append(ids, id)
 		ptables = append(ptables, profiler.Table{Dataset: t.Dataset, Frame: t.Frame})
 	}
-
-	p.ingestMu.Lock()
-	defer p.ingestMu.Unlock()
-
-	// Resubmitted IDs are updates: drop the old version, then ingest.
-	for _, id := range ids {
-		if p.HasTable(id) {
-			p.removeTableLocked(id)
-		}
-	}
-
 	// Delta profiling: cost scales with the new tables only.
-	added := p.profiler.ProfileAll(ptables)
-
-	p.spliceProfilesLocked(added)
+	p.addProfiles(ids, p.profiler.ProfileAll(ptables))
 	return ids, nil
 }
 
-// spliceProfilesLocked splices already-computed profiles of one or more
-// whole tables into the live platform: delta similarity edges, per-table
-// metadata named graphs, embedding-index upserts, linker registration,
-// and the locked metadata append. Both mutation paths — AddTables with
-// in-memory profiling and AddSourceTable with streaming profiling — end
-// here, which is why they produce identical platforms for identical
-// data. Caller holds ingestMu and has removed prior versions of the
-// tables.
-func (p *Platform) spliceProfilesLocked(added []*profiler.ColumnProfile) {
-	// Delta similarity: new columns against existing + new columns.
-	// ingestMu guarantees no concurrent mutator, so the view is the final
-	// state of the previous mutation.
-	existing := p.ProfilesView()
-	delta := p.newBuilder().SimilarityEdgesDelta(existing, added)
+// addProfiles makes the already-profiled tables ids part of the live
+// platform, replacing resident versions — the mutation both AddTables
+// (in-memory profiling) and AddSourceTable (streaming profiling) end in,
+// which is why they produce identical platforms for identical data.
+//
+// Build comes first and changes nothing: delta similarity edges of the new
+// columns against the resident profiles minus the versions being replaced,
+// the table embeddings, and the two quad batches. It reads Profiles and
+// TableEmbeddings without p.mu, which ingestMu makes safe (their only
+// writer, apply, runs under it) and which keeps it off every lock a reader
+// takes. Only then are the old versions retracted and the new ones
+// presented, so an updated table is absent for two store batches, not for
+// a profile and an edge comparison.
+func (p *Platform) addProfiles(ids []string, added []*profiler.ColumnProfile) {
+	p.ingestMu.Lock()
+	defer p.ingestMu.Unlock()
 
-	// Store: per-table metadata named graphs + delta edges, one batch each.
-	p.Store.AddBatch(schema.MetadataQuads(added))
-	p.Store.AddBatch(schema.EdgeQuads(delta))
-
-	// Embedding stores: column upserts, then table embeddings in sorted ID
-	// order (matching Bootstrap's deterministic insertion).
-	byTable := map[string]map[embed.Type][]embed.Vector{}
-	for _, cp := range added {
-		p.ColumnIndex.Add(cp.ID(), cp.Embed)
-		tid := cp.TableID()
-		if byTable[tid] == nil {
-			byTable[tid] = map[embed.Type][]embed.Vector{}
+	existing := p.Profiles
+	var replaced []string
+	for _, id := range ids {
+		if _, ok := p.TableEmbeddings[id]; ok {
+			replaced = append(replaced, id)
 		}
-		byTable[tid][cp.Type] = append(byTable[tid][cp.Type], cp.Embed)
 	}
-	tids := make([]string, 0, len(byTable))
-	for tid := range byTable {
-		tids = append(tids, tid)
+	if len(replaced) > 0 {
+		existing = make([]*profiler.ColumnProfile, 0, len(p.Profiles))
+		for _, cp := range p.Profiles {
+			if !slices.ContainsFunc(replaced, func(id string) bool { return inTable(cp, id) }) {
+				existing = append(existing, cp)
+			}
+		}
 	}
-	sort.Strings(tids)
-	embs := map[string]embed.Vector{}
-	for _, tid := range tids {
-		emb := embed.TableEmbedding(byTable[tid])
-		embs[tid] = emb
-		p.TableIndex.Add(tid, emb)
-		p.TableANN.Add(tid, emb)
+	d := &PlatformDelta{
+		Profiles:        added,
+		Edges:           p.newBuilder().SimilarityEdgesDelta(existing, added),
+		TableEmbeddings: tableEmbeddings(added),
 	}
+	metaQuads, edgeQuads := schema.MetadataQuads(d.Profiles), schema.EdgeQuads(d.Edges)
 
-	p.Linker.AddProfiles(added)
-
-	p.mu.Lock()
-	p.Profiles = append(p.Profiles, added...)
-	p.Edges = append(p.Edges, delta...)
-	schema.SortEdges(p.Edges)
-	for tid, emb := range embs {
-		p.TableEmbeddings[tid] = emb
+	for _, id := range replaced {
+		p.removeTableLocked(id)
 	}
-	p.mu.Unlock()
-
-	// Replication: the quad half of this splice was logged by the store
-	// batches above; the platform half (profiles, edges, embeddings) rides
-	// as an aux record so followers can mirror the metadata too.
-	p.emitDelta(&PlatformDelta{Profiles: added, Edges: delta, TableEmbeddings: embs})
+	p.Store.AddBatch(metaQuads)
+	p.Store.AddBatch(edgeQuads)
+	p.apply(d)
+	p.emitDelta(d)
 }
 
 // RemoveTable deletes a table from the live platform: its metadata named
@@ -392,29 +386,86 @@ func (p *Platform) RemoveTable(id string) error {
 }
 
 // removeTableLocked performs the removal; caller holds ingestMu and has
-// verified the table exists.
+// verified the table exists. The platform half goes first because apply's
+// one pass over the edge list is what finds the edges whose quads (both
+// directions + annotations, in the default graph) the store must retract.
 func (p *Platform) removeTableLocked(id string) {
-	prefix := id + "/"
-
-	// Collect the table's edges under the read lock, mutate the store
-	// outside it: retract the edge quads (both directions + annotations
-	// live in the default graph) and drop the table's metadata graph.
-	p.mu.RLock()
-	var removedEdges []schema.Edge
-	for _, e := range p.Edges {
-		if strings.HasPrefix(e.A, prefix) || strings.HasPrefix(e.B, prefix) {
-			removedEdges = append(removedEdges, e)
-		}
-	}
-	p.mu.RUnlock()
-	p.Store.RemoveBatch(schema.EdgeQuads(removedEdges))
+	d := &PlatformDelta{RemovedTable: id}
+	retracted := p.apply(d)
+	p.Store.RemoveBatch(schema.EdgeQuads(retracted))
 	p.Store.RemoveGraph(schema.TableGraph(id))
+	p.emitDelta(d)
+}
 
-	// Platform metadata: profiles, embeddings, linker entry (shared with
-	// the follower-side delta application).
-	p.removeTableMeta(id)
+// apply makes one platform delta visible. After bootstrap or restore it is
+// the only writer of Profiles, Edges, TableEmbeddings, the embedding
+// indexes and the linker: a primary's mutations and a follower's
+// ApplyPlatformDelta both end here, so a replayed platform equals its
+// primary by construction. Caller holds ingestMu. The store is not touched;
+// for a removal the retracted edges are returned so the primary can
+// retract their quads.
+//
+// The p.mu write sections hold no sort and no allocation sized by the
+// resident lists: an addition merges the already-sorted delta edges into
+// the resident list in place, a removal compacts both lists in place.
+func (p *Platform) apply(d *PlatformDelta) (retracted []schema.Edge) {
+	if id := d.RemovedTable; id != "" {
+		prefix := id + "/"
+		var columns []string
+		p.mu.Lock()
+		p.Profiles = slices.DeleteFunc(p.Profiles, func(cp *profiler.ColumnProfile) bool {
+			if !inTable(cp, id) {
+				return false
+			}
+			columns = append(columns, cp.ID())
+			return true
+		})
+		p.Edges = slices.DeleteFunc(p.Edges, func(e schema.Edge) bool {
+			if !strings.HasPrefix(e.A, prefix) && !strings.HasPrefix(e.B, prefix) {
+				return false
+			}
+			retracted = append(retracted, e)
+			return true
+		})
+		delete(p.TableEmbeddings, id)
+		p.mu.Unlock()
 
-	p.emitDelta(&PlatformDelta{RemovedTable: id})
+		for _, col := range columns {
+			p.ColumnIndex.Remove(col)
+		}
+		p.TableIndex.Remove(id)
+		p.TableANN.Remove(id)
+		p.Linker.RemoveTable(id)
+		return retracted
+	}
+
+	for _, cp := range d.Profiles {
+		p.ColumnIndex.Add(cp.ID(), cp.Embed)
+	}
+	// Sorted insertion order, as at bootstrap: the exact index's
+	// tie-breaking and the HNSW graph depend on it.
+	for _, tid := range sortedIDs(d.TableEmbeddings) {
+		p.TableIndex.Add(tid, d.TableEmbeddings[tid])
+		p.TableANN.Add(tid, d.TableEmbeddings[tid])
+	}
+	p.Linker.AddProfiles(d.Profiles)
+
+	p.mu.Lock()
+	p.Profiles = append(p.Profiles, d.Profiles...)
+	p.Edges = schema.MergeEdges(p.Edges, d.Edges)
+	for tid, emb := range d.TableEmbeddings {
+		p.TableEmbeddings[tid] = emb
+	}
+	p.mu.Unlock()
+	return nil
+}
+
+// inTable reports whether cp is a column of table id ("dataset/table")
+// without building cp's own ID string, so scanning every resident profile
+// allocates nothing.
+func inTable(cp *profiler.ColumnProfile, id string) bool {
+	return len(id) == len(cp.Dataset)+1+len(cp.Table) && id[len(cp.Dataset)] == '/' &&
+		strings.HasPrefix(id, cp.Dataset) && strings.HasSuffix(id, cp.Table)
 }
 
 // HasTable reports whether a table ID is currently part of the platform.
@@ -445,13 +496,8 @@ func (p *Platform) TableEmbedding(id string) (embed.Vector, bool) {
 // TableIDs returns the IDs of all current tables in sorted order.
 func (p *Platform) TableIDs() []string {
 	p.mu.RLock()
-	ids := make([]string, 0, len(p.TableEmbeddings))
-	for id := range p.TableEmbeddings {
-		ids = append(ids, id)
-	}
-	p.mu.RUnlock()
-	sort.Strings(ids)
-	return ids
+	defer p.mu.RUnlock()
+	return sortedIDs(p.TableEmbeddings)
 }
 
 // ProfilesView returns a snapshot of the profile slice, safe to read while

@@ -275,3 +275,47 @@ func sortedRows(res *sparql.Result) []string {
 	sort.Strings(rows)
 	return rows
 }
+
+// BenchmarkAddTables_ResidentEdges adds, and then updates, one family table
+// on lakes of ≈5 k and ≈40 k resident edges. A job's ns/op and B/op should
+// follow delta-edges/op (the table meets more similar columns in the larger
+// lake), not the eightfold longer list the delta is merged into.
+func BenchmarkAddTables_ResidentEdges(b *testing.B) {
+	for _, families := range []int{10, 28} {
+		gen := lakegen.Generate(lakegen.Spec{
+			Name: "resident", Families: families, TablesPerFamily: 8, NoiseTables: families,
+			RowsPerTable: 60, Seed: 104,
+		})
+		var tables []Table
+		for _, df := range gen.Tables {
+			tables = append(tables, Table{Dataset: gen.Dataset[df.Name], Frame: df})
+		}
+		held, id := tables[:1], tables[0].Dataset+"/"+tables[0].Frame.Name
+		p := Bootstrap(DefaultConfig(), tables[1:])
+		resident := len(p.Edges)
+
+		run := func(kind string, after func()) {
+			b.Run(fmt.Sprintf("resident=%d/%s", resident, kind), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := p.AddTables(held); err != nil {
+						b.Fatal(err)
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(len(p.Edges)-resident), "delta-edges/op")
+					after()
+					b.StartTimer()
+				}
+			})
+		}
+		run("add", func() {
+			if err := p.RemoveTable(id); err != nil {
+				b.Fatal(err)
+			}
+		})
+		if _, err := p.AddTables(held); err != nil {
+			b.Fatal(err)
+		}
+		run("update", func() {})
+	}
+}

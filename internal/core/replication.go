@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sort"
-	"strings"
-
 	"kglids/internal/embed"
 	"kglids/internal/profiler"
 	"kglids/internal/schema"
@@ -11,16 +8,17 @@ import (
 )
 
 // PlatformDelta is the platform-level half of one mutation: the profiles,
-// similarity edges, and table embeddings a splice produced, or the table a
-// removal dropped. The store-level half (metadata and edge quads) travels
+// similarity edges, and table embeddings an addition built, or the table a
+// removal dropped. Every mutation, local or replicated, takes effect by
+// one being handed to apply. The store-level half (metadata and edge quads) travels
 // as ordinary quad records in the changelog; this delta carries exactly
 // the state that is NOT derivable from quads — embeddings and profile
 // structs never enter the store — so a follower applying both halves in
 // log order reconstructs the full platform.
 type PlatformDelta struct {
-	// Profiles, Edges, and TableEmbeddings describe a splice (AddTables /
-	// AddSource): the profiles added, the delta similarity edges, and the
-	// new or updated table embeddings.
+	// Profiles, Edges, and TableEmbeddings describe an addition (AddTables
+	// / AddSource): the profiles added, the delta similarity edges in
+	// schema.SortEdges order, and the new or updated table embeddings.
 	Profiles        []*profiler.ColumnProfile
 	Edges           []schema.Edge
 	TableEmbeddings map[string]embed.Vector
@@ -29,10 +27,10 @@ type PlatformDelta struct {
 	RemovedTable string
 }
 
-// EnableChangelog attaches a write-ahead changelog to the platform's
-// store and seeds its floor from the snapshot position this platform was
-// restored at, so sequence numbering continues where the snapshot's
-// followers left off. Call once on the primary before serving.
+// EnableChangelog attaches an in-memory mutation changelog to the
+// platform's store and seeds its floor from the snapshot position this
+// platform was restored at, so sequence numbering continues where the
+// snapshot's followers left off. Call once on the primary before serving.
 func (p *Platform) EnableChangelog(retainQuads int) *store.Changelog {
 	cl := p.Store.EnableChangelog(retainQuads)
 	if p.restoredLogPos > 0 {
@@ -62,78 +60,11 @@ func (p *Platform) emitDelta(d *PlatformDelta) {
 	}
 }
 
-// ApplyPlatformDelta applies a replicated platform delta — the follower-
-// side mirror of spliceProfilesLocked/removeTableLocked with the store
-// mutations omitted (those arrive as separate quad records). Deltas must
-// be applied in log order.
+// ApplyPlatformDelta applies a replicated platform delta through the same
+// apply the primary's own mutations end in; the store half arrives as
+// separate quad records. Deltas must be applied in log order.
 func (p *Platform) ApplyPlatformDelta(d *PlatformDelta) {
 	p.ingestMu.Lock()
 	defer p.ingestMu.Unlock()
-	if d.RemovedTable != "" {
-		p.removeTableMeta(d.RemovedTable)
-		return
-	}
-
-	for _, cp := range d.Profiles {
-		p.ColumnIndex.Add(cp.ID(), cp.Embed)
-	}
-	// Sorted insertion order keeps the exact index's tie-breaking and the
-	// HNSW graph identical to the primary's splice.
-	tids := make([]string, 0, len(d.TableEmbeddings))
-	for tid := range d.TableEmbeddings {
-		tids = append(tids, tid)
-	}
-	sort.Strings(tids)
-	for _, tid := range tids {
-		emb := d.TableEmbeddings[tid]
-		p.TableIndex.Add(tid, emb)
-		p.TableANN.Add(tid, emb)
-	}
-	p.Linker.AddProfiles(d.Profiles)
-
-	p.mu.Lock()
-	p.Profiles = append(p.Profiles, d.Profiles...)
-	p.Edges = append(p.Edges, d.Edges...)
-	schema.SortEdges(p.Edges)
-	for tid, emb := range d.TableEmbeddings {
-		p.TableEmbeddings[tid] = emb
-	}
-	p.mu.Unlock()
-}
-
-// removeTableMeta drops a table's platform-level metadata — profiles,
-// edges, embeddings, linker entry — leaving the store untouched. Caller
-// holds ingestMu.
-func (p *Platform) removeTableMeta(id string) {
-	prefix := id + "/"
-	p.mu.RLock()
-	keepProfiles := make([]*profiler.ColumnProfile, 0, len(p.Profiles))
-	var removedProfiles []*profiler.ColumnProfile
-	for _, cp := range p.Profiles {
-		if cp.TableID() == id {
-			removedProfiles = append(removedProfiles, cp)
-		} else {
-			keepProfiles = append(keepProfiles, cp)
-		}
-	}
-	keepEdges := make([]schema.Edge, 0, len(p.Edges))
-	for _, e := range p.Edges {
-		if !strings.HasPrefix(e.A, prefix) && !strings.HasPrefix(e.B, prefix) {
-			keepEdges = append(keepEdges, e)
-		}
-	}
-	p.mu.RUnlock()
-
-	for _, cp := range removedProfiles {
-		p.ColumnIndex.Remove(cp.ID())
-	}
-	p.TableIndex.Remove(id)
-	p.TableANN.Remove(id)
-	p.Linker.RemoveTable(id)
-
-	p.mu.Lock()
-	p.Profiles = keepProfiles
-	p.Edges = keepEdges
-	delete(p.TableEmbeddings, id)
-	p.mu.Unlock()
+	p.apply(d)
 }

@@ -13,9 +13,9 @@ import (
 // Source-based ingestion: the streaming twin of Bootstrap/AddTables.
 // Tables arrive as connector chunks and are profiled by the one-pass
 // accumulators in internal/profiler, so the lake never has to fit in
-// memory — then the resulting profiles enter the exact same splice path
-// as in-memory profiling, making the two routes produce identical
-// platforms for identical data.
+// memory — then the resulting profiles enter the same addProfiles as
+// in-memory profiling, making the two routes produce identical platforms
+// for identical data.
 
 // connectorOpts derives the streaming options from the platform config.
 func (p *Platform) connectorOpts() connector.Options {
@@ -54,7 +54,7 @@ func BootstrapSource(ctx context.Context, cfg Config, uri string) (*Platform, ma
 // AddSourceTable streams one connector table into the live platform with
 // AddTables' update semantics (an existing ID is replaced). Profiling
 // happens outside the ingest lock — concurrent callers stream tables in
-// parallel and only the final splice is serialized.
+// parallel and only addProfiles is serialized.
 func (p *Platform) AddSourceTable(ctx context.Context, src connector.Source, ref connector.TableRef) error {
 	if ref.Dataset == "" || ref.Table == "" {
 		return fmt.Errorf("core: source table needs a dataset and a name, got %q/%q", ref.Dataset, ref.Table)
@@ -68,13 +68,7 @@ func (p *Platform) AddSourceTable(ctx context.Context, src connector.Source, ref
 	if err != nil {
 		return err
 	}
-
-	p.ingestMu.Lock()
-	defer p.ingestMu.Unlock()
-	if id := ref.ID(); p.HasTable(id) {
-		p.removeTableLocked(id)
-	}
-	p.spliceProfilesLocked(profiles)
+	p.addProfiles([]string{ref.ID()}, profiles)
 	return nil
 }
 

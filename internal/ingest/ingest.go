@@ -322,88 +322,83 @@ func (m *Manager) run(j *job) {
 	close(j.done)
 }
 
+// unchanged is the fingerprint gate every add and source job passes each
+// table through. A table whose fingerprint equals the last ingested one
+// and that is still resident is recorded as Skipped and reports true; a
+// zero fingerprint means the connector cannot cheaply hash the table, and
+// such tables are always re-ingested, never stale-skipped. Otherwise the
+// caller ingests the table and hands resident — whether that replaces a
+// resident version — on to ingested.
+func (m *Manager) unchanged(j *job, id string, fp uint64) (skip, resident bool) {
+	resident = m.plat.HasTable(id)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if prev, known := m.fingerprints[id]; known && fp != 0 && prev == fp && resident {
+		j.Skipped = append(j.Skipped, id)
+		return true, resident
+	}
+	return false, resident
+}
+
+// ingested records a successful ingest of a table that passed the gate:
+// its fingerprint, and the job outcome it counts under.
+func (m *Manager) ingested(j *job, id string, fp uint64, resident bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.fingerprints[id] = fp
+	if resident {
+		j.Updated = append(j.Updated, id)
+	} else {
+		j.Added = append(j.Added, id)
+	}
+}
+
 // runAdd partitions the submission by fingerprint, ingests what changed,
 // and records the new fingerprints on success.
 func (m *Manager) runAdd(j *job) error {
-	// Hash outside the manager lock: fingerprints depend only on the job
-	// payload, and hashing a large submission must not block status reads
-	// or other workers' state transitions.
-	hashes := make([]uint64, len(j.tables))
-	for i, t := range j.tables {
-		hashes[i] = Fingerprint(t)
+	type pending struct {
+		id       string
+		fp       uint64
+		resident bool
 	}
 	var ingest []core.Table
-	var ingestIDs []string
-	prints := map[string]uint64{}
-	m.mu.Lock()
+	var todo []pending
 	for i, t := range j.tables {
-		id := j.Tables[i]
-		if prev, ok := m.fingerprints[id]; ok && prev == hashes[i] && m.plat.HasTable(id) {
-			j.Skipped = append(j.Skipped, id)
-			continue
+		// Hashed outside the manager lock: hashing a large submission must
+		// not block status reads or other workers' state transitions.
+		id, fp := j.Tables[i], Fingerprint(t)
+		if skip, resident := m.unchanged(j, id, fp); !skip {
+			ingest = append(ingest, t)
+			todo = append(todo, pending{id, fp, resident})
 		}
-		prints[id] = hashes[i]
-		ingest = append(ingest, t)
-		ingestIDs = append(ingestIDs, id)
 	}
-	m.mu.Unlock()
 	if len(ingest) == 0 {
 		return nil
-	}
-
-	updated := map[string]bool{}
-	for _, id := range ingestIDs {
-		if m.plat.HasTable(id) {
-			updated[id] = true
-		}
 	}
 	if _, err := m.plat.AddTables(ingest); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	for _, id := range ingestIDs {
-		m.fingerprints[id] = prints[id]
-		if updated[id] {
-			j.Updated = append(j.Updated, id)
-		} else {
-			j.Added = append(j.Added, id)
-		}
+	for _, t := range todo {
+		m.ingested(j, t.id, t.fp, t.resident)
 	}
-	m.mu.Unlock()
 	// Drop the payload: finished jobs should not pin table frames in
 	// memory for as long as the job record is retained.
 	j.tables = nil
 	return nil
 }
 
-// runSource streams one connector table into the platform, skipping it
-// when the connector-reported fingerprint matches the last ingested
-// version. A zero fingerprint means the connector cannot cheaply hash
-// the table; such tables are always re-ingested, never stale-skipped.
+// runSource streams one connector table into the platform, unless the
+// connector-reported fingerprint says it is unchanged.
 func (m *Manager) runSource(j *job) error {
-	id := j.ref.ID()
-	m.mu.Lock()
-	prev, known := m.fingerprints[id]
-	m.mu.Unlock()
-	if known && j.ref.Fingerprint != 0 && prev == j.ref.Fingerprint && m.plat.HasTable(id) {
-		m.mu.Lock()
-		j.Skipped = append(j.Skipped, id)
-		m.mu.Unlock()
+	id, fp := j.ref.ID(), j.ref.Fingerprint
+	skip, resident := m.unchanged(j, id, fp)
+	if skip {
 		return nil
 	}
-
-	updated := m.plat.HasTable(id)
 	if err := m.plat.AddSourceTable(context.Background(), j.src, j.ref); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	m.fingerprints[id] = j.ref.Fingerprint
-	if updated {
-		j.Updated = append(j.Updated, id)
-	} else {
-		j.Added = append(j.Added, id)
-	}
-	m.mu.Unlock()
+	m.ingested(j, id, fp, resident)
 	j.src = nil
 	return nil
 }

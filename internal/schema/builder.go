@@ -369,18 +369,40 @@ func (b *Builder) BuildGraph(st *store.Store, profiles []*profiler.ColumnProfile
 }
 
 // SortEdges orders edges by (A, B, Kind), the canonical order BuildGraph
-// returns; incremental ingestion re-sorts after merging delta edges so the
-// edge list stays deterministic.
+// and the delta builders return.
 func SortEdges(edges []Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].A != edges[j].A {
-			return edges[i].A < edges[j].A
+	sort.Slice(edges, func(i, j int) bool { return edgeLess(&edges[i], &edges[j]) })
+}
+
+func edgeLess(a, b *Edge) bool {
+	if a.A != b.A {
+		return a.A < b.A
+	}
+	if a.B != b.B {
+		return a.B < b.B
+	}
+	return a.Kind < b.Kind
+}
+
+// MergeEdges merges delta into base, both in SortEdges order, and returns
+// the merged list in that order — how incremental ingestion keeps the
+// resident edge list canonical without re-sorting it. The merge is in
+// place: base grows by len(delta) and is filled from the back, so it moves
+// only the edges past delta's first position and allocates nothing beyond
+// append's growth. delta must not share base's backing array.
+func MergeEdges(base, delta []Edge) []Edge {
+	i, j := len(base)-1, len(delta)-1
+	base = append(base, delta...)
+	for k := len(base) - 1; j >= 0; k-- {
+		if i >= 0 && edgeLess(&delta[j], &base[i]) {
+			base[k] = base[i]
+			i--
+		} else {
+			base[k] = delta[j]
+			j--
 		}
-		if edges[i].B != edges[j].B {
-			return edges[i].B < edges[j].B
-		}
-		return edges[i].Kind < edges[j].Kind
-	})
+	}
+	return base
 }
 
 // Linker is the Global Graph Linker: it verifies predicted dataset-usage

@@ -2,6 +2,8 @@ package schema
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"kglids/internal/dataframe"
@@ -228,5 +230,52 @@ func TestSimilarityEdgesScaling(t *testing.T) {
 		if e.Score < b.Thresholds.Theta && e.Kind == "ContentSimilarity" {
 			t.Errorf("edge below threshold: %+v", e)
 		}
+	}
+}
+
+// TestMergeEdges: merging a sorted delta into a sorted base gives what
+// sorting their concatenation gives, wherever the delta falls.
+func TestMergeEdges(t *testing.T) {
+	mk := func(keys ...string) []Edge {
+		var out []Edge
+		for _, k := range keys {
+			out = append(out, Edge{A: k[:1], B: k[1:2], Kind: k[2:]})
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name        string
+		base, delta []Edge
+	}{
+		{"both empty", nil, nil},
+		{"empty base", nil, mk("abL", "acC")},
+		{"empty delta", mk("abL", "acC"), nil},
+		{"delta before base", mk("mnC", "mnL"), mk("abC", "cdL")},
+		{"delta after base", mk("abC", "cdL"), mk("mnC", "mnL")},
+		{"interleaved", mk("abC", "cdL", "mnL", "xyC"), mk("aaC", "abL", "mnC", "zzL")},
+	} {
+		want := append(append([]Edge{}, c.base...), c.delta...)
+		SortEdges(want)
+		assertSameEdges(t, c.name, MergeEdges(append([]Edge{}, c.base...), c.delta), want)
+	}
+
+	rng := rand.New(rand.NewSource(16))
+	for round := 0; round < 200; round++ {
+		var base, delta []Edge
+		for i, n := 0, rng.Intn(60); i < n; i++ {
+			e := Edge{A: fmt.Sprint("c", rng.Intn(12)), B: fmt.Sprint("c", rng.Intn(12)), Kind: []string{"ContentSimilarity", "LabelSimilarity"}[rng.Intn(2)], Score: float64(i)}
+			if rng.Intn(4) == 0 {
+				delta = append(delta, e)
+			} else {
+				base = append(base, e)
+			}
+		}
+		SortEdges(base)
+		SortEdges(delta)
+		// Scores are unique, so ties on (A, B, Kind) must come out base
+		// first — what a stable sort of the concatenation gives.
+		want := append(append([]Edge{}, base...), delta...)
+		sort.SliceStable(want, func(i, j int) bool { return edgeLess(&want[i], &want[j]) })
+		assertSameEdges(t, fmt.Sprint("round ", round), MergeEdges(base, delta), want)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -235,5 +237,37 @@ func TestDisableMetrics(t *testing.T) {
 	}
 	if after := mHTTPRequests.WithLabelValues("/api/v1/healthz", "GET", "200").Value(); after != before {
 		t.Errorf("DisableMetrics still recorded a request (%d -> %d)", before, after)
+	}
+}
+
+// TestMetricCatalogMatchesRegistry: docs/OBSERVABILITY.md names exactly the
+// metric families the process registers. This package links every layer
+// that registers one, so obs.Default here is what a server exposes.
+func TestMetricCatalogMatchesRegistry(t *testing.T) {
+	var exposition bytes.Buffer
+	if err := obs.Default.WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	registered := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (kglids_\w+) `).FindAllStringSubmatch(exposition.String(), -1) {
+		registered[m[1]] = true
+	}
+	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, name := range regexp.MustCompile(`kglids_[a-z_]+`).FindAllString(string(doc), -1) {
+		documented[name] = true
+	}
+	for name := range registered {
+		if !documented[name] {
+			t.Errorf("%s is registered but docs/OBSERVABILITY.md does not name it", name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("docs/OBSERVABILITY.md names %s, which nothing registers", name)
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // back and how fast it grows.
 var (
 	mChangelogRecords = obs.Default.NewCounter("kglids_changelog_records_total",
-		"Mutation records appended to the write-ahead changelog.")
+		"Mutation records appended to the in-memory mutation changelog.")
 	mChangelogHead = obs.Default.NewGauge("kglids_changelog_head",
 		"Sequence number of the newest changelog record.")
 	mChangelogFloor = obs.Default.NewGauge("kglids_changelog_floor",
@@ -40,7 +40,7 @@ const (
 	ChangeAux ChangeKind = "platform-delta"
 )
 
-// ChangeRecord is one entry of the write-ahead mutation changelog. Records
+// ChangeRecord is one entry of the in-memory mutation changelog. Records
 // are immutable once appended; Quads/Graph/Aux must not be modified by
 // consumers.
 type ChangeRecord struct {
@@ -84,7 +84,10 @@ var (
 // (~a few hundred MiB of term strings at metadata-graph densities).
 const DefaultChangelogRetention = 1 << 18
 
-// Changelog is a bounded in-memory write-ahead log of store mutations.
+// Changelog is the in-memory mutation changelog: a bounded ring of store
+// mutations, each appended after the store has applied it. It exists to
+// feed followers, not to recover from: nothing in it reaches disk, so a
+// primary that crashes loses every mutation since its last saved snapshot.
 // Records floor+1..head are retained; older ones have been compacted away
 // (either by the quad-weighted retention budget or by CompactTo after a
 // snapshot). It is safe for concurrent use.
@@ -204,9 +207,10 @@ func (cl *Changelog) Since(cursor uint64, max int) (LogView, error) {
 	return view, nil
 }
 
-// EnableChangelog attaches a write-ahead changelog to the store: from now
-// on every term-level mutation (AddQuad/AddBatch/RemoveQuad/RemoveBatch/
-// RemoveGraph) appends a sequence-numbered record. retainQuads is the
+// EnableChangelog attaches an in-memory mutation changelog to the store:
+// from now on every term-level mutation (AddQuad/AddBatch/RemoveQuad/
+// RemoveBatch/RemoveGraph) appends a sequence-numbered record once it has
+// been applied. retainQuads is the
 // quad-weighted retention budget (<= 0 uses DefaultChangelogRetention).
 // Idempotent: a second call returns the existing log.
 func (st *Store) EnableChangelog(retainQuads int) *Changelog {

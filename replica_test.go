@@ -54,6 +54,16 @@ func assertConverged(t *testing.T, primary, replica *Platform, bench *lakegen.Be
 	if ps, rs := primary.Stats(), replica.Stats(); !reflect.DeepEqual(ps, rs) {
 		t.Fatalf("stats diverge:\n  primary: %+v\n  replica: %+v", ps, rs)
 	}
+	assertSameCanonicalEdges(t, "replica vs primary", replica.Core().EdgesView(), primary.Core().EdgesView())
+	pp, rp := primary.Core().ProfilesView(), replica.Core().ProfilesView()
+	if len(pp) != len(rp) {
+		t.Fatalf("profiles: primary %d, replica %d", len(pp), len(rp))
+	}
+	for i := range pp {
+		if pp[i].ID() != rp[i].ID() {
+			t.Fatalf("profile %d: primary %s, replica %s", i, pp[i].ID(), rp[i].ID())
+		}
+	}
 	const q = `SELECT ?n WHERE { ?t a kglids:Table ; kglids:name ?n . }`
 	if pn, rn := sparqlProbe(t, primary, q, "n"), sparqlProbe(t, replica, q, "n"); !equalStrings(pn, rn) {
 		t.Fatalf("SPARQL table names diverge:\n  primary: %v\n  replica: %v", pn, rn)
