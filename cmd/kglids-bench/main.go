@@ -1,47 +1,29 @@
 // Command kglids-bench regenerates the paper's tables and figures
 // (Section 6) over the synthetic workload replicas and prints them in the
-// paper's layout, and runs the repo's standing evaluation.
+// paper's layout, and runs the repo's discovery-quality gate.
 //
 // Usage:
 //
-//	kglids-bench [-pipelines N] [-training N] [-snapshot F] [-save-snapshot F]
-//	             [-query-workers N] [experiment ...]
+//	kglids-bench [-pipelines N] [-training N] [experiment ...]
 //	kglids-bench eval [-quick] [-out F] [-compare OLD.json] [-against NEW.json]
-//	                  [-quality-tolerance T] [-perf-tolerance T] [-concurrency N]
 //	                  [-demote IN.json]
 //	kglids-bench checkmetrics [-require FAMILY]... <file|url|->
 //
 // Experiments: table1 table2 figure5 figure6 figure4 table3 table4 table5
-// figure7 table6 figure8 figure9 snapshot ingest sparql server edges
-// connectors replicas, or "all" (default). Table 2 / Figure 5 share one
-// run, as do Table 3 / Table 4 / Figure 4 and Table 5 / Figure 7 and
-// Table 6 / Figure 8.
+// figure7 table6 figure8 figure9, or "all" (default). Table 2 / Figure 5
+// share one run, as do Table 3 / Table 4 / Figure 4 and Table 5 / Figure 7
+// and Table 6 / Figure 8.
 //
-// The snapshot experiment measures persist-once/serve-many startup; the
-// ingest experiment measures live mutation vs re-bootstrap; the sparql
-// experiment quantifies the ID-space query engine against the term-space
-// reference and the morsel-parallel executor against the serial oracle
-// (-query-workers sets the measured width); the server experiment drives
-// /api/v1 end-to-end through the
-// typed client; the edges experiment measures the blocked similarity-edge
-// pipeline against the exhaustive oracle; the connectors experiment
-// streams a generated lake 10x larger than its resident chunk budget
-// through the one-pass profiler against the materialize-then-profile
-// path, proving byte-identical profiles in bounded memory; the replicas
-// experiment boots read replicas off the primary's snapshot + changelog
-// stream, measures aggregate read throughput at 1..N followers, and times
-// a live mutation's convergence across all of them. All seven live in
-// internal/experiments and feed the eval trajectory.
-//
-// The eval subcommand is the standing evaluation harness: it scores
-// discovery quality (precision/recall/F1 against constructed ground truth)
-// for the platform and the vendored baselines through one shared
-// interface, runs the seven perf experiments, and writes a versioned
-// BENCH_<date>.json trajectory at the current directory. -compare diffs a
-// previous trajectory against the fresh run (or against -against without
-// running) and exits non-zero on any regression beyond tolerance; -demote
-// writes a deliberately regressed copy of a trajectory so CI can prove the
-// gate fails when it should. See docs/BENCHMARKS.md.
+// The eval subcommand is the quality gate: it scores discovery quality
+// (precision/recall/F1 against constructed ground truth) for the platform
+// and the vendored baselines through one shared interface and writes a
+// versioned BENCH_<date>.json trajectory at the current directory.
+// -compare diffs a previous trajectory against the fresh run (or against
+// -against without running) and exits non-zero when any precision, recall
+// or F1 drops by more than 0.02; -demote writes a deliberately regressed
+// copy of a trajectory so CI can prove the gate fails when it should.
+// Performance is measured by the benchmark in bench/ (BENCHMARK.json), not
+// here. See docs/BENCHMARKS.md.
 //
 // The checkmetrics subcommand validates a Prometheus text exposition
 // (file, URL, or stdin) and optionally asserts named families are
@@ -51,7 +33,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -61,7 +42,6 @@ import (
 	"strings"
 	"time"
 
-	"kglids"
 	"kglids/internal/experiments"
 	"kglids/internal/obs"
 )
@@ -76,17 +56,21 @@ func main() {
 
 	pipelines := flag.Int("pipelines", 300, "corpus size for abstraction/AutoML experiments")
 	training := flag.Int("training", 24, "training datasets for the cleaning/transformation GNNs")
-	snapshotPath := flag.String("snapshot", "", "snapshot experiment: load this file instead of bootstrapping")
-	saveSnapshot := flag.String("save-snapshot", "", "snapshot experiment: keep the saved snapshot at this path")
-	queryWorkers := flag.Int("query-workers", 0, "sparql experiment: parallel execution width (0 = number of CPUs)")
-	quick := flag.Bool("quick", false, "connectors experiment: CI-scale lake")
 	flag.Parse()
 
+	known := map[string]bool{"all": true}
+	for _, n := range strings.Fields("table1 table2 figure5 figure6 figure4 table3 table4 table5 figure7 table6 figure8 figure9") {
+		known[n] = true
+	}
 	want := map[string]bool{}
 	if flag.NArg() == 0 {
 		want["all"] = true
 	}
 	for _, a := range flag.Args() {
+		if !known[a] {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", a)
+			os.Exit(2)
+		}
 		want[a] = true
 	}
 	run := func(names ...string) bool {
@@ -131,135 +115,22 @@ func main() {
 	if run("figure9") {
 		fmt.Println(experiments.FormatFigure9(experiments.RunFigure9(*pipelines)))
 	}
-	if run("snapshot") {
-		if err := runSnapshot(*snapshotPath, *saveSnapshot); err != nil {
-			fmt.Fprintln(os.Stderr, "snapshot experiment:", err)
-			os.Exit(1)
-		}
-	}
-	if run("ingest") {
-		if err := runIngest(); err != nil {
-			fmt.Fprintln(os.Stderr, "ingest experiment:", err)
-			os.Exit(1)
-		}
-	}
-	if run("sparql") {
-		report, err := experiments.RunSPARQLPerf(experiments.PerfOptions{QueryWorkers: *queryWorkers})
-		if err := printJSON("SPARQL: ID-space compiled engine vs term-space reference (serving replica)", report, err); err != nil {
-			fmt.Fprintln(os.Stderr, "sparql experiment:", err)
-			os.Exit(1)
-		}
-	}
-	if run("server") {
-		report, err := experiments.RunServerPerf(experiments.PerfOptions{})
-		if err := printJSON("Server: end-to-end /api/v1 latency via the typed client (loopback)", report, err); err != nil {
-			fmt.Fprintln(os.Stderr, "server experiment:", err)
-			os.Exit(1)
-		}
-	}
-	if run("edges") {
-		report, err := experiments.RunEdgesPerf(experiments.PerfOptions{})
-		if err := printJSON("Edges: blocked/candidate-pruned similarity pipeline vs exhaustive (wide lakes)", report, err); err != nil {
-			fmt.Fprintln(os.Stderr, "edges experiment:", err)
-			os.Exit(1)
-		}
-	}
-	if run("connectors") {
-		report, err := experiments.RunConnectorsPerf(experiments.PerfOptions{Quick: *quick})
-		if err := printJSON("Connectors: streaming one-pass profiler vs materialize-then-profile (lakegen:// lake)", report, err); err != nil {
-			fmt.Fprintln(os.Stderr, "connectors experiment:", err)
-			os.Exit(1)
-		}
-	}
-	if run("replicas") {
-		report, err := experiments.RunReplicasPerf(experiments.PerfOptions{Quick: *quick})
-		if err := printJSON("Replicas: snapshot-seeded followers tailing the changelog (read scaling + convergence)", report, err); err != nil {
-			fmt.Fprintln(os.Stderr, "replicas experiment:", err)
-			os.Exit(1)
-		}
-	}
-	if len(want) == 0 {
-		fmt.Fprintln(os.Stderr, "no experiments selected")
-		os.Exit(2)
-	}
-}
-
-// printJSON prints a heading and an experiment report as indented JSON.
-func printJSON[T any](heading string, report T, err error) error {
-	if err != nil {
-		return err
-	}
-	fmt.Println(heading)
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(out))
-	return nil
-}
-
-// runSnapshot times bootstrap vs snapshot load over the serving replica,
-// or, with loadPath set, just times loading an existing snapshot file.
-func runSnapshot(loadPath, savePath string) error {
-	fmt.Println("Snapshot: persist-once/serve-many startup (serving replica, 1000-row tables)")
-
-	if loadPath != "" {
-		start := time.Now()
-		plat, err := kglids.Open(loadPath)
-		if err != nil {
-			return err
-		}
-		s := plat.Stats()
-		fmt.Printf("  loaded %s in %v: %d triples, %d tables, %d similarity edges\n",
-			loadPath, time.Since(start).Round(time.Millisecond), s.Triples, s.Tables, s.SimilarityEdges)
-		return nil
-	}
-
-	res, err := experiments.RunSnapshotPerf(experiments.PerfOptions{SnapshotSavePath: savePath})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  tables %d | bootstrap %.0fms | save %.0fms | load %.0fms | file %.1f MiB | speedup %.0fx\n",
-		res.Tables, res.BootstrapMS, res.SaveMS, res.LoadMS, res.FileMiB, res.Speedup)
-	if savePath != "" {
-		fmt.Printf("  snapshot kept at %s (reuse with -snapshot %s)\n", savePath, savePath)
-	}
-	return nil
-}
-
-// runIngest times absorbing one new table incrementally versus re-
-// bootstrapping the whole lake.
-func runIngest() error {
-	fmt.Println("Ingest: live incremental ingestion vs full re-bootstrap (serving replica)")
-	res, err := experiments.RunIngestPerf(experiments.PerfOptions{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  tables %d | incremental add of 1 table %.0fms | re-bootstrap of %d tables %.0fms | speedup %.0fx\n",
-		res.Tables, res.IncrementalMS, res.Tables, res.RebootstrapMS, res.Speedup)
-	return nil
 }
 
 // evalMain is the `kglids-bench eval` entry point. Exit codes: 0 success,
 // 1 regression detected or run failure, 2 usage error.
 func evalMain(args []string) int {
 	fs := flag.NewFlagSet("eval", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "CI-scale lakes and repetition counts")
+	quick := fs.Bool("quick", false, "CI-scale evaluation lake")
 	out := fs.String("out", "", "trajectory output path (default BENCH_<YYYY-MM-DD>.json)")
 	compare := fs.String("compare", "", "gate: old trajectory file to compare the fresh run against")
 	against := fs.String("against", "", "with -compare: diff OLD against this file instead of running the eval")
-	qualityTol := fs.Float64("quality-tolerance", experiments.DefaultTolerance().Quality,
-		"max allowed absolute drop in precision/recall/F1")
-	perfTol := fs.Float64("perf-tolerance", experiments.DefaultTolerance().Perf,
-		"max allowed fractional slowdown on perf medians; <= 0 disables perf gating")
-	concurrency := fs.Int("concurrency", 1, "experiments run at once (1 for trustworthy timings)")
 	demote := fs.String("demote", "", "write a deliberately regressed copy of this trajectory to -out and exit")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "eval: unexpected arguments: %s\n", strings.Join(fs.Args(), " "))
 		return 2
 	}
-	tol := experiments.Tolerance{Quality: *qualityTol, Perf: *perfTol}
 
 	if *demote != "" {
 		if *out == "" {
@@ -294,13 +165,12 @@ func evalMain(args []string) int {
 			fmt.Fprintln(os.Stderr, "eval:", err)
 			return 1
 		}
-		return reportCompare(*compare, *against, old, fresh, tol)
+		return reportCompare(*compare, *against, old, fresh)
 	}
 
 	started := time.Now()
 	t, err := experiments.RunEval(experiments.EvalOptions{
 		Quick:       *quick,
-		Concurrency: *concurrency,
 		GitSHA:      gitSHA(),
 		GeneratedAt: started,
 	})
@@ -325,7 +195,7 @@ func evalMain(args []string) int {
 			fmt.Fprintln(os.Stderr, "eval:", err)
 			return 1
 		}
-		return reportCompare(*compare, path, old, t, tol)
+		return reportCompare(*compare, path, old, t)
 	}
 	return 0
 }
@@ -402,14 +272,13 @@ func (r *requiredFamilies) String() string     { return strings.Join(*r, ",") }
 func (r *requiredFamilies) Set(v string) error { *r = append(*r, v); return nil }
 
 // reportCompare prints the diff verdict and returns the process exit code.
-func reportCompare(oldPath, newPath string, old, fresh *experiments.Trajectory, tol experiments.Tolerance) int {
-	regs, notes := experiments.Compare(old, fresh, tol)
+func reportCompare(oldPath, newPath string, old, fresh *experiments.Trajectory) int {
+	regs, notes := experiments.Compare(old, fresh)
 	for _, n := range notes {
 		fmt.Println(n)
 	}
 	if len(regs) == 0 {
-		fmt.Printf("compare: no regressions (%s -> %s, quality tol %.3g, perf tol %.3g)\n",
-			oldPath, newPath, tol.Quality, tol.Perf)
+		fmt.Printf("compare: no regressions (%s -> %s)\n", oldPath, newPath)
 		return 0
 	}
 	fmt.Fprintf(os.Stderr, "compare: %d regression(s) (%s -> %s):\n", len(regs), oldPath, newPath)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"kglids/internal/baselines"
@@ -13,27 +12,18 @@ import (
 
 // EvalOptions configures one standing-evaluation run.
 type EvalOptions struct {
-	// Quick shrinks the lakes and repetition counts to PR-gate scale.
+	// Quick shrinks the evaluation lake to PR-gate scale.
 	Quick bool
-	// Concurrency is the number of experiments (quality methods and perf
-	// experiments) allowed to run at once. 1 — the default — is the right
-	// setting for trustworthy timings; higher values exist to shake out
-	// shared-state races under `go test -race`.
-	Concurrency int
 	// GitSHA and GeneratedAt stamp the trajectory (best-effort metadata;
 	// either may be empty).
 	GitSHA      string
 	GeneratedAt time.Time
 }
 
-// RunEval runs the full standing evaluation: discovery quality for the
-// platform and every vendored baseline over one ground-truth lake, plus
-// the snapshot/ingest/sparql/server/edges/connectors perf experiments,
-// unified into one Trajectory.
+// RunEval runs the standing evaluation: discovery quality for the platform
+// and every vendored baseline over one ground-truth lake, as one
+// Trajectory.
 func RunEval(o EvalOptions) (*Trajectory, error) {
-	if o.Concurrency < 1 {
-		o.Concurrency = 1
-	}
 	evalSpec := lakegen.FullEvalSpec
 	if o.Quick {
 		evalSpec = lakegen.QuickEvalSpec
@@ -54,85 +44,17 @@ func RunEval(o EvalOptions) (*Trajectory, error) {
 	if !o.GeneratedAt.IsZero() {
 		t.GeneratedAt = o.GeneratedAt.UTC().Format(time.RFC3339)
 	}
-
-	var mu sync.Mutex
-	var firstErr error
-	sem := make(chan struct{}, o.Concurrency)
-	var wg sync.WaitGroup
-	launch := func(fn func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := fn(); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-
-	// Quality: every method scores the same shared, read-only lake.
 	for _, d := range baselines.All() {
-		d := d
-		launch(func() error {
-			rows := methodQuality(lake, d)
-			mu.Lock()
-			t.Quality = append(t.Quality, rows...)
-			mu.Unlock()
-			return nil
-		})
-	}
-
-	// Perf: the seven standing experiments behind the unified schema.
-	po := PerfOptions{Quick: o.Quick}
-	perfRuns := []func() (PerfResult, error){
-		func() (PerfResult, error) { return resultOf(RunSnapshotPerf(po)) },
-		func() (PerfResult, error) { return resultOf(RunIngestPerf(po)) },
-		func() (PerfResult, error) { return resultOf(RunSPARQLPerf(po)) },
-		func() (PerfResult, error) { return resultOf(RunServerPerf(po)) },
-		func() (PerfResult, error) { return resultOf(RunEdgesPerf(po)) },
-		func() (PerfResult, error) { return resultOf(RunConnectorsPerf(po)) },
-		func() (PerfResult, error) { return resultOf(RunReplicasPerf(po)) },
-	}
-	for _, run := range perfRuns {
-		run := run
-		launch(func() error {
-			res, err := run()
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			t.Perf = append(t.Perf, res)
-			mu.Unlock()
-			return nil
-		})
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		t.Quality = append(t.Quality, methodQuality(lake, d)...)
 	}
 
 	// Round-trip through the codec: validates the run's numbers against
-	// the schema and leaves the sections in canonical order.
+	// the schema and leaves the cells in canonical order.
 	enc, err := EncodeTrajectory(t)
 	if err != nil {
 		return nil, err
 	}
 	return DecodeTrajectory(enc)
-}
-
-// resulter is any perf experiment report that flattens into the schema.
-type resulter interface{ Result() PerfResult }
-
-func resultOf[T resulter](r T, err error) (PerfResult, error) {
-	if err != nil {
-		return PerfResult{}, err
-	}
-	return r.Result(), nil
 }
 
 // RunQuality scores one method on one evaluation lake: unionable discovery
@@ -223,5 +145,5 @@ func scoreTopK(queries []string, truth map[string][]string, k int, retrieve func
 
 // EvalSummary is the one-line outcome printed after an eval run.
 func EvalSummary(t *Trajectory) string {
-	return fmt.Sprintf("eval: %d quality cells, %d perf experiments", len(t.Quality), len(t.Perf))
+	return fmt.Sprintf("eval: %d quality cells", len(t.Quality))
 }

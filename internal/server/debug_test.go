@@ -173,7 +173,6 @@ func TestPanicObservedByLogAndMetrics(t *testing.T) {
 	cfg := chain{
 		logger:    slog.New(slog.NewTextHandler(&logBuf, nil)),
 		accessLog: true,
-		metrics:   true,
 	}
 	boom := http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("boom") })
 	h := withObservability(cfg, withGzip(cfg, withTimeout(cfg, time.Second, boom)))
@@ -221,22 +220,6 @@ func TestAccessLogFields(t *testing.T) {
 		if !strings.Contains(line, want) {
 			t.Errorf("access log missing %q:\n%s", want, line)
 		}
-	}
-}
-
-// TestDisableMetrics: with DisableMetrics the chain must not touch the
-// registry (the bare arm of the overhead experiment).
-func TestDisableMetrics(t *testing.T) {
-	plat, _ := testPlatform(t)
-	h := New(plat, Options{DisableMetrics: true})
-	before := mHTTPRequests.WithLabelValues("/api/v1/healthz", "GET", "200").Value()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/healthz", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	if after := mHTTPRequests.WithLabelValues("/api/v1/healthz", "GET", "200").Value(); after != before {
-		t.Errorf("DisableMetrics still recorded a request (%d -> %d)", before, after)
 	}
 }
 

@@ -17,13 +17,10 @@ import (
 )
 
 // chain carries the cross-cutting configuration every middleware layer
-// shares: the structured logger, whether to emit access-log lines, and
-// whether to record metrics (the bench harness turns recording off to
-// measure instrumentation overhead).
+// shares: the structured logger and whether to emit access-log lines.
 type chain struct {
 	logger    *slog.Logger
 	accessLog bool
-	metrics   bool
 }
 
 // --- request IDs + access logging -----------------------------------------
@@ -84,17 +81,14 @@ func withObservability(cfg chain, next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		rs := statsFor(r.URL.Path)
 		route := rs.label
-		if cfg.metrics {
-			mHTTPInFlight.Inc()
-			// A trace context costs a request clone plus two
-			// allocations, so it is installed only on the routes whose
-			// handlers record spans into it (the SPARQL query path,
-			// where it carries stage timings and the request ID into
-			// the slow-query log). Every other route is fully covered
-			// by the route/status metrics recorded below.
-			if rs.traced {
-				r = r.WithContext(obs.WithTrace(r.Context(), obs.NewTrace(id)))
-			}
+		mHTTPInFlight.Inc()
+		// A trace context costs a request clone plus two allocations, so
+		// it is installed only on the routes whose handlers record spans
+		// into it (the SPARQL query path, where it carries stage timings
+		// and the request ID into the slow-query log). Every other route
+		// is fully covered by the route/status metrics recorded below.
+		if rs.traced {
+			r = r.WithContext(obs.WithTrace(r.Context(), obs.NewTrace(id)))
 		}
 		start := time.Now()
 		defer func() {
@@ -102,24 +96,20 @@ func withObservability(cfg chain, next http.Handler) http.Handler {
 				// Handler panics are already isolated by withTimeout; this
 				// barrier catches the middleware layers themselves so the
 				// connection still gets an envelope and the log a line.
-				if cfg.metrics {
-					mHTTPPanics.Inc()
-				}
+				mHTTPPanics.Inc()
 				cfg.logger.Error("middleware panic",
 					"request_id", id, "path", r.URL.Path, "panic", p,
 					"stack", string(debug.Stack()))
 				writeError(sw, http.StatusInternalServerError, "internal error")
 			}
 			dur := time.Since(start)
-			if cfg.metrics {
-				if sw.status == http.StatusOK && r.Method == http.MethodGet {
-					rs.getOK.Inc()
-				} else {
-					mHTTPRequests.WithLabelValues(route, r.Method, statusLabel(sw.status)).Inc()
-				}
-				rs.latency.Observe(dur.Seconds())
-				mHTTPInFlight.Dec()
+			if sw.status == http.StatusOK && r.Method == http.MethodGet {
+				rs.getOK.Inc()
+			} else {
+				mHTTPRequests.WithLabelValues(route, r.Method, statusLabel(sw.status)).Inc()
 			}
+			rs.latency.Observe(dur.Seconds())
+			mHTTPInFlight.Dec()
 			if cfg.accessLog {
 				cfg.logger.Info("request",
 					"request_id", id, "route", route, "method", r.Method,
@@ -286,9 +276,7 @@ func withTimeout(cfg chain, d time.Duration, next http.Handler) http.Handler {
 		case <-done:
 			select {
 			case p := <-panicked:
-				if cfg.metrics {
-					mHTTPPanics.Inc()
-				}
+				mHTTPPanics.Inc()
 				cfg.logger.Error("handler panic",
 					"path", r.URL.Path, "panic", p, "stack", string(debug.Stack()))
 				writeError(w, http.StatusInternalServerError, "internal error")
@@ -304,9 +292,7 @@ func withTimeout(cfg chain, d time.Duration, next http.Handler) http.Handler {
 				}
 			}
 		case <-ctx.Done():
-			if cfg.metrics {
-				mHTTPTimeouts.Inc()
-			}
+			mHTTPTimeouts.Inc()
 			writeError(w, http.StatusGatewayTimeout, "request timed out")
 		}
 	})

@@ -84,11 +84,6 @@ type Options struct {
 	Logger *slog.Logger
 	// AccessLog enables the per-request structured access-log line.
 	AccessLog bool
-	// DisableMetrics turns off metric recording and request tracing in
-	// the middleware chain. It exists for the bench harness, which
-	// serves the same platform with metrics on and off to measure
-	// instrumentation overhead; production servers leave it false.
-	DisableMetrics bool
 	// ReadOnly rejects every mutation (POST /ingest, DELETE /tables)
 	// with 405 — the replica serving mode, where writes must go to the
 	// primary. Read and job endpoints are unaffected.
@@ -129,7 +124,6 @@ func New(plat *kglids.Platform, opts Options) http.Handler {
 	cfg := chain{
 		logger:    opts.Logger,
 		accessLog: opts.AccessLog,
-		metrics:   !opts.DisableMetrics,
 	}
 	if cfg.logger == nil {
 		cfg.logger = slog.Default()

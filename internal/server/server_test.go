@@ -16,9 +16,9 @@ import (
 )
 
 // testChain is the middleware configuration tests use when exercising a
-// layer directly: metrics on, no access log, default logger.
+// layer directly: no access log, default logger.
 func testChain() chain {
-	return chain{logger: slog.Default(), metrics: true}
+	return chain{logger: slog.Default()}
 }
 
 func testPlatform(t testing.TB) (*kglids.Platform, *lakegen.Benchmark) {

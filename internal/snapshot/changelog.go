@@ -49,6 +49,17 @@ func EncodeChange(rec store.ChangeRecord) ([]byte, error) {
 	return w.buf.Bytes(), nil
 }
 
+// Smallest encodings of the elements a changelog record carries: a term
+// is a kind byte and a length at least, a profile four strings, three
+// counts, five floats and a vector length, an edge three strings and a
+// float, a table embedding a string and a vector length.
+const (
+	minQuadBytes      = 4 * 2
+	minProfileBytes   = 4 + 3 + 5*8 + 1
+	minEdgeBytes      = 3 + 8
+	minEmbeddingBytes = 2
+)
+
 // DecodeChange deserializes a changelog record body received from a
 // primary. It is the exact inverse of EncodeChange.
 func DecodeChange(kind string, payload []byte) (*Change, error) {
@@ -56,7 +67,7 @@ func DecodeChange(kind string, payload []byte) (*Change, error) {
 	r := &reader{b: payload}
 	switch c.Kind {
 	case store.ChangeAddQuads, store.ChangeRemoveQuads:
-		n := r.count()
+		n := r.countOf(minQuadBytes)
 		c.Quads = make([]rdf.Quad, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			c.Quads = append(c.Quads, decodeQuad(r))
@@ -136,7 +147,7 @@ func encodeDelta(w *writer, d *core.PlatformDelta) {
 
 func decodeDelta(r *reader) *core.PlatformDelta {
 	d := &core.PlatformDelta{RemovedTable: r.str()}
-	n := r.count()
+	n := r.countOf(minProfileBytes)
 	d.Profiles = make([]*profiler.ColumnProfile, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		cp := &profiler.ColumnProfile{
@@ -156,14 +167,14 @@ func decodeDelta(r *reader) *core.PlatformDelta {
 		cp.Embed = r.vec()
 		d.Profiles = append(d.Profiles, cp)
 	}
-	n = r.count()
+	n = r.countOf(minEdgeBytes)
 	d.Edges = make([]schema.Edge, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		d.Edges = append(d.Edges, schema.Edge{
 			A: r.str(), B: r.str(), Kind: r.str(), Score: r.f64(),
 		})
 	}
-	n = r.count()
+	n = r.countOf(minEmbeddingBytes)
 	d.TableEmbeddings = make(map[string]embed.Vector, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		id := r.str()

@@ -117,9 +117,14 @@ func (r *reader) varint() int64 {
 // count reads a collection length and sanity-bounds it against the bytes
 // remaining (each element needs at least one byte), so a corrupted length
 // fails fast instead of attempting a huge allocation.
-func (r *reader) count() int {
+func (r *reader) count() int { return r.countOf(1) }
+
+// countOf is count for elements whose encoding takes at least size bytes.
+// Bounding by the smallest encoding keeps what a length makes a decoder
+// allocate proportional to the bytes that carry the elements.
+func (r *reader) countOf(size int) int {
 	v := r.uvarint()
-	if r.err == nil && v > uint64(len(r.b)-r.off) {
+	if r.err == nil && v > uint64((len(r.b)-r.off)/size) {
 		r.fail("implausible count %d with %d bytes left", v, len(r.b)-r.off)
 		return 0
 	}

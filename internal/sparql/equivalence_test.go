@@ -229,36 +229,71 @@ func TestCompiledMatchesReference(t *testing.T) {
 	}
 }
 
+// fixtureQueries are hand-written queries over buildFixture, including
+// ordered and limited shapes the random generator avoids.
+var fixtureQueries = []string{
+	`SELECT ?t WHERE { ?t a kglids:Table . }`,
+	`SELECT ?col ?name WHERE { ?col a kglids:Column ; kglids:name ?name ; kglids:dataType "int" . }`,
+	`SELECT ?t ?n (COUNT(?c) AS ?cnt) WHERE { ?c kglids:isPartOf ?t . ?t kglids:name ?n . } GROUP BY ?t ?n ORDER BY ?n`,
+	`SELECT ?n WHERE { ?c a kglids:Column ; kglids:name ?n . } ORDER BY ?n LIMIT 2 OFFSET 1`,
+	`SELECT DISTINCT ?typ WHERE { ?c kglids:dataType ?typ . } ORDER BY DESC(?typ)`,
+	`SELECT (COUNT(*) AS ?n) (AVG(?rc) AS ?avg) WHERE { ?t kglids:rowCount ?rc . }`,
+	`SELECT ?s ?t WHERE { GRAPH ?g { ?s kglids:reads ?t . } }`,
+	`SELECT ?c ?sim WHERE { ?c a kglids:Column . OPTIONAL { ?c kglids:labelSimilarity ?sim . } }`,
+	`SELECT DISTINCT ?c WHERE { { ?c kglids:dataType "int" . } UNION { ?c kglids:dataType "boolean" . } }`,
+	`SELECT ?t WHERE { ?t a kglids:Table . FILTER(?missing > 1) }`,
+	`SELECT ?t WHERE { ?t a <http://example.org/not-in-store> . }`,
+	`SELECT ?x WHERE { GRAPH <http://example.org/no-such-graph> { ?x a kglids:Statement . } }`,
+}
+
+// discoveryQueries are the discovery-shaped queries a serving platform
+// answers: a typed column scan, a similarity join, a keyword filter, a
+// type histogram, and the 4-pattern similarity-to-table join whose leading
+// pattern the morsel executor partitions.
+var discoveryQueries = []string{
+	`SELECT ?t ?c ?n WHERE {
+		?t a kglids:Table .
+		?c kglids:isPartOf ?t ; kglids:name ?n ; kglids:dataType "int" . }`,
+	`SELECT ?c ?d ?t WHERE {
+		?c kglids:contentSimilarity ?d . ?d kglids:isPartOf ?t . ?t a kglids:Table . }`,
+	`SELECT ?t ?n WHERE {
+		?t a kglids:Table ; kglids:name ?n . FILTER(CONTAINS(LCASE(?n), ".csv") && REGEX(?n, "_t0", "i")) }`,
+	`SELECT ?dt (COUNT(?c) AS ?n) WHERE {
+		?c a kglids:Column ; kglids:dataType ?dt . } GROUP BY ?dt ORDER BY DESC(?n)`,
+	`SELECT ?c ?d ?t ?n WHERE {
+		?c kglids:contentSimilarity ?d . ?d kglids:isPartOf ?t .
+		?t a kglids:Table ; kglids:name ?n . }`,
+}
+
 // TestCompiledMatchesReferenceFixtures pins the hand-written fixture
-// queries from sparql_test.go to the same equivalence property, including
-// ordered and limited shapes the generator avoids.
+// queries to the same equivalence property, and the discovery queries
+// over a seeded LiDS-shaped store at the serial width and a parallel one.
 func TestCompiledMatchesReferenceFixtures(t *testing.T) {
-	st := buildFixture()
-	e := NewEngine(st)
-	for _, src := range []string{
-		`SELECT ?t WHERE { ?t a kglids:Table . }`,
-		`SELECT ?col ?name WHERE { ?col a kglids:Column ; kglids:name ?name ; kglids:dataType "int" . }`,
-		`SELECT ?t ?n (COUNT(?c) AS ?cnt) WHERE { ?c kglids:isPartOf ?t . ?t kglids:name ?n . } GROUP BY ?t ?n ORDER BY ?n`,
-		`SELECT ?n WHERE { ?c a kglids:Column ; kglids:name ?n . } ORDER BY ?n LIMIT 2 OFFSET 1`,
-		`SELECT DISTINCT ?typ WHERE { ?c kglids:dataType ?typ . } ORDER BY DESC(?typ)`,
-		`SELECT (COUNT(*) AS ?n) (AVG(?rc) AS ?avg) WHERE { ?t kglids:rowCount ?rc . }`,
-		`SELECT ?s ?t WHERE { GRAPH ?g { ?s kglids:reads ?t . } }`,
-		`SELECT ?c ?sim WHERE { ?c a kglids:Column . OPTIONAL { ?c kglids:labelSimilarity ?sim . } }`,
-		`SELECT DISTINCT ?c WHERE { { ?c kglids:dataType "int" . } UNION { ?c kglids:dataType "boolean" . } }`,
-		`SELECT ?t WHERE { ?t a kglids:Table . FILTER(?missing > 1) }`,
-		`SELECT ?t WHERE { ?t a <http://example.org/not-in-store> . }`,
-		`SELECT ?x WHERE { GRAPH <http://example.org/no-such-graph> { ?x a kglids:Statement . } }`,
-	} {
+	check := func(e *Engine, src string, workers int) {
+		t.Helper()
 		got, err := e.Query(src)
 		if err != nil {
-			t.Fatalf("compiled %q: %v", src, err)
+			t.Fatalf("compiled %q at %d workers: %v", src, workers, err)
 		}
 		want, err := e.QueryReference(src)
 		if err != nil {
 			t.Fatalf("reference %q: %v", src, err)
 		}
 		if !sameResult(got, want) {
-			t.Errorf("divergence on %q:\ncompiled:  %v\nreference: %v", src, canonical(got), canonical(want))
+			t.Errorf("divergence on %q at %d workers:\ncompiled:  %v\nreference: %v", src, workers, canonical(got), canonical(want))
+		}
+	}
+	e := NewEngine(buildFixture())
+	for _, src := range fixtureQueries {
+		check(e, src, 0) // the default width, one worker per CPU
+	}
+
+	e = NewEngine(buildSeededStore(7, 30))
+	e.SetCacheCapacity(0) // each width must execute, not hit the cache
+	for _, workers := range []int{1, 4} {
+		e.SetWorkers(workers)
+		for _, src := range discoveryQueries {
+			check(e, src, workers)
 		}
 	}
 }
