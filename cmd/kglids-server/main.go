@@ -61,9 +61,9 @@
 // and memory around without ever changing the resulting edge set.
 //
 // -query-workers sets the width of morsel-driven parallel SPARQL
-// execution (and the discovery scoring fan-out). The default 0 uses one
-// worker per CPU; 1 selects the serial executor. Any width returns the
-// same results — parallelism only changes latency.
+// execution. The default 0 uses one worker per CPU; 1 selects the serial
+// executor. Any width returns the same results — parallelism only changes
+// latency.
 package main
 
 import (

@@ -90,14 +90,17 @@ type Platform struct {
 	Abstractions []*pipeline.Abstraction
 
 	// mu guards the platform-level metadata that live ingestion mutates —
-	// Profiles, Edges, TableEmbeddings, Abstractions — against concurrent
-	// readers; the store, indexes, and linker carry their own locks.
+	// Profiles, Edges, adj, TableEmbeddings, Abstractions — against
+	// concurrent readers; the store, indexes, and linker carry their own
+	// locks.
 	mu sync.RWMutex
+	// adj is Edges by column, what Discovery ranks similar tables from.
+	adj *adjacency
 	// ingestMu serializes whole table mutations. apply, the only writer of
-	// Profiles, Edges and TableEmbeddings, runs under it, so its holder may
-	// read them without mu, delta similarity always sees the final profile
-	// set of the previous mutation, and snapshots taken via IngestLock
-	// observe a job-consistent platform.
+	// Profiles, Edges, adj and TableEmbeddings, runs under it, so its
+	// holder may read them without mu, delta similarity always sees the
+	// final profile set of the previous mutation, and snapshots taken via
+	// IngestLock observe a job-consistent platform.
 	ingestMu   sync.Mutex
 	cfg        Config
 	profiler   *profiler.Profiler
@@ -166,6 +169,7 @@ func (p *Platform) finishBootstrap(profiles []*profiler.ColumnProfile, profiling
 		start := time.Now()
 		p.Edges = p.newBuilder().BuildGraph(p.Store, p.Profiles)
 		p.SchemaBuildTime = time.Since(start)
+		p.adj = newAdjacency(&p.mu, p.Store, p.Profiles, p.Edges)
 	}
 	// Phases 2 and 3 read the profiles and write disjoint state (the store
 	// and edges; the embedding indexes), so phase 3 runs beside phase 2
@@ -187,7 +191,7 @@ func (p *Platform) finishBootstrap(profiles []*profiler.ColumnProfile, profiling
 	p.Linker = schema.NewLinker(p.Profiles)
 	p.abstractor = pipeline.NewAbstractor()
 	p.graphs = p.newGraphBuilder()
-	p.Discovery = discovery.New(p.Store)
+	p.Discovery = discovery.New(p.Store, p.adj)
 }
 
 // buildEmbeddingIndexes is bootstrap phase 3: the embedding stores (column
@@ -398,19 +402,26 @@ func (p *Platform) removeTableLocked(id string) {
 }
 
 // apply makes one platform delta visible. After bootstrap or restore it is
-// the only writer of Profiles, Edges, TableEmbeddings, the embedding
-// indexes and the linker: a primary's mutations and a follower's
-// ApplyPlatformDelta both end here, so a replayed platform equals its
-// primary by construction. Caller holds ingestMu. The store is not touched;
-// for a removal the retracted edges are returned so the primary can
+// the only writer of Profiles, Edges, the similarity adjacency,
+// TableEmbeddings, the embedding indexes and the linker: a primary's
+// mutations and a follower's ApplyPlatformDelta both end here, so a
+// replayed platform equals its primary by construction. Caller holds
+// ingestMu. The store is only read, to resolve the delta's terms to the
+// IDs the adjacency is keyed by, so an addition's quads must already be in
+// it; for a removal the retracted edges are returned so the primary can
 // retract their quads.
 //
-// The p.mu write sections hold no sort and no allocation sized by the
-// resident lists: an addition merges the already-sorted delta edges into
-// the resident list in place, a removal compacts both lists in place.
+// The p.mu write sections hold no sort, no store call and no allocation
+// sized by the resident lists: an addition merges the already-sorted delta
+// edges into the resident list in place and appends the delta's entries to
+// the adjacency, a removal compacts both lists in place and drops the
+// table's entries from the adjacency.
 func (p *Platform) apply(d *PlatformDelta) (retracted []schema.Edge) {
 	if id := d.RemovedTable; id != "" {
 		prefix := id + "/"
+		// The dictionary keeps a term after its quads go, so this resolves
+		// on a follower that has already applied the store half.
+		table, _ := p.Store.EncodeTerm(schema.TableIRI(id))
 		var columns []string
 		p.mu.Lock()
 		p.Profiles = slices.DeleteFunc(p.Profiles, func(cp *profiler.ColumnProfile) bool {
@@ -427,6 +438,7 @@ func (p *Platform) apply(d *PlatformDelta) (retracted []schema.Edge) {
 			retracted = append(retracted, e)
 			return true
 		})
+		p.adj.removeTable(table)
 		delete(p.TableEmbeddings, id)
 		p.mu.Unlock()
 
@@ -449,10 +461,12 @@ func (p *Platform) apply(d *PlatformDelta) (retracted []schema.Edge) {
 		p.TableANN.Add(tid, d.TableEmbeddings[tid])
 	}
 	p.Linker.AddProfiles(d.Profiles)
+	add := p.adj.encode(p.Store, d.Profiles, d.Edges)
 
 	p.mu.Lock()
 	p.Profiles = append(p.Profiles, d.Profiles...)
 	p.Edges = schema.MergeEdges(p.Edges, d.Edges)
+	p.adj.add(add)
 	for tid, emb := range d.TableEmbeddings {
 		p.TableEmbeddings[tid] = emb
 	}

@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"kglids/internal/lakegen"
@@ -261,6 +264,114 @@ func TestBootstrapOneWorkerMatchesDefault(t *testing.T) {
 			t.Errorf("%s: %d rows at one worker, %d by default, or they differ", q, len(one.Rows), len(def.Rows))
 		}
 	}
+}
+
+// TestDiscoveryNeverReturnsAbsentTable races UnionableTables,
+// JoinableTables and GetPathToTable against a writer that removes and
+// re-adds tables in a loop: no call may return a table that HasTable says
+// was absent for the whole call. A per-table epoch, odd while a mutation
+// of the table runs, tells a reader when that is so: the table's epoch did
+// not move during the call, and either no mutation was running (then
+// HasTable after the call is its state throughout) or a removal was
+// running and HasTable was already false before the call. Meaningful under
+// -race.
+func TestDiscoveryNeverReturnsAbsentTable(t *testing.T) {
+	p, b := bootstrapSmall(t)
+	type churn struct {
+		table  Table
+		epoch  atomic.Int64
+		adding atomic.Bool
+	}
+	byIRI := map[string]*churn{}
+	var churned []*churn
+	var iris []rdf.Term
+	for i, df := range b.Tables {
+		id := b.Dataset[df.Name] + "/" + df.Name
+		iri := schema.TableIRI(id)
+		iris = append(iris, iri)
+		if i%3 == 0 {
+			c := &churn{table: Table{Dataset: b.Dataset[df.Name], Frame: df}}
+			byIRI[iri.Value] = c
+			churned = append(churned, c)
+		}
+	}
+	id := func(c *churn) string { return c.table.Dataset + "/" + c.table.Frame.Name }
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				type seen struct {
+					epoch          int64
+					adding, before bool
+				}
+				snap := make(map[*churn]seen, len(churned))
+				for _, c := range churned {
+					s := seen{epoch: c.epoch.Load(), adding: c.adding.Load()}
+					s.before = p.HasTable(id(c))
+					snap[c] = s
+				}
+				check := func(call string, got rdf.Term) {
+					c := byIRI[got.Value]
+					if c == nil {
+						return
+					}
+					s := snap[c]
+					after := p.HasTable(id(c))
+					if c.epoch.Load() != s.epoch {
+						return // a mutation of the table began during the call
+					}
+					running := s.epoch%2 == 1
+					if (!running && !after) || (running && !s.adding && !s.before) {
+						t.Errorf("%s returned %s, absent throughout the call", call, id(c))
+					}
+				}
+				q := iris[rng.Intn(len(iris))]
+				for _, res := range p.Discovery.UnionableTables(q, 0) {
+					check("UnionableTables", res.Table)
+				}
+				for _, res := range p.Discovery.JoinableTables(q, 0) {
+					check("JoinableTables", res.Table)
+				}
+				for _, path := range p.Discovery.GetPathToTable(q, iris[rng.Intn(len(iris))], 2) {
+					for _, tb := range path.Tables[1:] {
+						check("GetPathToTable", tb)
+					}
+				}
+			}
+		}(r)
+	}
+
+	mutate := func(c *churn, adding bool, f func() error) {
+		c.adding.Store(adding)
+		c.epoch.Add(1)
+		defer c.epoch.Add(1)
+		if err := f(); err != nil {
+			t.Error(err)
+		}
+	}
+	for round := 0; round < 6; round++ {
+		for _, c := range churned {
+			mutate(c, false, func() error { return p.RemoveTable(id(c)) })
+			mutate(c, true, func() error { _, err := p.AddTables([]Table{c.table}); return err })
+		}
+		// An update is a removal and an addition under one ingest lock.
+		mutate(churned[round%len(churned)], true, func() error {
+			_, err := p.AddTables([]Table{churned[round%len(churned)].table})
+			return err
+		})
+	}
+	close(done)
+	wg.Wait()
 }
 
 // sortedRows renders a result's rows, sorted, so that two results compare

@@ -17,8 +17,8 @@ import (
 // RestoredState carries the decoded sections of a platform snapshot, the
 // minimal state from which a query-ready Platform is reassembled without
 // re-profiling the lake. Everything else — column index, table index,
-// linker, discovery engine — is derived from these in O(columns + tables)
-// time.
+// linker, similarity adjacency, discovery engine — is derived from these
+// in O(columns + tables + edges) time.
 type RestoredState struct {
 	// Store is the rebuilt triple store (dictionary + quads).
 	Store *store.Store
@@ -101,7 +101,8 @@ func Restore(st RestoredState) (*Platform, error) {
 	p.Linker = schema.NewLinker(st.Profiles)
 	p.abstractor = pipeline.NewAbstractor()
 	p.graphs = p.newGraphBuilder()
-	p.Discovery = discovery.New(p.Store)
+	p.adj = newAdjacency(&p.mu, p.Store, p.Profiles, p.Edges)
+	p.Discovery = discovery.New(p.Store, p.adj)
 	if len(st.Scripts) > 0 {
 		p.AddPipelines(st.Scripts)
 	}

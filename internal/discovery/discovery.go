@@ -8,12 +8,12 @@
 package discovery
 
 import (
+	"cmp"
 	"context"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"kglids/internal/rdf"
@@ -25,11 +25,7 @@ import (
 type Engine struct {
 	st  *store.Store
 	eng *sparql.Engine
-
-	// workers is the parallel width for similarTables' per-column scoring
-	// fan-out; 0 means the GOMAXPROCS default, 1 keeps it serial. The
-	// SPARQL engine's morsel executor is configured to the same width.
-	workers atomic.Int32
+	adj Adjacency
 
 	// corpusMu guards the memoized keyword-search corpus, rebuilt only
 	// when the store generation moves.
@@ -38,9 +34,30 @@ type Engine struct {
 	corpusGen uint64
 }
 
-// New returns a discovery engine over st.
-func New(st *store.Store) *Engine {
-	return &Engine{st: st, eng: sparql.NewEngine(st)}
+// Neighbor is one similarity edge as seen from one of its columns: the
+// column at the other end, the table that column is part of, and the
+// edge's RDF-star certainty.
+type Neighbor struct {
+	Column, Table store.TermID
+	Score         float64
+}
+
+// Adjacency is the resident similarity graph unionable and joinable search
+// rank from, keyed by the store's TermIDs. It holds what the edge quads,
+// their certainty annotations and the columns' isPartOf triples say, so a
+// ranking walks slices instead of the store.
+type Adjacency interface {
+	// VisitColumns calls fn for every column of table, in ascending TermID
+	// order (the order of the store's hasColumn index), with the column's
+	// label- and content-similarity neighbours, all under one consistent
+	// read. fn must not keep the slices or call back into the adjacency's
+	// owner.
+	VisitColumns(table store.TermID, fn func(col store.TermID, label, content []Neighbor))
+}
+
+// New returns a discovery engine over st that ranks similar tables from adj.
+func New(st *store.Store, adj Adjacency) *Engine {
+	return &Engine{st: st, eng: sparql.NewEngine(st), adj: adj}
 }
 
 // TableResult is one ranked table hit.
@@ -247,141 +264,99 @@ func (e *Engine) JoinableTables(table rdf.Term, k int) []TableResult {
 	return e.similarTables(table, k, joinKind)
 }
 
-// similarTables is the ID-space hot path of unionable/joinable search: one
-// store view pins a consistent state, every traversal step (columns,
-// similarity edges, owning tables, RDF-star certainty annotations) walks
-// the encoded indexes, and terms decode only for the final ranked results.
+// similarTables ranks the tables similar to the query table and resolves
+// display names for the top k it returns.
 func (e *Engine) similarTables(table rdf.Term, k int, kind similarityKind) []TableResult {
+	ranked := e.rankTables(table, kind)
+	if ranked == nil {
+		return nil
+	}
+	if k > 0 && k < len(ranked) {
+		ranked = ranked[:k]
+	}
+	out := make([]TableResult, len(ranked))
+	v := e.st.AcquireView()
+	defer v.Close()
+	for i, r := range ranked {
+		out[i] = TableResult{Table: v.Dict().Term(r.id), Name: e.nameOfID(v, r.id), Score: r.score}
+	}
+	return out
+}
+
+// rankedTable is one ranked table: its ID, its score and its IRI, the
+// tie-break.
+type rankedTable struct {
+	id    store.TermID
+	score float64
+	iri   string
+}
+
+// rankTables scores every table that shares a similarity edge with the
+// query table's columns: per query column the best edge into each other
+// table (label or content for unionKind, content only for joinKind),
+// summed over the query columns in TermID order and divided by their
+// count. Adding in that order keeps every float64 score identical to a
+// walk of the store's edge quads. It returns nil for a table with no
+// columns, results sorted by score then IRI otherwise.
+func (e *Engine) rankTables(table rdf.Term, kind similarityKind) []rankedTable {
 	tid, ok := e.st.EncodeTerm(table)
 	if !ok {
 		return nil
 	}
-	hasCol, okCol := e.st.EncodeTerm(rdf.PropHasColumn)
-	isPartOf, okPart := e.st.EncodeTerm(rdf.PropIsPartOf)
-	if !okCol || !okPart {
+	// Per other table: sum totals the best edge into it of each query
+	// column before col, best is col's own, added to sum once the walk
+	// leaves col.
+	type acc struct {
+		table     store.TermID
+		col       int
+		sum, best float64
+	}
+	var accs []acc
+	at := map[store.TermID]int{}
+	ncols := 0
+	e.adj.VisitColumns(tid, func(_ store.TermID, label, content []Neighbor) {
+		ncols++
+		if kind == joinKind {
+			label = nil
+		}
+		for _, nbrs := range [2][]Neighbor{label, content} {
+			for _, n := range nbrs {
+				// A column's best starts at 0: an edge not scoring above
+				// it never counts.
+				if !(n.Score > 0) {
+					continue
+				}
+				i, seen := at[n.Table]
+				if !seen {
+					i = len(accs)
+					at[n.Table] = i
+					accs = append(accs, acc{table: n.Table, col: ncols})
+				}
+				a := &accs[i]
+				if a.col != ncols {
+					a.sum, a.best, a.col = a.sum+a.best, 0, ncols
+				}
+				if n.Score > a.best {
+					a.best = n.Score
+				}
+			}
+		}
+	})
+	if ncols == 0 {
 		return nil
 	}
-	certainty, _ := e.st.EncodeTerm(rdf.PropCertainty)
-	type simPred struct {
-		id   store.TermID
-		term rdf.Term
+	dict := e.st.Dict()
+	out := make([]rankedTable, len(accs))
+	norm := float64(ncols)
+	for i, a := range accs {
+		out[i] = rankedTable{a.table, (a.sum + a.best) / norm, dict.Term(a.table).Value}
 	}
-	var preds []simPred
-	addPred := func(p rdf.Term) {
-		if id, ok := e.st.EncodeTerm(p); ok {
-			preds = append(preds, simPred{id: id, term: p})
+	slices.SortFunc(out, func(x, y rankedTable) int {
+		if x.score != y.score {
+			return cmp.Compare(y.score, x.score)
 		}
-	}
-	switch kind {
-	case unionKind:
-		addPred(rdf.PropLabelSimilarity)
-		addPred(rdf.PropContentSimilarity)
-	case joinKind:
-		addPred(rdf.PropContentSimilarity)
-	}
-
-	v := e.st.AcquireView()
-	defer v.Close()
-	dict := v.Dict()
-
-	var cols []store.TermID
-	v.MatchIDs(tid, hasCol, 0, store.UnionGraph, func(_, _, o store.TermID) bool {
-		cols = append(cols, o)
-		return true
+		return strings.Compare(x.iri, y.iri)
 	})
-	if len(cols) == 0 {
-		return nil
-	}
-
-	// Per-column scoring is independent work over a shared read-only view,
-	// so it fans out to the configured worker width: workers claim column
-	// indexes through a shared counter and fill a per-column result slot.
-	// The merge then accumulates in column order, so every returned score
-	// is byte-identical to the serial path regardless of worker count.
-	scoreCol := func(col store.TermID) map[store.TermID]float64 {
-		colTerm := dict.Term(col)
-		best := map[store.TermID]float64{}
-		for _, pred := range preds {
-			v.MatchIDs(col, pred.id, 0, store.UnionGraph, func(_, _, other store.TermID) bool {
-				var ot store.TermID
-				v.MatchIDs(other, isPartOf, 0, store.UnionGraph, func(_, _, t store.TermID) bool {
-					ot = t
-					return false // first (lowest-ID) owner, as the term-space path chose
-				})
-				if ot == 0 {
-					return true
-				}
-				score := 1.0
-				if certainty != 0 {
-					// The annotation subject is the quoted similarity triple;
-					// its ID comes from the dictionary, not an index walk.
-					quoted := rdf.QuotedTriple(rdf.T(colTerm, pred.term, dict.Term(other)))
-					if qid, ok := dict.Lookup(quoted); ok {
-						v.MatchIDs(qid, certainty, 0, store.UnionGraph, func(_, _, val store.TermID) bool {
-							if f, isF := dict.Term(val).AsFloat(); isF {
-								score = f
-							}
-							return false
-						})
-					}
-				}
-				if score > best[ot] {
-					best[ot] = score
-				}
-				return true
-			})
-		}
-		return best
-	}
-	bests := make([]map[store.TermID]float64, len(cols))
-	if w := e.scoreWorkers(); w > 1 && len(cols) > 1 {
-		if w > len(cols) {
-			w = len(cols)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(cols) {
-						return
-					}
-					bests[i] = scoreCol(cols[i])
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, col := range cols {
-			bests[i] = scoreCol(col)
-		}
-	}
-	// score[otherTable] = sum over query columns of the best match score.
-	scores := map[store.TermID]float64{}
-	for _, best := range bests {
-		for ot, s := range best {
-			scores[ot] += s
-		}
-	}
-
-	out := make([]TableResult, 0, len(scores))
-	norm := float64(len(cols))
-	for ot, s := range scores {
-		t := dict.Term(ot)
-		out = append(out, TableResult{Table: t, Name: e.nameOfID(v, ot), Score: s / norm})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Table.Value < out[j].Table.Value
-	})
-	if k > 0 && k < len(out) {
-		out = out[:k]
-	}
 	return out
 }
 
@@ -415,30 +390,42 @@ type ColumnMatch struct {
 // between two tables, the schema recommendation of the
 // find_unionable_columns API.
 func (e *Engine) FindUnionableColumns(tableA, tableB rdf.Term) []ColumnMatch {
-	var out []ColumnMatch
-	for _, colA := range e.st.Objects(tableA, rdf.PropHasColumn, rdf.DefaultGraph) {
-		appendMatch := func(pred rdf.Term, kind string) {
-			e.st.MatchFunc(colA, pred, store.Wildcard, rdf.DefaultGraph, func(t rdf.Triple) bool {
-				parents := e.st.Objects(t.Object, rdf.PropIsPartOf, rdf.DefaultGraph)
-				if len(parents) == 0 || !parents[0].Equal(tableB) {
-					return true
+	ta, okA := e.st.EncodeTerm(tableA)
+	tb, okB := e.st.EncodeTerm(tableB)
+	if !okA || !okB {
+		return nil
+	}
+	type match struct {
+		col  store.TermID
+		kind string
+		n    Neighbor
+	}
+	var matches []match
+	e.adj.VisitColumns(ta, func(col store.TermID, label, content []Neighbor) {
+		for _, edges := range []struct {
+			kind string
+			nbrs []Neighbor
+		}{{"label", label}, {"content", content}} {
+			from := len(matches)
+			for _, n := range edges.nbrs {
+				if n.Table == tb {
+					matches = append(matches, match{col, edges.kind, n})
 				}
-				score := 1.0
-				if ann, ok := e.st.Annotation(t, rdf.PropCertainty); ok {
-					if f, isF := ann.AsFloat(); isF {
-						score = f
-					}
-				}
-				out = append(out, ColumnMatch{
-					A: colA, B: t.Object,
-					AName: e.nameOf(colA), BName: e.nameOf(t.Object),
-					Kind: kind, Score: score,
-				})
-				return true
-			})
+			}
+			// By column ID, the order the store's indexes list them in,
+			// which the unstable sort below takes as its input.
+			slices.SortFunc(matches[from:], func(x, y match) int { return cmp.Compare(x.n.Column, y.n.Column) })
 		}
-		appendMatch(rdf.PropLabelSimilarity, "label")
-		appendMatch(rdf.PropContentSimilarity, "content")
+	})
+	var out []ColumnMatch
+	dict := e.st.Dict()
+	for _, m := range matches {
+		a, b := dict.Term(m.col), dict.Term(m.n.Column)
+		out = append(out, ColumnMatch{
+			A: a, B: b,
+			AName: e.nameOf(a), BName: e.nameOf(b),
+			Kind: m.kind, Score: m.n.Score,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].AName != out[j].AName {
@@ -491,24 +478,25 @@ func (e *Engine) GetPathToTable(start, target rdf.Term, maxHops int) []JoinPath 
 		if hops >= maxHops {
 			continue // budget exhausted: cannot take another hop
 		}
-		for _, next := range e.JoinableTables(cur.path[len(cur.path)-1], 0) {
-			if next.Table.Equal(target) {
+		for _, next := range e.rankTables(cur.path[len(cur.path)-1], joinKind) {
+			table := e.st.DecodeTerm(next.id)
+			if table.Equal(target) {
 				if len(paths) < maxJoinPaths {
 					paths = append(paths, JoinPath{
 						Tables: append(append([]rdf.Term{}, cur.path...), target),
-						Score:  cur.score * next.Score,
+						Score:  cur.score * next.score,
 					})
 				}
 				continue
 			}
 			// Extending to an intermediate spends a hop and still needs
 			// one more to reach the target.
-			if hops+1 >= maxHops || onPath(cur.path, next.Table) {
+			if hops+1 >= maxHops || onPath(cur.path, table) {
 				continue
 			}
 			queue = append(queue, state{
-				path:  append(append([]rdf.Term{}, cur.path...), next.Table),
-				score: cur.score * next.Score,
+				path:  append(append([]rdf.Term{}, cur.path...), table),
+				score: cur.score * next.score,
 			})
 		}
 	}
@@ -710,24 +698,10 @@ func (e *Engine) CacheStats() sparql.CacheStats { return e.eng.CacheStats() }
 // engine; 0 disables the slow-query log.
 func (e *Engine) SetSlowQuery(d time.Duration) { e.eng.SetSlowQuery(d) }
 
-// SetWorkers sets the parallel execution width for both the SPARQL
-// morsel executor and the discovery scoring fan-out. 0 restores the
-// GOMAXPROCS default; 1 forces the serial path (the equivalence oracle).
-func (e *Engine) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.workers.Store(int32(n))
-	e.eng.SetWorkers(n)
-}
-
-// scoreWorkers resolves the configured width for discovery-side scoring.
-func (e *Engine) scoreWorkers() int {
-	if w := e.workers.Load(); w > 0 {
-		return int(w)
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// SetWorkers sets the parallel execution width of the SPARQL morsel
+// executor. 0 restores the GOMAXPROCS default; 1 forces the serial path
+// (the equivalence oracle).
+func (e *Engine) SetWorkers(n int) { e.eng.SetWorkers(n) }
 
 // CacheExport returns the current-generation SPARQL result-cache entries
 // for snapshot persistence.

@@ -62,7 +62,7 @@ var allProfiles []*profiler.ColumnProfile
 
 func TestSearchKeywords(t *testing.T) {
 	st, _ := fixture(t)
-	e := New(st)
+	e := New(st, storeAdjacency{st})
 	// Conjunctive: heart AND disease.
 	res := e.SearchKeywords([][]string{{"heart", "disease"}})
 	if len(res) != 1 || res[0].Name != "heart_disease_patients.csv" {
@@ -85,7 +85,7 @@ func TestSearchKeywords(t *testing.T) {
 
 func TestUnionableTables(t *testing.T) {
 	st, tables := fixture(t)
-	e := New(st)
+	e := New(st, storeAdjacency{st})
 	res := e.UnionableTables(tables["A"], 5)
 	if len(res) == 0 {
 		t.Fatal("no unionable results")
@@ -103,7 +103,7 @@ func TestUnionableTables(t *testing.T) {
 
 func TestFindUnionableColumns(t *testing.T) {
 	st, tables := fixture(t)
-	e := New(st)
+	e := New(st, storeAdjacency{st})
 	matches := e.FindUnionableColumns(tables["A"], tables["B"])
 	if len(matches) == 0 {
 		t.Fatal("no column matches")
@@ -127,7 +127,7 @@ func TestFindUnionableColumns(t *testing.T) {
 
 func TestJoinPath(t *testing.T) {
 	st, tables := fixture(t)
-	e := New(st)
+	e := New(st, storeAdjacency{st})
 	// A and C share the city column (content similar) → direct join path.
 	paths := e.GetPathToTable(tables["A"], tables["C"], 2)
 	if len(paths) == 0 {
@@ -153,7 +153,7 @@ func TestLibraryDiscovery(t *testing.T) {
 	g.BuildGraph(st, abs1)
 	g.BuildGraph(st, abs2)
 
-	e := New(st)
+	e := New(st, storeAdjacency{st})
 	top, err := e.TopKLibraries(5)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestLibraryDiscovery(t *testing.T) {
 
 func TestAdHocSPARQL(t *testing.T) {
 	st, _ := fixture(t)
-	e := New(st)
+	e := New(st, storeAdjacency{st})
 	res, err := e.SPARQL(`SELECT (COUNT(?c) AS ?n) WHERE { ?c a kglids:Column . }`)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestJoinPathHopBound(t *testing.T) {
 	}{
 		{"A", "B", 0.9}, {"B", "C", 0.9}, {"C", "D", 0.9},
 	})
-	e := New(st)
+	e := New(st, storeAdjacency{st})
 	for _, maxHops := range []int{1, 2} {
 		if paths := e.GetPathToTable(iri("A"), iri("D"), maxHops); len(paths) != 0 {
 			t.Errorf("maxHops=%d: 3-hop chain returned %d paths (first has %d tables), want none",
@@ -276,7 +276,7 @@ func TestJoinPathSharedHub(t *testing.T) {
 		{"A", "B", 0.8}, {"B", "H", 0.8},
 		{"A", "G", 0.99}, {"G", "C", 0.99},
 	})
-	e := New(st)
+	e := New(st, storeAdjacency{st})
 	paths := e.GetPathToTable(iri("A"), iri("C"), 3)
 	var got [][]string
 	for _, p := range paths {
@@ -336,7 +336,7 @@ func TestJoinPathDenseGraphBounded(t *testing.T) {
 		}
 	}
 	st, iri := pathFixture(t, edges)
-	e := New(st)
+	e := New(st, storeAdjacency{st})
 	paths := e.GetPathToTable(iri("T00"), iri("T11"), 6)
 	if len(paths) == 0 || len(paths) > maxJoinPaths {
 		t.Fatalf("paths = %d, want within (0, %d]", len(paths), maxJoinPaths)

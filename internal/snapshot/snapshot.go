@@ -416,6 +416,20 @@ type tableEmb struct {
 	vec embed.Vector
 }
 
+// Smallest encodings of the elements the sections count, so that a count
+// makes a decoder allocate in proportion to the bytes that carry it: a
+// term is a kind byte and a length, a quad four IDs, an HNSW node a string,
+// a vector length and a level count, a script five strings, a vote count
+// and a float, a cached result a query string and two counts. Profiles,
+// edges and table embeddings are encoded as in a platform delta.
+const (
+	minTermBytes       = 2
+	minIDQuadBytes     = 4
+	minNodeBytes       = 3
+	minScriptBytes     = 5 + 1 + 8
+	minCacheEntryBytes = 3
+)
+
 func decodePayload(payload []byte) (*core.RestoredState, error) {
 	// Split the payload into raw sections first (cheap), then decode the
 	// sections in parallel — they are independent until final assembly,
@@ -471,7 +485,7 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 		case secDict:
 			sawDict = true
 			decode = func(r *reader) {
-				n := r.count()
+				n := r.countOf(minTermBytes)
 				dictTerms = make([]rdf.Term, 0, n)
 				for i := 0; i < n && r.err == nil; i++ {
 					dictTerms = append(dictTerms, r.term(0))
@@ -480,7 +494,7 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 		case secQuads:
 			sawQuads = true
 			decode = func(r *reader) {
-				n := r.count()
+				n := r.countOf(minIDQuadBytes)
 				quads = make([]store.EncodedQuad, 0, n)
 				for i := 0; i < n && r.err == nil; i++ {
 					quads = append(quads, store.EncodedQuad{
@@ -493,7 +507,7 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 			}
 		case secProf:
 			decode = func(r *reader) {
-				n := r.count()
+				n := r.countOf(minProfileBytes)
 				st.Profiles = make([]*profiler.ColumnProfile, 0, n)
 				for i := 0; i < n && r.err == nil; i++ {
 					cp := &profiler.ColumnProfile{
@@ -516,7 +530,7 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 			}
 		case secTEmb:
 			decode = func(r *reader) {
-				n := r.count()
+				n := r.countOf(minEmbeddingBytes)
 				tembs = make([]tableEmb, 0, n)
 				for i := 0; i < n && r.err == nil; i++ {
 					tembs = append(tembs, tableEmb{id: r.str(), vec: r.vec()})
@@ -532,7 +546,7 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 			}
 		case secEdges:
 			decode = func(r *reader) {
-				n := r.count()
+				n := r.countOf(minEdgeBytes)
 				st.Edges = make([]schema.Edge, 0, n)
 				for i := 0; i < n && r.err == nil; i++ {
 					st.Edges = append(st.Edges, schema.Edge{
@@ -549,7 +563,7 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 					Entry:          int(r.varint()),
 					MaxLevel:       r.uint(),
 				}
-				n := r.count()
+				n := r.countOf(minNodeBytes)
 				g.Nodes = make([]vectorindex.GraphNode, 0, n)
 				for i := 0; i < n && r.err == nil; i++ {
 					gn := vectorindex.GraphNode{ID: r.str(), Vec: r.vec()}
@@ -582,7 +596,7 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 			}
 		case secScripts:
 			decode = func(r *reader) {
-				n := r.count()
+				n := r.countOf(minScriptBytes)
 				st.Scripts = make([]pipeline.Script, 0, n)
 				for i := 0; i < n && r.err == nil; i++ {
 					s := pipeline.Script{ID: r.str(), Source: r.str()}
@@ -596,7 +610,7 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 			}
 		case secQueryCache:
 			decode = func(r *reader) {
-				n := r.count()
+				n := r.countOf(minCacheEntryBytes)
 				st.QueryCache = make([]sparql.CacheEntry, 0, n)
 				for i := 0; i < n && r.err == nil; i++ {
 					ent := sparql.CacheEntry{Query: r.str(), Res: &sparql.Result{}}
@@ -605,7 +619,8 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 					for v := 0; v < nv && r.err == nil; v++ {
 						ent.Res.Vars = append(ent.Res.Vars, r.str())
 					}
-					nr := r.count()
+					// A row is a presence byte per variable.
+					nr := r.countOf(max(nv, 1))
 					ent.Res.Rows = make([]sparql.Binding, 0, nr)
 					for j := 0; j < nr && r.err == nil; j++ {
 						row := make(sparql.Binding, nv)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -12,11 +13,13 @@ import (
 	"testing"
 
 	"kglids/internal/core"
+	"kglids/internal/dataframe"
 	"kglids/internal/lakegen"
 	"kglids/internal/pipegen"
 	"kglids/internal/pipeline"
 	"kglids/internal/rdf"
 	"kglids/internal/schema"
+	"kglids/internal/vectorindex"
 )
 
 // fixture bootstraps a small platform with pipelines, shared across tests.
@@ -299,5 +302,94 @@ func TestSaveIsAtomic(t *testing.T) {
 	}
 	if len(entries) != 1 || entries[0].Name() != "plat.kgs" {
 		t.Fatalf("directory contents = %v", entries)
+	}
+}
+
+// payloadSeeds are the payload of a small platform — two tables, one
+// pipeline, one cached query — and each of its sections alone.
+func payloadSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	var tables []core.Table
+	for i, name := range []string{"patients.csv", "visits.csv"} {
+		df := dataframe.New(name)
+		for _, col := range []string{"patient_id", "city"} {
+			s := &dataframe.Series{Name: col}
+			for r := 0; r < 4; r++ {
+				s.Cells = append(s.Cells, dataframe.ParseCell(fmt.Sprintf("%s-%d", col, r+i)))
+			}
+			df.AddColumn(s)
+		}
+		tables = append(tables, core.Table{Dataset: "health", Frame: df})
+	}
+	plat := core.Bootstrap(core.DefaultConfig(), tables)
+	plat.AddPipelines([]pipeline.Script{{ID: "p1", Source: "import pandas as pd\ndf = pd.read_csv('patients.csv')\n"}})
+	if _, err := plat.Query(`SELECT ?t WHERE { ?t a kglids:Table . }`); err != nil {
+		t.Fatal(err)
+	}
+	// Two-dimensional embeddings keep the seeds, and every input the fuzzer
+	// derives from them, a few kilobytes long.
+	for _, cp := range plat.Profiles {
+		cp.Embed = cp.Embed[:2]
+	}
+	plat.TableANN = vectorindex.NewHNSW(4, 8, 8)
+	for _, id := range plat.TableIndex.IDs() {
+		plat.TableEmbeddings[id] = plat.TableEmbeddings[id][:2]
+		plat.TableANN.Add(id, plat.TableEmbeddings[id])
+	}
+	payload := encodePayload(plat, plat.Store.Generation(), 3)
+	seeds := [][]byte{payload}
+	for r := (&reader{b: payload}); r.off < len(r.b); {
+		start := r.off
+		r.u8()
+		n := r.uvarint()
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		r.off += int(n)
+		seeds = append(seeds, payload[start:r.off])
+	}
+	return seeds
+}
+
+// FuzzDecodePayload throws arbitrary payloads at the snapshot decoder, as
+// if they had passed the file checksum. It must never panic, and a payload
+// it accepts must come with a store.
+func FuzzDecodePayload(f *testing.F) {
+	for _, seed := range payloadSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		st, err := decodePayload(payload)
+		if err == nil && st.Store == nil {
+			t.Fatal("payload accepted without a store")
+		}
+	})
+}
+
+// TestDecodePayloadRejectsInflatedCounts: a section count larger than its
+// section can hold at the element's smallest encoding is rejected before
+// anything is allocated for it, as DecodeChange does.
+func TestDecodePayloadRejectsInflatedCounts(t *testing.T) {
+	zeros := make([]byte, 512)
+	for _, c := range []struct {
+		tag    byte
+		prefix int // zero bytes before the count
+		min    int
+	}{
+		{secDict, 0, minTermBytes},
+		{secQuads, 0, minIDQuadBytes},
+		{secProf, 0, minProfileBytes},
+		{secTEmb, 0, minEmbeddingBytes},
+		{secEdges, 0, minEdgeBytes},
+		{secANN, 5, minNodeBytes},
+		{secScripts, 0, minScriptBytes},
+		{secQueryCache, 0, minCacheEntryBytes},
+	} {
+		body := binary.AppendUvarint(make([]byte, c.prefix), uint64(len(zeros)/c.min+1))
+		body = append(body, zeros...)
+		payload := binary.AppendUvarint([]byte{c.tag}, uint64(len(body)))
+		if _, err := decodePayload(append(payload, body...)); err == nil || !strings.Contains(err.Error(), "implausible count") {
+			t.Errorf("section %d with an inflated count: err = %v", c.tag, err)
+		}
 	}
 }

@@ -246,9 +246,9 @@ func (p *Platform) Generation() uint64 { return p.core.Store.Generation() }
 // Zero disables it. kglids-server wires this to -slow-query-ms.
 func (p *Platform) SetSlowQuery(d time.Duration) { p.core.Discovery.SetSlowQuery(d) }
 
-// SetQueryWorkers sets the parallel width of SPARQL execution and
-// discovery scoring: the morsel-driven executor partitions the leading
-// pattern's candidates across this many workers. 0 restores the
+// SetQueryWorkers sets the parallel width of SPARQL execution: the
+// morsel-driven executor partitions the leading pattern's candidates
+// across this many workers. 0 restores the
 // GOMAXPROCS default; 1 forces the serial path (the equivalence oracle).
 // kglids-server wires this to -query-workers.
 func (p *Platform) SetQueryWorkers(n int) { p.core.Discovery.SetWorkers(n) }
