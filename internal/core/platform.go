@@ -72,13 +72,10 @@ func DefaultConfig() Config {
 type Platform struct {
 	Store     *store.Store
 	Profiles  []*profiler.ColumnProfile
-	Edges     []schema.Edge
 	Linker    *schema.Linker
 	Discovery *discovery.Engine
-	// ColumnIndex and TableIndex are the Faiss-equivalent embedding
-	// stores for columns (300-d) and tables (1800-d).
-	ColumnIndex *vectorindex.Exact
-	TableIndex  *vectorindex.Exact
+	// TableIndex is the Faiss-equivalent embedding store of tables (1800-d).
+	TableIndex *vectorindex.Exact
 	// TableANN is the approximate (HNSW) companion of TableIndex, used
 	// when serving similarity queries at scale; it holds the same table
 	// embeddings. Its graph structure is persisted verbatim by snapshots.
@@ -90,17 +87,16 @@ type Platform struct {
 	Abstractions []*pipeline.Abstraction
 
 	// mu guards the platform-level metadata that live ingestion mutates —
-	// Profiles, Edges, adj, TableEmbeddings, Abstractions — against
-	// concurrent readers; the store, indexes, and linker carry their own
-	// locks.
+	// Profiles, adj, TableEmbeddings, Abstractions — against concurrent
+	// readers; the store, indexes, and linker carry their own locks.
 	mu sync.RWMutex
-	// adj is Edges by column, what Discovery ranks similar tables from.
+	// adj is the similarity edges by column, their only resident copy.
 	adj *adjacency
 	// ingestMu serializes whole table mutations. apply, the only writer of
-	// Profiles, Edges, adj and TableEmbeddings, runs under it, so its
-	// holder may read them without mu, delta similarity always sees the
-	// final profile set of the previous mutation, and snapshots taken via
-	// IngestLock observe a job-consistent platform.
+	// Profiles, adj and TableEmbeddings, runs under it, so its holder may
+	// read them without mu, delta similarity always sees the final profile
+	// set of the previous mutation, and snapshots taken via IngestLock
+	// observe a job-consistent platform.
 	ingestMu   sync.Mutex
 	cfg        Config
 	profiler   *profiler.Profiler
@@ -140,11 +136,10 @@ func Bootstrap(cfg Config, tables []Table) *Platform {
 // BootstrapSource.
 func newPlatform(cfg Config) *Platform {
 	p := &Platform{
-		Store:       store.New(),
-		ColumnIndex: vectorindex.NewExact(),
-		TableIndex:  vectorindex.NewExact(),
-		cfg:         cfg,
-		labels:      schema.NewLabelCache(),
+		Store:      store.New(),
+		TableIndex: vectorindex.NewExact(),
+		cfg:        cfg,
+		labels:     schema.NewLabelCache(),
 	}
 	p.profiler = profiler.New()
 	if cfg.CoLR != nil {
@@ -167,13 +162,13 @@ func (p *Platform) finishBootstrap(profiles []*profiler.ColumnProfile, profiling
 	// Phase 2: Data Global Schema (Algorithm 3).
 	buildGraph := func() {
 		start := time.Now()
-		p.Edges = p.newBuilder().BuildGraph(p.Store, p.Profiles)
+		edges := p.newBuilder().BuildGraph(p.Store, p.Profiles)
 		p.SchemaBuildTime = time.Since(start)
-		p.adj = newAdjacency(&p.mu, p.Store, p.Profiles, p.Edges)
+		p.adj = newAdjacency(&p.mu, p.Store, p.Profiles, edges)
 	}
 	// Phases 2 and 3 read the profiles and write disjoint state (the store
-	// and edges; the embedding indexes), so phase 3 runs beside phase 2
-	// unless the platform is held to one worker, which keeps it serial.
+	// and adjacency; the table embeddings and indexes), so phase 3 runs
+	// beside phase 2 unless the platform is held to one worker.
 	if p.cfg.Workers == 1 {
 		buildGraph()
 		p.buildEmbeddingIndexes()
@@ -194,14 +189,11 @@ func (p *Platform) finishBootstrap(profiles []*profiler.ColumnProfile, profiling
 	p.Discovery = discovery.New(p.Store, p.adj)
 }
 
-// buildEmbeddingIndexes is bootstrap phase 3: the embedding stores (column
-// + table level, Eq. 1). Tables are indexed in sorted ID order so bootstrap
-// is deterministic — the HNSW graph and tie-breaking in exact search depend
-// on insertion order.
+// buildEmbeddingIndexes is bootstrap phase 3: the table embeddings (Eq. 1)
+// and their exact and HNSW indexes. Tables are indexed in sorted ID order
+// so bootstrap is deterministic — the HNSW graph and tie-breaking in exact
+// search depend on insertion order.
 func (p *Platform) buildEmbeddingIndexes() {
-	for _, cp := range p.Profiles {
-		p.ColumnIndex.Add(cp.ID(), cp.Embed)
-	}
 	p.TableEmbeddings = tableEmbeddings(p.Profiles)
 	p.TableANN = vectorindex.NewHNSW(defaultANNM, defaultANNEfConstruction, defaultANNEfSearch)
 	for _, tid := range sortedIDs(p.TableEmbeddings) {
@@ -310,10 +302,10 @@ func (p *Platform) AddTables(tables []Table) ([]string, error) {
 		if t.Frame == nil {
 			return nil, fmt.Errorf("core: nil frame for dataset %q", t.Dataset)
 		}
-		if t.Dataset == "" || t.Frame.Name == "" {
-			return nil, fmt.Errorf("core: table needs a dataset and a name, got %q/%q", t.Dataset, t.Frame.Name)
+		id, err := TableID(t.Dataset, t.Frame.Name)
+		if err != nil {
+			return nil, err
 		}
-		id := t.Dataset + "/" + t.Frame.Name
 		if seen[id] {
 			return nil, fmt.Errorf("core: duplicate table %q in batch", id)
 		}
@@ -390,70 +382,47 @@ func (p *Platform) RemoveTable(id string) error {
 }
 
 // removeTableLocked performs the removal; caller holds ingestMu and has
-// verified the table exists. The platform half goes first because apply's
-// one pass over the edge list is what finds the edges whose quads (both
-// directions + annotations, in the default graph) the store must retract.
+// verified the table exists. The edges whose quads (both directions +
+// annotations, in the default graph) the store must retract are read from
+// the table's adjacency entries before apply drops them.
 func (p *Platform) removeTableLocked(id string) {
+	table, _ := p.Store.EncodeTerm(schema.TableIRI(id))
+	retracted := p.adj.tableEdges(table)
 	d := &PlatformDelta{RemovedTable: id}
-	retracted := p.apply(d)
+	p.apply(d)
 	p.Store.RemoveBatch(schema.EdgeQuads(retracted))
 	p.Store.RemoveGraph(schema.TableGraph(id))
 	p.emitDelta(d)
 }
 
 // apply makes one platform delta visible. After bootstrap or restore it is
-// the only writer of Profiles, Edges, the similarity adjacency,
-// TableEmbeddings, the embedding indexes and the linker: a primary's
-// mutations and a follower's ApplyPlatformDelta both end here, so a
-// replayed platform equals its primary by construction. Caller holds
-// ingestMu. The store is only read, to resolve the delta's terms to the
-// IDs the adjacency is keyed by, so an addition's quads must already be in
-// it; for a removal the retracted edges are returned so the primary can
-// retract their quads.
+// the only writer of Profiles, the similarity adjacency, TableEmbeddings,
+// the embedding indexes and the linker: a primary's mutations and a
+// follower's ApplyPlatformDelta both end here, so a replayed platform
+// equals its primary by construction. Caller holds ingestMu. The store is
+// only read, to resolve the delta's terms to the IDs the adjacency is
+// keyed by, so an addition's quads must already be in it.
 //
-// The p.mu write sections hold no sort, no store call and no allocation
-// sized by the resident lists: an addition merges the already-sorted delta
-// edges into the resident list in place and appends the delta's entries to
-// the adjacency, a removal compacts both lists in place and drops the
-// table's entries from the adjacency.
-func (p *Platform) apply(d *PlatformDelta) (retracted []schema.Edge) {
+// The p.mu write sections hold no sort, no store call and no work sized by
+// the resident edges: an addition appends the delta's entries to the
+// adjacency, a removal drops the table's entries from it.
+func (p *Platform) apply(d *PlatformDelta) {
 	if id := d.RemovedTable; id != "" {
-		prefix := id + "/"
 		// The dictionary keeps a term after its quads go, so this resolves
 		// on a follower that has already applied the store half.
 		table, _ := p.Store.EncodeTerm(schema.TableIRI(id))
-		var columns []string
 		p.mu.Lock()
-		p.Profiles = slices.DeleteFunc(p.Profiles, func(cp *profiler.ColumnProfile) bool {
-			if !inTable(cp, id) {
-				return false
-			}
-			columns = append(columns, cp.ID())
-			return true
-		})
-		p.Edges = slices.DeleteFunc(p.Edges, func(e schema.Edge) bool {
-			if !strings.HasPrefix(e.A, prefix) && !strings.HasPrefix(e.B, prefix) {
-				return false
-			}
-			retracted = append(retracted, e)
-			return true
-		})
+		p.Profiles = slices.DeleteFunc(p.Profiles, func(cp *profiler.ColumnProfile) bool { return inTable(cp, id) })
 		p.adj.removeTable(table)
 		delete(p.TableEmbeddings, id)
 		p.mu.Unlock()
 
-		for _, col := range columns {
-			p.ColumnIndex.Remove(col)
-		}
 		p.TableIndex.Remove(id)
 		p.TableANN.Remove(id)
 		p.Linker.RemoveTable(id)
-		return retracted
+		return
 	}
 
-	for _, cp := range d.Profiles {
-		p.ColumnIndex.Add(cp.ID(), cp.Embed)
-	}
 	// Sorted insertion order, as at bootstrap: the exact index's
 	// tie-breaking and the HNSW graph depend on it.
 	for _, tid := range sortedIDs(d.TableEmbeddings) {
@@ -465,13 +434,11 @@ func (p *Platform) apply(d *PlatformDelta) (retracted []schema.Edge) {
 
 	p.mu.Lock()
 	p.Profiles = append(p.Profiles, d.Profiles...)
-	p.Edges = schema.MergeEdges(p.Edges, d.Edges)
 	p.adj.add(add)
 	for tid, emb := range d.TableEmbeddings {
 		p.TableEmbeddings[tid] = emb
 	}
 	p.mu.Unlock()
-	return nil
 }
 
 // inTable reports whether cp is a column of table id ("dataset/table")
@@ -480,6 +447,15 @@ func (p *Platform) apply(d *PlatformDelta) (retracted []schema.Edge) {
 func inTable(cp *profiler.ColumnProfile, id string) bool {
 	return len(id) == len(cp.Dataset)+1+len(cp.Table) && id[len(cp.Dataset)] == '/' &&
 		strings.HasPrefix(id, cp.Dataset) && strings.HasSuffix(id, cp.Table)
+}
+
+// TableID returns the ID "dataset/name" of a table. Both parts must be
+// non-empty and free of '/', or the IDs of its columns would be ambiguous.
+func TableID(dataset, name string) (string, error) {
+	if dataset == "" || name == "" || strings.Contains(dataset+name, "/") {
+		return "", fmt.Errorf("core: a table needs a dataset and a name, neither containing '/', got %q/%q", dataset, name)
+	}
+	return dataset + "/" + name, nil
 }
 
 // HasTable reports whether a table ID is currently part of the platform.
@@ -522,11 +498,11 @@ func (p *Platform) ProfilesView() []*profiler.ColumnProfile {
 	return append([]*profiler.ColumnProfile(nil), p.Profiles...)
 }
 
-// EdgesView returns a snapshot of the materialized similarity edges.
+// EdgesView returns the similarity edges in schema.SortEdges order.
 func (p *Platform) EdgesView() []schema.Edge {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return append([]schema.Edge(nil), p.Edges...)
+	return p.adj.edges()
 }
 
 // TableEmbeddingsView returns a copy of the table-embedding map.
@@ -630,7 +606,7 @@ func (p *Platform) Stats() Stats {
 		Columns:         len(p.Profiles),
 		Tables:          len(p.TableEmbeddings),
 		Datasets:        countDatasets(p.Profiles),
-		SimilarityEdges: len(p.Edges),
+		SimilarityEdges: p.adj.count,
 	}
 }
 

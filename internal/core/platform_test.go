@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"kglids/internal/connector"
 	"kglids/internal/lakegen"
 	"kglids/internal/pipegen"
 	"kglids/internal/pipeline"
@@ -51,7 +53,7 @@ func TestBootstrapBuildsGraph(t *testing.T) {
 		t.Error("timings not recorded")
 	}
 	// Embedding stores populated.
-	if p.ColumnIndex.Len() != stats.Columns || p.TableIndex.Len() != stats.Tables {
+	if p.TableIndex.Len() != stats.Tables || p.TableANN.Len() != stats.Tables {
 		t.Error("embedding stores incomplete")
 	}
 }
@@ -134,6 +136,32 @@ func TestTableIRIUnknown(t *testing.T) {
 	p, _ := bootstrapSmall(t)
 	if _, err := p.TableIRI("nope/none.csv"); err == nil {
 		t.Error("unknown table should error")
+	}
+}
+
+// TestTableNamesRejectSlash: a '/' in a dataset or table name would make
+// the "dataset/table/column" IDs ambiguous, so both mutation entry points
+// refuse it and leave the platform as it was.
+func TestTableNamesRejectSlash(t *testing.T) {
+	p, b := bootstrapSmall(t)
+	before := p.Stats()
+	src, err := p.OpenSource(srcURI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ dataset, name string }{{"demo", "t/x"}, {"demo/t", "x"}} {
+		df := b.Tables[0].Clone()
+		df.Name = c.name
+		if _, err := p.AddTables([]Table{{Dataset: c.dataset, Frame: df}}); err == nil {
+			t.Errorf("AddTables(%s/%s) accepted a '/' in a name", c.dataset, c.name)
+		}
+		ref := connector.TableRef{Dataset: c.dataset, Table: c.name}
+		if err := p.AddSourceTable(context.Background(), src, ref); err == nil {
+			t.Errorf("AddSourceTable(%s/%s) accepted a '/' in a name", c.dataset, c.name)
+		}
+	}
+	if after := p.Stats(); after != before {
+		t.Errorf("a rejected table changed the platform: %+v, was %+v", after, before)
 	}
 }
 
@@ -237,10 +265,10 @@ func TestBootstrapOneWorkerMatchesDefault(t *testing.T) {
 	if serial.Stats() != wide.Stats() {
 		t.Errorf("Stats: %+v at one worker, %+v by default", serial.Stats(), wide.Stats())
 	}
-	if !reflect.DeepEqual(serial.Edges, wide.Edges) {
-		t.Errorf("edges differ: %d at one worker, %d by default", len(serial.Edges), len(wide.Edges))
+	if se, we := serial.EdgesView(), wide.EdgesView(); !reflect.DeepEqual(se, we) {
+		t.Errorf("edges differ: %d at one worker, %d by default", len(se), len(we))
 	}
-	if !reflect.DeepEqual(serial.ColumnIndex.IDs(), wide.ColumnIndex.IDs()) || !reflect.DeepEqual(serial.TableIndex.IDs(), wide.TableIndex.IDs()) {
+	if !reflect.DeepEqual(serial.TableIndex.IDs(), wide.TableIndex.IDs()) {
 		t.Error("embedding indexes were filled in a different order")
 	}
 	if !reflect.DeepEqual(serial.TableANN.Export(), wide.TableANN.Export()) {
@@ -390,7 +418,7 @@ func sortedRows(res *sparql.Result) []string {
 // BenchmarkAddTables_ResidentEdges adds, and then updates, one family table
 // on lakes of ≈5 k and ≈40 k resident edges. A job's ns/op and B/op should
 // follow delta-edges/op (the table meets more similar columns in the larger
-// lake), not the eightfold longer list the delta is merged into.
+// lake), not the eightfold count of resident edges.
 func BenchmarkAddTables_ResidentEdges(b *testing.B) {
 	for _, families := range []int{10, 28} {
 		gen := lakegen.Generate(lakegen.Spec{
@@ -403,7 +431,7 @@ func BenchmarkAddTables_ResidentEdges(b *testing.B) {
 		}
 		held, id := tables[:1], tables[0].Dataset+"/"+tables[0].Frame.Name
 		p := Bootstrap(DefaultConfig(), tables[1:])
-		resident := len(p.Edges)
+		resident := p.Stats().SimilarityEdges
 
 		run := func(kind string, after func()) {
 			b.Run(fmt.Sprintf("resident=%d/%s", resident, kind), func(b *testing.B) {
@@ -413,7 +441,7 @@ func BenchmarkAddTables_ResidentEdges(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.StopTimer()
-					b.ReportMetric(float64(len(p.Edges)-resident), "delta-edges/op")
+					b.ReportMetric(float64(p.Stats().SimilarityEdges-resident), "delta-edges/op")
 					after()
 					b.StartTimer()
 				}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"kglids/internal/dataframe"
 	"kglids/internal/discovery"
 	"kglids/internal/embed"
 	"kglids/internal/pipeline"
@@ -16,9 +15,9 @@ import (
 
 // RestoredState carries the decoded sections of a platform snapshot, the
 // minimal state from which a query-ready Platform is reassembled without
-// re-profiling the lake. Everything else — column index, table index,
-// linker, similarity adjacency, discovery engine — is derived from these
-// in O(columns + tables + edges) time.
+// re-profiling the lake. Everything else — table index, linker, similarity
+// adjacency, discovery engine — is derived from these in O(columns +
+// tables + edges) time.
 type RestoredState struct {
 	// Store is the rebuilt triple store (dictionary + quads).
 	Store *store.Store
@@ -67,8 +66,6 @@ func Restore(st RestoredState) (*Platform, error) {
 	p := &Platform{
 		Store:           st.Store,
 		Profiles:        st.Profiles,
-		Edges:           st.Edges,
-		ColumnIndex:     vectorindex.NewExact(),
 		TableIndex:      vectorindex.NewExact(),
 		TableANN:        st.TableANN,
 		TableEmbeddings: st.TableEmbeddings,
@@ -82,9 +79,6 @@ func Restore(st RestoredState) (*Platform, error) {
 	}
 	p.labels = schema.NewLabelCache()
 	p.profiler = profiler.New()
-	for _, cp := range st.Profiles {
-		p.ColumnIndex.Add(cp.ID(), cp.Embed)
-	}
 	for _, tid := range st.TableOrder {
 		emb, ok := p.TableEmbeddings[tid]
 		if !ok {
@@ -101,7 +95,7 @@ func Restore(st RestoredState) (*Platform, error) {
 	p.Linker = schema.NewLinker(st.Profiles)
 	p.abstractor = pipeline.NewAbstractor()
 	p.graphs = p.newGraphBuilder()
-	p.adj = newAdjacency(&p.mu, p.Store, p.Profiles, p.Edges)
+	p.adj = newAdjacency(&p.mu, p.Store, p.Profiles, st.Edges)
 	p.Discovery = discovery.New(p.Store, p.adj)
 	if len(st.Scripts) > 0 {
 		p.AddPipelines(st.Scripts)
@@ -131,16 +125,4 @@ func (p *Platform) Scripts() []pipeline.Script {
 		out[i] = abs.Script
 	}
 	return out
-}
-
-// ApproxSimilarTables is the approximate (HNSW) counterpart of
-// SimilarTablesByEmbedding, trading exactness for sub-linear search when
-// the lake holds many tables.
-func (p *Platform) ApproxSimilarTables(df *dataframe.DataFrame, k int) []vectorindex.Result {
-	byType := map[embed.Type][]embed.Vector{}
-	for i := 0; i < df.NumCols(); i++ {
-		cp := p.profiler.ProfileColumn("query", df.Name, df.ColumnAt(i))
-		byType[cp.Type] = append(byType[cp.Type], cp.Embed)
-	}
-	return p.TableANN.Search(embed.TableEmbedding(byType), k)
 }

@@ -56,8 +56,9 @@ func BootstrapSource(ctx context.Context, cfg Config, uri string) (*Platform, ma
 // happens outside the ingest lock — concurrent callers stream tables in
 // parallel and only addProfiles is serialized.
 func (p *Platform) AddSourceTable(ctx context.Context, src connector.Source, ref connector.TableRef) error {
-	if ref.Dataset == "" || ref.Table == "" {
-		return fmt.Errorf("core: source table needs a dataset and a name, got %q/%q", ref.Dataset, ref.Table)
+	id, err := TableID(ref.Dataset, ref.Table)
+	if err != nil {
+		return err
 	}
 	r, err := src.Open(ctx, ref)
 	if err != nil {
@@ -68,7 +69,7 @@ func (p *Platform) AddSourceTable(ctx context.Context, src connector.Source, ref
 	if err != nil {
 		return err
 	}
-	p.addProfiles([]string{ref.ID()}, profiles)
+	p.addProfiles([]string{id}, profiles)
 	return nil
 }
 

@@ -159,10 +159,13 @@ func (m *Manager) Submit(tables []core.Table) (int, error) {
 	}
 	ids := make([]string, len(tables))
 	for i, t := range tables {
-		if t.Frame == nil || t.Dataset == "" || t.Frame.Name == "" {
-			return 0, fmt.Errorf("ingest: table %d needs a dataset, a name, and a frame", i)
+		if t.Frame == nil {
+			return 0, fmt.Errorf("ingest: table %d needs a frame", i)
 		}
-		ids[i] = t.Dataset + "/" + t.Frame.Name
+		var err error
+		if ids[i], err = core.TableID(t.Dataset, t.Frame.Name); err != nil {
+			return 0, fmt.Errorf("ingest: table %d: %w", i, err)
+		}
 	}
 	return m.enqueue(&job{
 		Job:    Job{Kind: KindAdd, Tables: ids},

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kglids/internal/core"
+	"kglids/internal/dataframe"
 	"kglids/internal/lakegen"
 	"kglids/internal/rdf"
 )
@@ -131,6 +132,14 @@ func TestSubmitValidationAndClose(t *testing.T) {
 	if _, err := m.Submit([]core.Table{{Dataset: "d"}}); err == nil {
 		t.Error("nil frame should error")
 	}
+	for _, tb := range []core.Table{
+		{Dataset: "demo", Frame: dataframe.New("t/x")},
+		{Dataset: "demo/t", Frame: dataframe.New("x")},
+	} {
+		if _, err := m.Submit([]core.Table{tb}); err == nil {
+			t.Errorf("%s: a '/' in a name should error", id(tb))
+		}
+	}
 	m.Close()
 	if _, err := m.Submit(tables[:1]); err != ErrClosed {
 		t.Errorf("submit after close = %v, want ErrClosed", err)
@@ -206,7 +215,8 @@ func TestConcurrentIngestWhileQuerying(t *testing.T) {
 				case 0:
 					plat.SimilarTablesByEmbedding(queryFrame, 5)
 				case 1:
-					plat.ApproxSimilarTables(queryFrame, 5)
+					emb, _ := plat.TableEmbedding(id(tables[0]))
+					plat.TableANN.Search(emb, 5)
 				case 2:
 					if _, err := plat.Query(`SELECT ?t WHERE { ?t a kglids:Table . }`); err != nil {
 						t.Error(err)

@@ -175,6 +175,10 @@ func TestIngestValidationAndDisabled(t *testing.T) {
 			{"name":"a","values":[1,2]},{"name":"a","values":[3,4]}]}]}`, http.StatusBadRequest},
 		{http.MethodPost, "/ingest", `{"tables":[{"dataset":"d","name":"x.csv","columns":[
 			{"name":"a","values":[1,2]},{"name":"b","values":[3]}]}]}`, http.StatusBadRequest},
+		// A '/' in either name would make the table's column IDs ambiguous.
+		{http.MethodPost, "/api/v1/ingest", tableBody("demo", "t/x", 3), http.StatusBadRequest},
+		{http.MethodPost, "/api/v1/ingest", tableBody("demo/t", "x", 3), http.StatusBadRequest},
+		{http.MethodPost, "/ingest", tableBody("demo", "t/x", 3), http.StatusBadRequest},
 		{http.MethodGet, "/jobs/notanumber", "", http.StatusBadRequest},
 		{http.MethodGet, "/jobs/99999", "", http.StatusNotFound},
 		{http.MethodDelete, "/tables/no/such.csv", "", http.StatusNotFound},

@@ -245,10 +245,8 @@ func decodeTables(body io.Reader) ([]kglids.Table, error) {
 		return nil, fmt.Errorf("body needs a non-empty 'tables' array")
 	}
 	out := make([]kglids.Table, 0, len(req.Tables))
-	for ti, t := range req.Tables {
-		if t.Dataset == "" || t.Name == "" {
-			return nil, fmt.Errorf("table %d needs 'dataset' and 'name'", ti)
-		}
+	// ingest.Manager.Submit checks the names, as every route in does.
+	for _, t := range req.Tables {
 		if len(t.Columns) == 0 {
 			return nil, fmt.Errorf("table %q needs at least one column", t.Name)
 		}

@@ -148,9 +148,15 @@ func TestRoundTripEmbeddingSearchIdentical(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("exact similar-tables differ:\n got %v\nwant %v", got, want)
 	}
-	wantANN := plat.ApproxSimilarTables(df, 5)
-	gotANN := restored.ApproxSimilarTables(df, 5)
-	if !reflect.DeepEqual(gotANN, wantANN) {
+	// ANN search as /api/v1/similar runs it: on a resident table's
+	// embedding.
+	emb, ok := plat.TableEmbedding(lake.Dataset[df.Name] + "/" + df.Name)
+	if !ok {
+		t.Fatal("query table not resident")
+	}
+	wantANN := plat.TableANN.Search(emb, 5)
+	gotANN := restored.TableANN.Search(emb, 5)
+	if len(wantANN) == 0 || !reflect.DeepEqual(gotANN, wantANN) {
 		t.Fatalf("ANN similar-tables differ:\n got %v\nwant %v", gotANN, wantANN)
 	}
 }
