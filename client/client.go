@@ -2,7 +2,9 @@ package client
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,6 +20,12 @@ import (
 // MaxResponseBody bounds how much of a response the client will read
 // (64 MiB), protecting callers from a misbehaving server.
 const MaxResponseBody = 64 << 20
+
+// ErrResponseTooLarge reports a response body, compressed or not, longer
+// than MaxResponseBody. The body is not truncated to fit: a changelog page
+// too large for the limit fails with this error, and a smaller page limit
+// fetches it.
+var ErrResponseTooLarge = fmt.Errorf("client: response body exceeds MaxResponseBody (%d bytes)", MaxResponseBody)
 
 // defaultRetries is how many times a 429 (ingest queue full) is retried
 // with exponential backoff before being surfaced as an *APIError.
@@ -203,7 +211,7 @@ func (c *Client) Snapshot(ctx context.Context) (io.ReadCloser, error) {
 		return nil, err
 	}
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		payload, _ := io.ReadAll(io.LimitReader(resp.Body, MaxResponseBody))
+		payload, _ := readBody(resp) // the status is the error; a body only adds its message
 		resp.Body.Close()
 		return nil, apiError(resp, payload)
 	}
@@ -349,8 +357,9 @@ func (c *Client) do(ctx context.Context, method, path string, q url.Values, body
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)
 		}
-		// Accept-Encoding is left to the transport, which negotiates gzip
-		// and decompresses transparently.
+		// Asked for explicitly, gzip is not undone by the transport, and
+		// readBody learns the body's size from the gzip trailer.
+		req.Header.Set("Accept-Encoding", "gzip")
 		var cached etagEntry
 		if method == http.MethodGet {
 			c.mu.Lock()
@@ -365,10 +374,10 @@ func (c *Client) do(ctx context.Context, method, path string, q url.Values, body
 		if err != nil {
 			return err
 		}
-		payload, err := io.ReadAll(io.LimitReader(resp.Body, MaxResponseBody))
+		payload, err := readBody(resp)
 		resp.Body.Close()
 		if err != nil {
-			return fmt.Errorf("client: read response: %w", err)
+			return fmt.Errorf("client: read %s %s response: %w", method, path, err)
 		}
 
 		switch {
@@ -396,6 +405,76 @@ func (c *Client) do(ctx context.Context, method, path string, q url.Values, body
 			return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
 		}
 		return nil
+	}
+}
+
+// gzipReaders recycles decompressors across responses.
+var gzipReaders sync.Pool
+
+// readBody reads a whole response body, decompressing a gzip one, into a
+// buffer of the body's final size: the Content-Length of an identity body,
+// or the length a gzip body's trailer records. (io.ReadAll grows its
+// buffer by a quarter at a time and allocates a large body about five
+// times over.) A body longer than MaxResponseBody fails with
+// ErrResponseTooLarge.
+func readBody(resp *http.Response) ([]byte, error) {
+	raw, err := readAtMost(resp.Body, resp.ContentLength)
+	if err != nil || len(raw) == 0 || resp.Header.Get("Content-Encoding") != "gzip" {
+		return raw, err
+	}
+	zr, _ := gzipReaders.Get().(*gzip.Reader)
+	if zr == nil {
+		zr, err = gzip.NewReader(bytes.NewReader(raw))
+	} else {
+		err = zr.Reset(bytes.NewReader(raw))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("gunzip: %w", err)
+	}
+	defer gzipReaders.Put(zr)
+	// ISIZE, the last four bytes, is the uncompressed length modulo 2^32
+	// of the last gzip member; readAtMost treats it only as a hint.
+	size := int64(-1)
+	if len(raw) >= 4 {
+		size = int64(binary.LittleEndian.Uint32(raw[len(raw)-4:]))
+	}
+	body, err := readAtMost(zr, size)
+	if err != nil && !errors.Is(err, ErrResponseTooLarge) {
+		err = fmt.Errorf("gunzip: %w", err)
+	}
+	return body, err
+}
+
+// readAtMost reads r to EOF into a buffer of capacity size+1 when size is
+// known (the extra byte lets the final read see EOF without growing),
+// doubling it when r turns out longer. It reads at most one byte past
+// MaxResponseBody, so an oversize body fails with ErrResponseTooLarge
+// rather than being silently truncated.
+func readAtMost(r io.Reader, size int64) ([]byte, error) {
+	const limit = MaxResponseBody + 1
+	if size > MaxResponseBody {
+		return nil, ErrResponseTooLarge
+	}
+	c := 512
+	if size >= 0 {
+		c = int(size) + 1
+	}
+	buf := make([]byte, 0, c)
+	r = io.LimitReader(r, limit)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(2*cap(buf), limit)), buf...)
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		switch {
+		case len(buf) > MaxResponseBody:
+			return nil, ErrResponseTooLarge
+		case err == io.EOF:
+			return buf, nil
+		case err != nil:
+			return nil, err
+		}
 	}
 }
 

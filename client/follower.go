@@ -37,8 +37,10 @@ type Follower struct {
 }
 
 // Run tails the changelog until ctx is done (returns ctx.Err()), Apply
-// fails, or the cursor is lost to compaction (returns an error wrapping
-// ErrCursorGone; the caller should re-seed from a snapshot and restart).
+// fails, the cursor is lost to compaction (returns an error wrapping
+// ErrCursorGone; the caller should re-seed from a snapshot and restart),
+// or a page is longer than MaxResponseBody (returns an error wrapping
+// ErrResponseTooLarge; a smaller Limit fetches it).
 func (f *Follower) Run(ctx context.Context) error {
 	poll := f.Poll
 	if poll <= 0 {
@@ -47,7 +49,7 @@ func (f *Follower) Run(ctx context.Context) error {
 	for {
 		page, err := f.Client.Changelog(ctx, f.Cursor, f.Limit)
 		if err != nil {
-			if errors.Is(err, ErrCursorGone) || ctx.Err() != nil {
+			if errors.Is(err, ErrCursorGone) || errors.Is(err, ErrResponseTooLarge) || ctx.Err() != nil {
 				return err
 			}
 			// Transient transport or server error: retry at poll cadence.

@@ -342,12 +342,23 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	writeJSONAs(w, status, "application/json", v)
 }
 
+// encodedJSON is a response body a handler has already encoded as JSON,
+// exactly as json.Encoder would have; writeJSONAs hands it to the
+// response writer without encoding or copying it again.
+type encodedJSON []byte
+
 // writeJSONAs writes a JSON body under an explicit content type (the
 // SPARQL protocol endpoint answers application/sparql-results+json).
 func writeJSONAs(w http.ResponseWriter, status int, contentType string, v any) {
 	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	var err error
+	if body, ok := v.(encodedJSON); ok {
+		err = writeOwned(w, body)
+	} else {
+		err = json.NewEncoder(w).Encode(v)
+	}
+	if err != nil {
 		slog.Warn("server: encode response failed", "err", err)
 	}
 }

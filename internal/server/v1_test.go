@@ -545,15 +545,20 @@ func TestGzipAndRequestID(t *testing.T) {
 	plat := tinyPlatform(t)
 	h := New(plat, Options{})
 
-	plain := getRaw(t, h, "/api/v1/tables", nil)
+	// Every triple of the fixture: a body above the compression floor.
+	path := "/api/v1/sparql?query=" + url.QueryEscape(`SELECT ?s ?p ?o WHERE { ?s ?p ?o . }`)
+	plain := getRaw(t, h, path, nil)
 	if plain.Header().Get("Content-Encoding") != "" {
 		t.Fatal("uncompressed request got Content-Encoding")
 	}
 	if plain.Header().Get("X-Request-ID") == "" {
 		t.Fatal("response missing X-Request-ID")
 	}
+	if plain.Body.Len() < gzipMinBytes {
+		t.Fatalf("fixture body is %d bytes, below the %d-byte compression floor", plain.Body.Len(), gzipMinBytes)
+	}
 
-	rec := getRaw(t, h, "/api/v1/tables", map[string]string{"Accept-Encoding": "gzip"})
+	rec := getRaw(t, h, path, map[string]string{"Accept-Encoding": "gzip"})
 	if enc := rec.Header().Get("Content-Encoding"); enc != "gzip" {
 		t.Fatalf("Content-Encoding = %q, want gzip", enc)
 	}

@@ -27,10 +27,15 @@ type Change struct {
 // snapshot codec (recursive RDF-star-aware term encoding, varint framing).
 // The record's sequence, generation, and kind travel in the HTTP envelope;
 // only the body is encoded here.
+//
+// The body is written into one buffer of its exact size: a page of records
+// runs to megabytes, and a buffer grown by doubling would allocate each
+// body about three times over.
 func EncodeChange(rec store.ChangeRecord) ([]byte, error) {
 	var w writer
 	switch rec.Kind {
 	case store.ChangeAddQuads, store.ChangeRemoveQuads:
+		w.buf.Grow(quadsSize(rec.Quads))
 		w.uint(len(rec.Quads))
 		for _, q := range rec.Quads {
 			encodeQuad(&w, q)
@@ -42,6 +47,7 @@ func EncodeChange(rec store.ChangeRecord) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("snapshot: changelog aux record %d carries %T, want *core.PlatformDelta", rec.Seq, rec.Aux)
 		}
+		w.buf.Grow(deltaSize(d))
 		encodeDelta(&w, d)
 	default:
 		return nil, fmt.Errorf("snapshot: unknown changelog kind %q", rec.Kind)
@@ -95,6 +101,16 @@ func encodeQuad(w *writer, q rdf.Quad) {
 	w.term(q.Graph)
 }
 
+// quadsSize is the length of a quad batch's encoding: its count, then
+// encodeQuad's output for each quad.
+func quadsSize(qs []rdf.Quad) int {
+	n := uvarintSize(uint64(len(qs)))
+	for _, q := range qs {
+		n += termSize(q.Subject) + termSize(q.Predicate) + termSize(q.Object) + termSize(q.Graph)
+	}
+	return n
+}
+
 func decodeQuad(r *reader) rdf.Quad {
 	return rdf.Quad{
 		Triple: rdf.Triple{
@@ -143,6 +159,25 @@ func encodeDelta(w *writer, d *core.PlatformDelta) {
 		w.str(id)
 		w.vec(d.TableEmbeddings[id])
 	}
+}
+
+// deltaSize is the length of encodeDelta's output.
+func deltaSize(d *core.PlatformDelta) int {
+	n := strSize(d.RemovedTable) + uvarintSize(uint64(len(d.Profiles)))
+	for _, cp := range d.Profiles {
+		n += strSize(cp.Dataset) + strSize(cp.Table) + strSize(cp.Column) + strSize(string(cp.Type)) +
+			uvarintSize(uint64(cp.Stats.Total)) + uvarintSize(uint64(cp.Stats.Missing)) +
+			uvarintSize(uint64(cp.Stats.Distinct)) + 5*8 + vecSize(cp.Embed)
+	}
+	n += uvarintSize(uint64(len(d.Edges)))
+	for _, e := range d.Edges {
+		n += strSize(e.A) + strSize(e.B) + strSize(e.Kind) + 8
+	}
+	n += uvarintSize(uint64(len(d.TableEmbeddings)))
+	for id, v := range d.TableEmbeddings {
+		n += strSize(id) + vecSize(v)
+	}
+	return n
 }
 
 func decodeDelta(r *reader) *core.PlatformDelta {

@@ -94,6 +94,50 @@ func TestDecodeChangeRejectsInflatedCounts(t *testing.T) {
 	}
 }
 
+// TestEncodeChangeSizesExactly: EncodeChange sizes its buffer from
+// quadsSize and deltaSize, so each must be the exact length of what the
+// encoder writes, multi-byte varints included. (FuzzDecodeChange checks the
+// same on every record it re-encodes.)
+func TestEncodeChangeSizesExactly(t *testing.T) {
+	long := strings.Repeat("x", 300)
+	recs := append(changeSeeds(),
+		store.ChangeRecord{Kind: store.ChangeAddQuads, Quads: []rdf.Quad{
+			rdf.Q(rdf.Resource(long), rdf.PropName, rdf.String(long), rdf.Resource(long)),
+			rdf.Q(rdf.Blank(long), rdf.PropName, rdf.Term{Kind: rdf.KindLiteral, Value: "v", Datatype: long}, rdf.DefaultGraph),
+		}},
+		store.ChangeRecord{Kind: store.ChangeAux, Aux: &core.PlatformDelta{
+			RemovedTable: long,
+			Profiles: []*profiler.ColumnProfile{{Column: long, Embed: make(embed.Vector, 200),
+				Stats: profiler.ColumnStats{Total: 1 << 20, Missing: 300, Distinct: 1 << 14}}},
+			TableEmbeddings: map[string]embed.Vector{long: make(embed.Vector, 130)},
+		}})
+	for _, rec := range recs {
+		payload, err := EncodeChange(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEncodedSize(t, rec, payload)
+	}
+}
+
+// checkEncodedSize fails unless the size EncodeChange reserved for a quad
+// or delta record is the length it wrote.
+func checkEncodedSize(t testing.TB, rec store.ChangeRecord, payload []byte) {
+	t.Helper()
+	var want int
+	switch rec.Kind {
+	case store.ChangeAddQuads, store.ChangeRemoveQuads:
+		want = quadsSize(rec.Quads)
+	case store.ChangeAux:
+		want = deltaSize(rec.Aux.(*core.PlatformDelta))
+	default:
+		return
+	}
+	if len(payload) != want {
+		t.Fatalf("%s record encodes to %d bytes, sized as %d", rec.Kind, len(payload), want)
+	}
+}
+
 // reencode decodes a record body and encodes it again.
 func reencode(t testing.TB, kind string, payload []byte) []byte {
 	t.Helper()
@@ -101,9 +145,11 @@ func reencode(t testing.TB, kind string, payload []byte) []byte {
 	if err != nil {
 		t.Fatalf("decode %s: %v", kind, err)
 	}
-	out, err := EncodeChange(store.ChangeRecord{Kind: c.Kind, Quads: c.Quads, Graph: c.Graph, Aux: c.Delta})
+	rec := store.ChangeRecord{Kind: c.Kind, Quads: c.Quads, Graph: c.Graph, Aux: c.Delta}
+	out, err := EncodeChange(rec)
 	if err != nil {
 		t.Fatalf("encode %s: %v", kind, err)
 	}
+	checkEncodedSize(t, rec, out)
 	return out
 }
