@@ -54,17 +54,17 @@ type Health struct {
 }
 
 // ChangeEntry is one replicated mutation record
-// (GET /api/v1/changelog). Payload is the binary-encoded record body
-// (base64 on the wire); Kind selects its schema: "add" and "remove" carry
-// quad batches, "remove-graph" a named graph, "platform-delta" the
-// platform-level half of a splice or removal.
+// (GET /api/v1/changelog): one whole mutation of the primary. Payload is
+// the binary-encoded record body (base64 on the wire); Kind selects its
+// schema: "tables" carries a table addition, update or removal (the
+// removed table IDs plus the added profiles, similarity edges and table
+// embeddings), "pipelines" the scripts of one pipeline registration.
 type ChangeEntry struct {
 	// Seq is the record's position in the primary's changelog; records
 	// apply strictly in Seq order.
 	Seq uint64 `json:"seq"`
 	// Generation is the primary's store generation after this record was
-	// applied. For quad-batch records a follower reaches the same value;
-	// for platform-delta records it is diagnostic only.
+	// applied; a follower that applies it reaches the same value.
 	Generation uint64 `json:"generation"`
 	// TS is the primary's wall-clock append time (Unix nanoseconds), the
 	// basis of follower lag measurement.

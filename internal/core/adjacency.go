@@ -19,7 +19,7 @@ import (
 // quads: a table's columns come out in the order of its hasColumn index.
 //
 // It is built once at bootstrap or restore and changed afterwards only by
-// apply, in its p.mu write section; readers hold p.mu's read lock.
+// commit, in its p.mu write sections; readers hold p.mu's read lock.
 type adjacency struct {
 	mu      *sync.RWMutex
 	tables  map[store.TermID][]store.TermID // table → its columns, ascending
@@ -80,9 +80,10 @@ type adjColumnID struct {
 }
 
 // encode resolves added profiles against st, which holds their quads. It
-// reads s without p.mu, so its caller must exclude apply: hold ingestMu, or
-// own a platform not yet published. A column whose terms st does not know
-// is left out, with its edges, as a walk of st would never reach them.
+// reads s without p.mu, so its caller must hold ingestMu, which excludes
+// every other writer, or own a platform not yet published. A column whose
+// terms st does not know is left out, with its edges, as a walk of st
+// would never reach them.
 func (s *adjacency) encode(st *store.Store, profiles []*profiler.ColumnProfile, edges []schema.Edge) adjAddition {
 	add := adjAddition{tables: map[store.TermID][]store.TermID{}, edges: edges}
 	tableIDs := map[string]store.TermID{}
@@ -197,7 +198,7 @@ func (s *adjacency) edges() []schema.Edge {
 }
 
 // tableEdges returns, in schema.SortEdges order, the edges a removal of
-// table retracts. Its caller must exclude apply, as encode's must.
+// table retracts. Its caller must hold ingestMu, as encode's must.
 func (s *adjacency) tableEdges(table store.TermID) []schema.Edge {
 	var out []schema.Edge
 	for _, col := range s.tables[table] {

@@ -92,11 +92,13 @@ type Platform struct {
 	mu sync.RWMutex
 	// adj is the similarity edges by column, their only resident copy.
 	adj *adjacency
-	// ingestMu serializes whole table mutations. apply, the only writer of
-	// Profiles, adj and TableEmbeddings, runs under it, so its holder may
-	// read them without mu, delta similarity always sees the final profile
-	// set of the previous mutation, and snapshots taken via IngestLock
-	// observe a job-consistent platform.
+	// ingestMu serializes whole mutations, of tables and of pipelines.
+	// commit, the only writer of Profiles, adj and TableEmbeddings, runs
+	// under it, so its holder may read them without mu, delta similarity
+	// always sees the final profile set of the previous mutation, snapshots
+	// taken via IngestLock observe a job-consistent platform, and the
+	// generation a changelog record is stamped with is exactly the one its
+	// mutation left.
 	ingestMu   sync.Mutex
 	cfg        Config
 	profiler   *profiler.Profiler
@@ -323,14 +325,11 @@ func (p *Platform) AddTables(tables []Table) ([]string, error) {
 // (in-memory profiling) and AddSourceTable (streaming profiling) end in,
 // which is why they produce identical platforms for identical data.
 //
-// Build comes first and changes nothing: delta similarity edges of the new
-// columns against the resident profiles minus the versions being replaced,
-// the table embeddings, and the two quad batches. It reads Profiles and
-// TableEmbeddings without p.mu, which ingestMu makes safe (their only
-// writer, apply, runs under it) and which keeps it off every lock a reader
-// takes. Only then are the old versions retracted and the new ones
-// presented, so an updated table is absent for two store batches, not for
-// a profile and an edge comparison.
+// It builds the delta and commits it: similarity edges of the new columns
+// against the resident profiles minus the versions being replaced, and the
+// table embeddings. It reads Profiles and TableEmbeddings without p.mu,
+// which ingestMu makes safe (their only writer, commit, runs under it) and
+// which keeps the edge comparison off every lock a reader takes.
 func (p *Platform) addProfiles(ids []string, added []*profiler.ColumnProfile) {
 	p.ingestMu.Lock()
 	defer p.ingestMu.Unlock()
@@ -350,20 +349,12 @@ func (p *Platform) addProfiles(ids []string, added []*profiler.ColumnProfile) {
 			}
 		}
 	}
-	d := &PlatformDelta{
+	p.commit(&PlatformDelta{
+		Removed:         replaced,
 		Profiles:        added,
 		Edges:           p.newBuilder().SimilarityEdgesDelta(existing, added),
 		TableEmbeddings: tableEmbeddings(added),
-	}
-	metaQuads, edgeQuads := schema.MetadataQuads(d.Profiles), schema.EdgeQuads(d.Edges)
-
-	for _, id := range replaced {
-		p.removeTableLocked(id)
-	}
-	p.Store.AddBatch(metaQuads)
-	p.Store.AddBatch(edgeQuads)
-	p.apply(d)
-	p.emitDelta(d)
+	})
 }
 
 // RemoveTable deletes a table from the live platform: its metadata named
@@ -377,52 +368,63 @@ func (p *Platform) RemoveTable(id string) error {
 	if !p.HasTable(id) {
 		return fmt.Errorf("core: unknown table %q", id)
 	}
-	p.removeTableLocked(id)
+	p.commit(&PlatformDelta{Removed: []string{id}})
 	return nil
 }
 
-// removeTableLocked performs the removal; caller holds ingestMu and has
-// verified the table exists. The edges whose quads (both directions +
-// annotations, in the default graph) the store must retract are read from
-// the table's adjacency entries before apply drops them.
+// commit makes one table mutation take effect. After bootstrap or restore
+// it is the only writer of Profiles, the similarity adjacency,
+// TableEmbeddings, the embedding indexes, the linker and the store's table
+// quads: a primary's mutations and a follower's ApplyPlatformDelta both
+// are a call of it, so a replayed platform equals its primary record by
+// record. Caller holds ingestMu.
+//
+// The quad batches are built first, so an updated table is absent for two
+// store batches and no more. The removals go next, each platform half first
+// (discovery stops returning the table), then the additions: their quads,
+// then apply. On a primary the delta then becomes one changelog record.
+func (p *Platform) commit(d *PlatformDelta) {
+	before := p.Store.Generation()
+	metaQuads, edgeQuads := schema.MetadataQuads(d.Profiles), schema.EdgeQuads(d.Edges)
+	for _, id := range d.Removed {
+		p.removeTableLocked(id)
+	}
+	p.Store.AddBatch(metaQuads)
+	p.Store.AddBatch(edgeQuads)
+	p.apply(d)
+	p.record(store.ChangeTables, d, before)
+}
+
+// removeTableLocked takes table id out of the platform; caller holds
+// ingestMu. The edges whose quads (both directions + annotations, in the
+// default graph) the store must retract are read from the table's
+// adjacency entries before they are dropped.
+//
+// The p.mu write section holds no store call and no work sized by the
+// resident edges: it drops the table's entries from the adjacency.
 func (p *Platform) removeTableLocked(id string) {
 	table, _ := p.Store.EncodeTerm(schema.TableIRI(id))
 	retracted := p.adj.tableEdges(table)
-	d := &PlatformDelta{RemovedTable: id}
-	p.apply(d)
+
+	p.mu.Lock()
+	p.Profiles = slices.DeleteFunc(p.Profiles, func(cp *profiler.ColumnProfile) bool { return inTable(cp, id) })
+	p.adj.removeTable(table)
+	delete(p.TableEmbeddings, id)
+	p.mu.Unlock()
+
+	p.TableIndex.Remove(id)
+	p.TableANN.Remove(id)
+	p.Linker.RemoveTable(id)
 	p.Store.RemoveBatch(schema.EdgeQuads(retracted))
 	p.Store.RemoveGraph(schema.TableGraph(id))
-	p.emitDelta(d)
 }
 
-// apply makes one platform delta visible. After bootstrap or restore it is
-// the only writer of Profiles, the similarity adjacency, TableEmbeddings,
-// the embedding indexes and the linker: a primary's mutations and a
-// follower's ApplyPlatformDelta both end here, so a replayed platform
-// equals its primary by construction. Caller holds ingestMu. The store is
-// only read, to resolve the delta's terms to the IDs the adjacency is
-// keyed by, so an addition's quads must already be in it.
-//
-// The p.mu write sections hold no sort, no store call and no work sized by
-// the resident edges: an addition appends the delta's entries to the
-// adjacency, a removal drops the table's entries from it.
+// apply makes the additions of a delta visible to discovery; caller holds
+// ingestMu. The store is only read, to resolve the delta's terms to the
+// IDs the adjacency is keyed by, so the additions' quads must already be
+// in it. The p.mu write section holds no sort, no store call and no work
+// sized by the resident edges: it appends the delta's entries.
 func (p *Platform) apply(d *PlatformDelta) {
-	if id := d.RemovedTable; id != "" {
-		// The dictionary keeps a term after its quads go, so this resolves
-		// on a follower that has already applied the store half.
-		table, _ := p.Store.EncodeTerm(schema.TableIRI(id))
-		p.mu.Lock()
-		p.Profiles = slices.DeleteFunc(p.Profiles, func(cp *profiler.ColumnProfile) bool { return inTable(cp, id) })
-		p.adj.removeTable(table)
-		delete(p.TableEmbeddings, id)
-		p.mu.Unlock()
-
-		p.TableIndex.Remove(id)
-		p.TableANN.Remove(id)
-		p.Linker.RemoveTable(id)
-		return
-	}
-
 	// Sorted insertion order, as at bootstrap: the exact index's
 	// tie-breaking and the HNSW graph depend on it.
 	for _, tid := range sortedIDs(d.TableEmbeddings) {
@@ -529,12 +531,21 @@ func (p *Platform) IngestUnlock() { p.ingestMu.Unlock() }
 
 // AddPipelines abstracts scripts (Algorithm 1) and links them into the
 // LiDS graph; it returns the abstractions. Safe to call while the platform
-// serves queries.
+// serves queries. It is a mutation like a table's: it runs under ingestMu
+// and, on a primary, becomes one changelog record holding the scripts,
+// which a follower passes to AddPipelines in turn.
 func (p *Platform) AddPipelines(scripts []pipeline.Script) []*pipeline.Abstraction {
+	if len(scripts) == 0 {
+		return nil
+	}
+	p.ingestMu.Lock()
+	defer p.ingestMu.Unlock()
+	before := p.Store.Generation()
 	abss := p.graphs.AbstractAll(p.Store, p.abstractor, scripts)
 	p.mu.Lock()
 	p.Abstractions = append(p.Abstractions, abss...)
 	p.mu.Unlock()
+	p.record(store.ChangePipelines, slices.Clone(scripts), before)
 	return abss
 }
 

@@ -7,24 +7,23 @@ import (
 	"kglids/internal/store"
 )
 
-// PlatformDelta is the platform-level half of one mutation: the profiles,
-// similarity edges, and table embeddings an addition built, or the table a
-// removal dropped. Every mutation, local or replicated, takes effect by
-// one being handed to apply. The store-level half (metadata and edge quads) travels
-// as ordinary quad records in the changelog; this delta carries exactly
-// the state that is NOT derivable from quads — embeddings and profile
-// structs never enter the store — so a follower applying both halves in
-// log order reconstructs the full platform.
+// PlatformDelta is one table mutation, whole: the tables it removes and the
+// profiles, similarity edges and table embeddings it adds. An update is
+// both, the old version removed and the new one added. It is what commit
+// takes and what a changelog record holds; the mutation's quads are a
+// function of it (schema.MetadataQuads, schema.EdgeQuads and the removed
+// tables' resident edges), so they never travel.
 type PlatformDelta struct {
+	// Removed are the "dataset/table" IDs that leave the platform before
+	// the additions: the table of a removal, or the versions an update
+	// replaces.
+	Removed []string
 	// Profiles, Edges, and TableEmbeddings describe an addition (AddTables
 	// / AddSource): the profiles added, the delta similarity edges in
 	// schema.SortEdges order, and the new or updated table embeddings.
 	Profiles        []*profiler.ColumnProfile
 	Edges           []schema.Edge
 	TableEmbeddings map[string]embed.Vector
-	// RemovedTable, when non-empty, makes this delta a removal instead:
-	// the "dataset/table" ID whose metadata leaves the platform.
-	RemovedTable string
 }
 
 // EnableChangelog attaches an in-memory mutation changelog to the
@@ -50,21 +49,22 @@ func (p *Platform) ChangelogPosition() uint64 {
 	return p.restoredLogPos
 }
 
-// emitDelta appends a platform delta to the changelog, when one is
-// enabled. Gen stamps the store generation the delta is consistent with;
-// followers do not gate on it for aux records (an AddPipelines running
-// concurrently may interleave quad records), it is diagnostic only.
-func (p *Platform) emitDelta(d *PlatformDelta) {
+// record appends a committed mutation to the changelog, when one is
+// enabled, stamped with the store generation after it. Every quad the
+// mutation added or removed bumped the generation once, so the distance
+// from before is the record's weight. Caller holds ingestMu.
+func (p *Platform) record(kind store.ChangeKind, body any, before uint64) {
 	if cl := p.Store.Changelog(); cl != nil {
-		cl.AppendAux(d, p.Store.Generation())
+		gen := p.Store.Generation()
+		cl.Append(kind, body, int(gen-before), gen)
 	}
 }
 
-// ApplyPlatformDelta applies a replicated platform delta through the same
-// apply the primary's own mutations end in; the store half arrives as
-// separate quad records. Deltas must be applied in log order.
+// ApplyPlatformDelta commits a replicated table mutation through the same
+// commit the primary's own mutations are. Deltas must be applied in log
+// order.
 func (p *Platform) ApplyPlatformDelta(d *PlatformDelta) {
 	p.ingestMu.Lock()
 	defer p.ingestMu.Unlock()
-	p.apply(d)
+	p.commit(d)
 }

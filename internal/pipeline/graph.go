@@ -181,8 +181,15 @@ func (g *GraphBuilder) BuildGraph(st *store.Store, abs *Abstraction) int {
 		}
 	}
 	st.AddBatch(quads)
-	// Library hierarchy goes to the default (shared) graph.
+	// Library hierarchy goes to the default (shared) graph, in sorted call
+	// order: the terms it interns get the same IDs whenever the abstraction
+	// is built again, as a follower does for its primary.
+	calls := make([]string, 0, len(abs.CallCounts))
 	for q := range abs.CallCounts {
+		calls = append(calls, q)
+	}
+	sort.Strings(calls)
+	for _, q := range calls {
 		AddLibraryHierarchy(st, q)
 	}
 	return len(quads)

@@ -142,10 +142,10 @@ func TestChangelogJSONMatchesEncoder(t *testing.T) {
 	pages := []client.ChangelogPage{
 		{Entries: []client.ChangeEntry{}, Head: 7, Floor: 3, AtHead: true, NextCursor: 7},
 		{Entries: []client.ChangeEntry{
-			{Seq: 1, Generation: 1 << 63, TS: -1 << 63, Kind: "add", Payload: []byte{0, 1, 2, 0xff}},
-			{Seq: 2, Kind: "remove-graph", Payload: []byte{}},
-			{Seq: 3, Kind: "platform-delta", Payload: nil},
-			{Seq: 4, Kind: "add", Payload: make([]byte, 4097)},
+			{Seq: 1, Generation: 1 << 63, TS: -1 << 63, Kind: "tables", Payload: []byte{0, 1, 2, 0xff}},
+			{Seq: 2, Kind: "pipelines", Payload: []byte{}},
+			{Seq: 3, Kind: "retired-kind", Payload: nil},
+			{Seq: 4, Kind: "tables", Payload: make([]byte, 4097)},
 		}, Head: 1<<64 - 1, Floor: 0, NextCursor: 4},
 	}
 	// Every kind of character the unescaped path must not take, alone.

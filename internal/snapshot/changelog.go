@@ -1,70 +1,69 @@
 package snapshot
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"kglids/internal/core"
 	"kglids/internal/embed"
+	"kglids/internal/pipeline"
 	"kglids/internal/profiler"
-	"kglids/internal/rdf"
 	"kglids/internal/schema"
 	"kglids/internal/store"
 )
 
 // Change is the decoded payload of one changelog record, ready to apply to
-// a follower platform. Exactly one of the three bodies is populated,
-// according to Kind: Quads for add/remove records, Graph for remove-graph
-// records, Delta for platform-delta records.
+// a follower platform: Delta for a table record, Scripts for a pipeline
+// record.
 type Change struct {
-	Kind  store.ChangeKind
-	Quads []rdf.Quad
-	Graph rdf.Term
-	Delta *core.PlatformDelta
+	Kind    store.ChangeKind
+	Delta   *core.PlatformDelta
+	Scripts []pipeline.Script
 }
 
 // EncodeChange serializes a changelog record body for the wire, using the
-// snapshot codec (recursive RDF-star-aware term encoding, varint framing).
-// The record's sequence, generation, and kind travel in the HTTP envelope;
-// only the body is encoded here.
+// snapshot codec. The record's sequence, generation, and kind travel in the
+// HTTP envelope; only the body is encoded here.
 //
 // The body is written into one buffer of its exact size: a page of records
 // runs to megabytes, and a buffer grown by doubling would allocate each
 // body about three times over.
 func EncodeChange(rec store.ChangeRecord) ([]byte, error) {
 	var w writer
-	switch rec.Kind {
-	case store.ChangeAddQuads, store.ChangeRemoveQuads:
-		w.buf.Grow(quadsSize(rec.Quads))
-		w.uint(len(rec.Quads))
-		for _, q := range rec.Quads {
-			encodeQuad(&w, q)
+	switch body := rec.Body.(type) {
+	case *core.PlatformDelta:
+		if rec.Kind == store.ChangeTables {
+			w.buf.Grow(deltaSize(body))
+			encodeDelta(&w, body)
+			return w.buf.Bytes(), nil
 		}
-	case store.ChangeRemoveGraph:
-		w.term(rec.Graph)
-	case store.ChangeAux:
-		d, ok := rec.Aux.(*core.PlatformDelta)
-		if !ok {
-			return nil, fmt.Errorf("snapshot: changelog aux record %d carries %T, want *core.PlatformDelta", rec.Seq, rec.Aux)
+	case []pipeline.Script:
+		if rec.Kind == store.ChangePipelines {
+			w.buf.Grow(scriptsSize(body))
+			encodeScripts(&w, body)
+			return w.buf.Bytes(), nil
 		}
-		w.buf.Grow(deltaSize(d))
-		encodeDelta(&w, d)
-	default:
-		return nil, fmt.Errorf("snapshot: unknown changelog kind %q", rec.Kind)
 	}
-	return w.buf.Bytes(), nil
+	return nil, fmt.Errorf("snapshot: changelog record %d is a %q record carrying %T", rec.Seq, rec.Kind, rec.Body)
 }
 
-// Smallest encodings of the elements a changelog record carries: a term
-// is a kind byte and a length at least, a profile four strings, three
+// Smallest encodings of the elements a changelog record carries: a removed
+// table ID is a string, so a length at least; a profile four strings, three
 // counts, five floats and a vector length, an edge three strings and a
-// float, a table embedding a string and a vector length.
+// float, a table embedding a string and a vector length. Scripts are
+// encoded as in the snapshot's script section.
 const (
-	minQuadBytes      = 4 * 2
+	minRemovedBytes   = 1
 	minProfileBytes   = 4 + 3 + 5*8 + 1
 	minEdgeBytes      = 3 + 8
 	minEmbeddingBytes = 2
 )
+
+// ErrRetiredChange reports a record of a kind this follower no longer
+// reads: the primary logs store writes, not whole mutations, so it runs an
+// older release. Upgrade it and re-seed the follower from a snapshot.
+var ErrRetiredChange = errors.New("snapshot: retired changelog kind, the primary predates one record per mutation; re-seed from a snapshot")
 
 // DecodeChange deserializes a changelog record body received from a
 // primary. It is the exact inverse of EncodeChange.
@@ -72,16 +71,12 @@ func DecodeChange(kind string, payload []byte) (*Change, error) {
 	c := &Change{Kind: store.ChangeKind(kind)}
 	r := &reader{b: payload}
 	switch c.Kind {
-	case store.ChangeAddQuads, store.ChangeRemoveQuads:
-		n := r.countOf(minQuadBytes)
-		c.Quads = make([]rdf.Quad, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			c.Quads = append(c.Quads, decodeQuad(r))
-		}
-	case store.ChangeRemoveGraph:
-		c.Graph = r.term(0)
-	case store.ChangeAux:
+	case store.ChangeTables:
 		c.Delta = decodeDelta(r)
+	case store.ChangePipelines:
+		c.Scripts = decodeScripts(r)
+	case "add", "remove", "remove-graph", "platform-delta":
+		return nil, fmt.Errorf("%w: %q", ErrRetiredChange, kind)
 	default:
 		return nil, fmt.Errorf("snapshot: unknown changelog kind %q", kind)
 	}
@@ -94,38 +89,13 @@ func DecodeChange(kind string, payload []byte) (*Change, error) {
 	return c, nil
 }
 
-func encodeQuad(w *writer, q rdf.Quad) {
-	w.term(q.Subject)
-	w.term(q.Predicate)
-	w.term(q.Object)
-	w.term(q.Graph)
-}
-
-// quadsSize is the length of a quad batch's encoding: its count, then
-// encodeQuad's output for each quad.
-func quadsSize(qs []rdf.Quad) int {
-	n := uvarintSize(uint64(len(qs)))
-	for _, q := range qs {
-		n += termSize(q.Subject) + termSize(q.Predicate) + termSize(q.Object) + termSize(q.Graph)
-	}
-	return n
-}
-
-func decodeQuad(r *reader) rdf.Quad {
-	return rdf.Quad{
-		Triple: rdf.Triple{
-			Subject:   r.term(0),
-			Predicate: r.term(0),
-			Object:    r.term(0),
-		},
-		Graph: r.term(0),
-	}
-}
-
 // encodeDelta mirrors the snapshot PROF/EDGE/TEMB section shapes for the
-// incremental slice a single mutation produced.
+// incremental slice a single mutation produced, after the removed IDs.
 func encodeDelta(w *writer, d *core.PlatformDelta) {
-	w.str(d.RemovedTable)
+	w.uint(len(d.Removed))
+	for _, id := range d.Removed {
+		w.str(id)
+	}
 	w.uint(len(d.Profiles))
 	for _, cp := range d.Profiles {
 		w.str(cp.Dataset)
@@ -163,7 +133,11 @@ func encodeDelta(w *writer, d *core.PlatformDelta) {
 
 // deltaSize is the length of encodeDelta's output.
 func deltaSize(d *core.PlatformDelta) int {
-	n := strSize(d.RemovedTable) + uvarintSize(uint64(len(d.Profiles)))
+	n := uvarintSize(uint64(len(d.Removed)))
+	for _, id := range d.Removed {
+		n += strSize(id)
+	}
+	n += uvarintSize(uint64(len(d.Profiles)))
 	for _, cp := range d.Profiles {
 		n += strSize(cp.Dataset) + strSize(cp.Table) + strSize(cp.Column) + strSize(string(cp.Type)) +
 			uvarintSize(uint64(cp.Stats.Total)) + uvarintSize(uint64(cp.Stats.Missing)) +
@@ -181,8 +155,12 @@ func deltaSize(d *core.PlatformDelta) int {
 }
 
 func decodeDelta(r *reader) *core.PlatformDelta {
-	d := &core.PlatformDelta{RemovedTable: r.str()}
-	n := r.countOf(minProfileBytes)
+	d := &core.PlatformDelta{}
+	n := r.countOf(minRemovedBytes)
+	for i := 0; i < n && r.err == nil; i++ {
+		d.Removed = append(d.Removed, r.str())
+	}
+	n = r.countOf(minProfileBytes)
 	d.Profiles = make([]*profiler.ColumnProfile, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		cp := &profiler.ColumnProfile{
@@ -216,4 +194,44 @@ func decodeDelta(r *reader) *core.PlatformDelta {
 		d.TableEmbeddings[id] = r.vec()
 	}
 	return d
+}
+
+// encodeScripts writes pipeline scripts as the snapshot's script section
+// holds them and as a pipeline record ships them.
+func encodeScripts(w *writer, scripts []pipeline.Script) {
+	w.uint(len(scripts))
+	for _, s := range scripts {
+		w.str(s.ID)
+		w.str(s.Source)
+		w.str(s.Meta.Author)
+		w.str(s.Meta.Dataset)
+		w.str(s.Meta.Task)
+		w.varint(int64(s.Meta.Votes))
+		w.f64(s.Meta.Score)
+	}
+}
+
+// scriptsSize is the length of encodeScripts's output.
+func scriptsSize(scripts []pipeline.Script) int {
+	n := uvarintSize(uint64(len(scripts)))
+	for _, s := range scripts {
+		n += strSize(s.ID) + strSize(s.Source) + strSize(s.Meta.Author) + strSize(s.Meta.Dataset) +
+			strSize(s.Meta.Task) + varintSize(int64(s.Meta.Votes)) + 8
+	}
+	return n
+}
+
+func decodeScripts(r *reader) []pipeline.Script {
+	n := r.countOf(minScriptBytes)
+	scripts := make([]pipeline.Script, 0, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		s := pipeline.Script{ID: r.str(), Source: r.str()}
+		s.Meta.Author = r.str()
+		s.Meta.Dataset = r.str()
+		s.Meta.Task = r.str()
+		s.Meta.Votes = int(r.varint())
+		s.Meta.Score = r.f64()
+		scripts = append(scripts, s)
+	}
+	return scripts
 }

@@ -64,19 +64,9 @@ func (w *writer) term(t rdf.Term) {
 // Encoded sizes, for writing into a buffer allocated once: each is the
 // length of the writer method of the same name's output.
 func uvarintSize(v uint64) int   { return (bits.Len64(v|1) + 6) / 7 }
+func varintSize(v int64) int     { return uvarintSize(uint64(v<<1 ^ v>>63)) }
 func strSize(s string) int       { return uvarintSize(uint64(len(s))) + len(s) }
 func vecSize(v embed.Vector) int { return uvarintSize(uint64(len(v))) + 8*len(v) }
-
-func termSize(t rdf.Term) int {
-	switch t.Kind {
-	case rdf.KindLiteral:
-		return 1 + strSize(t.Value) + strSize(t.Datatype)
-	case rdf.KindQuoted:
-		return 1 + termSize(t.Quoted.Subject) + termSize(t.Quoted.Predicate) + termSize(t.Quoted.Object)
-	default:
-		return 1 + strSize(t.Value)
-	}
-}
 
 // reader decodes a payload. The first malformed read latches err; all
 // subsequent reads return zero values, so decoders can run to completion

@@ -65,7 +65,6 @@ import (
 
 	"kglids/internal/core"
 	"kglids/internal/embed"
-	"kglids/internal/pipeline"
 	"kglids/internal/profiler"
 	"kglids/internal/rdf"
 	"kglids/internal/schema"
@@ -363,19 +362,7 @@ func encodePayload(p *core.Platform, generation, logPos uint64) []byte {
 		}
 		w.u8(skip)
 	})
-	section(secScripts, func(w *writer) {
-		scripts := p.Scripts()
-		w.uint(len(scripts))
-		for _, s := range scripts {
-			w.str(s.ID)
-			w.str(s.Source)
-			w.str(s.Meta.Author)
-			w.str(s.Meta.Dataset)
-			w.str(s.Meta.Task)
-			w.varint(int64(s.Meta.Votes))
-			w.f64(s.Meta.Score)
-		}
-	})
+	section(secScripts, func(w *writer) { encodeScripts(w, p.Scripts()) })
 	section(secQueryCache, func(w *writer) {
 		entries := p.Discovery.CacheExport()
 		w.uint(len(entries))
@@ -595,19 +582,7 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 				}
 			}
 		case secScripts:
-			decode = func(r *reader) {
-				n := r.countOf(minScriptBytes)
-				st.Scripts = make([]pipeline.Script, 0, n)
-				for i := 0; i < n && r.err == nil; i++ {
-					s := pipeline.Script{ID: r.str(), Source: r.str()}
-					s.Meta.Author = r.str()
-					s.Meta.Dataset = r.str()
-					s.Meta.Task = r.str()
-					s.Meta.Votes = int(r.varint())
-					s.Meta.Score = r.f64()
-					st.Scripts = append(st.Scripts, s)
-				}
-			}
+			decode = func(r *reader) { st.Scripts = decodeScripts(r) }
 		case secQueryCache:
 			decode = func(r *reader) {
 				n := r.countOf(minCacheEntryBytes)

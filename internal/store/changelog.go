@@ -20,7 +20,7 @@ var (
 	mChangelogFloor = obs.Default.NewGauge("kglids_changelog_floor",
 		"Compaction floor: highest sequence number no longer retained.")
 	mChangelogQuads = obs.Default.NewGauge("kglids_changelog_retained_quads",
-		"Quads held by retained changelog records (the retention weight).")
+		"Retention weight of the retained changelog records: the quads their mutations added plus removed.")
 )
 
 // ChangeKind discriminates the mutation classes a changelog record can
@@ -28,45 +28,44 @@ var (
 type ChangeKind string
 
 const (
-	// ChangeAddQuads is a quad-level insertion batch (AddQuad/AddBatch).
-	ChangeAddQuads ChangeKind = "add"
-	// ChangeRemoveQuads is a quad-level removal batch.
-	ChangeRemoveQuads ChangeKind = "remove"
-	// ChangeRemoveGraph drops one named graph outright.
-	ChangeRemoveGraph ChangeKind = "remove-graph"
-	// ChangeAux carries a platform-level delta (profiles, similarity
-	// edges, embeddings) that is not derivable from the quad stream. The
-	// payload lives in Aux; the store neither produces nor interprets it.
-	ChangeAux ChangeKind = "platform-delta"
+	// ChangeTables is one table mutation (an addition, an update or a
+	// removal): its Body is the platform delta, from which a follower
+	// derives the mutation's quads.
+	ChangeTables ChangeKind = "tables"
+	// ChangePipelines registers pipeline scripts: its Body is the scripts,
+	// which a follower abstracts again.
+	ChangePipelines ChangeKind = "pipelines"
 )
 
-// ChangeRecord is one entry of the in-memory mutation changelog. Records
-// are immutable once appended; Quads/Graph/Aux must not be modified by
-// consumers.
+// ChangeRecord is one entry of the in-memory mutation changelog: one whole
+// mutation. Records are immutable once appended; Body must not be modified
+// by consumers.
 type ChangeRecord struct {
 	// Seq is the record's position in the log, starting at floor+1 and
 	// strictly increasing by one.
 	Seq uint64
 	// Gen is the store's mutation generation immediately after this record
-	// was applied on the primary. A follower that replays the log observes
+	// was committed on the primary. A follower that replays the log observes
 	// the same generation after applying the same record — the divergence
 	// check of the replication protocol.
 	Gen uint64
 	// TS is the primary's wall clock at append time (Unix nanoseconds);
 	// followers derive their staleness metric from it.
 	TS int64
-	// Kind selects which of the remaining fields is meaningful.
+	// Kind says what Body holds.
 	Kind ChangeKind
-	// Quads is the term-level batch of ChangeAddQuads/ChangeRemoveQuads.
+	// Body is the mutation, opaque to the store: the platform delta of a
+	// ChangeTables record, the scripts of a ChangePipelines record.
+	Body any
+	// Weight is the number of quads the mutation added plus removed.
+	Weight int
+	// Quads is empty: no record kind ships quads, a follower derives them.
+	// Readers that count shipped quads per record read zero.
 	Quads []rdf.Quad
-	// Graph is the named graph of a ChangeRemoveGraph record.
-	Graph rdf.Term
-	// Aux is the opaque platform delta of a ChangeAux record.
-	Aux any
 }
 
 // weight is the record's contribution to the retention budget.
-func (r ChangeRecord) weight() int { return len(r.Quads) + 1 }
+func (r ChangeRecord) weight() int { return r.Weight + 1 }
 
 // Changelog retention and cursor errors.
 var (
@@ -80,12 +79,13 @@ var (
 	ErrFutureCursor = errors.New("changelog: cursor beyond head; re-snapshot")
 )
 
-// DefaultChangelogRetention is the default retention budget in quads
-// (~a few hundred MiB of term strings at metadata-graph densities).
+// DefaultChangelogRetention is the default retention budget in quads. A
+// record weighs one more than the quads its mutation added plus removed, so
+// the budget bounds the log by the store churn it covers.
 const DefaultChangelogRetention = 1 << 18
 
-// Changelog is the in-memory mutation changelog: a bounded ring of store
-// mutations, each appended after the store has applied it. It exists to
+// Changelog is the in-memory mutation changelog: a bounded ring of platform
+// mutations, each appended after it has been committed. It exists to
 // feed followers, not to recover from: nothing in it reaches disk, so a
 // primary that crashes loses every mutation since its last saved snapshot.
 // Records floor+1..head are retained; older ones have been compacted away
@@ -141,15 +141,16 @@ func (cl *Changelog) SeedFloor(pos uint64) {
 	mChangelogFloor.Set(int64(cl.floor))
 }
 
-// append stamps and retains one record. gen is the store generation after
-// the mutation; quad/graph fields are owned by the record from here on.
-func (cl *Changelog) append(kind ChangeKind, quads []rdf.Quad, graph rdf.Term, aux any, gen uint64) {
+// Append stamps and retains the record of one committed mutation: body is
+// the mutation, owned by the record from here on, quads the number of quads
+// it added plus removed, and gen the store generation after it.
+func (cl *Changelog) Append(kind ChangeKind, body any, quads int, gen uint64) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	cl.head++
 	rec := ChangeRecord{
 		Seq: cl.head, Gen: gen, TS: time.Now().UnixNano(),
-		Kind: kind, Quads: quads, Graph: graph, Aux: aux,
+		Kind: kind, Body: body, Weight: quads,
 	}
 	cl.recs = append(cl.recs, rec)
 	cl.weight += rec.weight()
@@ -164,13 +165,6 @@ func (cl *Changelog) append(kind ChangeKind, quads []rdf.Quad, graph rdf.Term, a
 	mChangelogHead.Set(int64(cl.head))
 	mChangelogFloor.Set(int64(cl.floor))
 	mChangelogQuads.Set(int64(cl.weight))
-}
-
-// AppendAux records a platform-level delta that the store itself did not
-// produce (core.Platform's profile/edge/embedding updates). gen is the
-// store generation the delta is consistent with.
-func (cl *Changelog) AppendAux(aux any, gen uint64) {
-	cl.append(ChangeAux, nil, rdf.Term{}, aux, gen)
 }
 
 // LogView is one page of the log: the records after a cursor plus the
@@ -207,11 +201,10 @@ func (cl *Changelog) Since(cursor uint64, max int) (LogView, error) {
 	return view, nil
 }
 
-// EnableChangelog attaches an in-memory mutation changelog to the store:
-// from now on every term-level mutation (AddQuad/AddBatch/RemoveQuad/
-// RemoveBatch/RemoveGraph) appends a sequence-numbered record once it has
-// been applied. retainQuads is the
-// quad-weighted retention budget (<= 0 uses DefaultChangelogRetention).
+// EnableChangelog attaches an in-memory mutation changelog to the store,
+// for the platform to append one record per mutation to; the store's own
+// writes never do. retainQuads is the quad-weighted retention budget (<= 0
+// uses DefaultChangelogRetention).
 // Idempotent: a second call returns the existing log.
 func (st *Store) EnableChangelog(retainQuads int) *Changelog {
 	st.mu.Lock()

@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"kglids/internal/rdf"
@@ -15,14 +14,24 @@ func TestChangelogSequencesMutations(t *testing.T) {
 		t.Fatal("EnableChangelog is not idempotent")
 	}
 
+	// The store's own writes never log: a record is a whole mutation,
+	// which only the platform knows.
 	g := rdf.Resource("g")
 	st.AddBatch([]rdf.Quad{
 		quad("s1", "p", "o1", g),
 		quad("s2", "p", "o2", g),
 	})
+	st.AddQuad(quad("s3", "p", "o3", g))
+	st.RemoveQuad(quad("s3", "p", "o3", g))
 	st.RemoveBatch([]rdf.Quad{quad("s1", "p", "o1", g)})
 	st.RemoveGraph(g)
+	if cl.Head() != 0 {
+		t.Fatalf("store writes appended %d records", cl.Head())
+	}
 
+	cl.Append(ChangeTables, "add t", 2, 2)
+	cl.Append(ChangePipelines, "p1", 7, 9)
+	cl.Append(ChangeTables, "remove t", 2, 11)
 	if cl.Head() != 3 || cl.Floor() != 0 {
 		t.Fatalf("head/floor = %d/%d, want 3/0", cl.Head(), cl.Floor())
 	}
@@ -33,34 +42,28 @@ func TestChangelogSequencesMutations(t *testing.T) {
 	if !view.AtHead || len(view.Records) != 3 {
 		t.Fatalf("Since(0) = %d records, atHead=%v", len(view.Records), view.AtHead)
 	}
-	wantKinds := []ChangeKind{ChangeAddQuads, ChangeRemoveQuads, ChangeRemoveGraph}
+	want := []ChangeRecord{
+		{Seq: 1, Gen: 2, Kind: ChangeTables, Body: "add t", Weight: 2},
+		{Seq: 2, Gen: 9, Kind: ChangePipelines, Body: "p1", Weight: 7},
+		{Seq: 3, Gen: 11, Kind: ChangeTables, Body: "remove t", Weight: 2},
+	}
 	for i, rec := range view.Records {
-		if rec.Seq != uint64(i+1) {
-			t.Errorf("record %d: seq %d, want %d", i, rec.Seq, i+1)
-		}
-		if rec.Kind != wantKinds[i] {
-			t.Errorf("record %d: kind %q, want %q", i, rec.Kind, wantKinds[i])
-		}
 		if rec.TS == 0 {
 			t.Errorf("record %d: zero timestamp", i)
 		}
-	}
-	if got := view.Records[0].Quads; len(got) != 2 {
-		t.Errorf("add record carries %d quads, want the full batch of 2", len(got))
-	}
-	// Removing an absent quad must not log a record (nothing was applied).
-	st.RemoveBatch([]rdf.Quad{quad("absent", "p", "o", g)})
-	if cl.Head() != 3 {
-		t.Errorf("no-op removal advanced head to %d", cl.Head())
+		rec.TS = 0
+		if rec.Seq != want[i].Seq || rec.Gen != want[i].Gen || rec.Kind != want[i].Kind ||
+			rec.Body != want[i].Body || rec.Weight != want[i].Weight || len(rec.Quads) != 0 {
+			t.Errorf("record %d = %+v, want %+v", i, rec, want[i])
+		}
 	}
 }
 
 func TestChangelogCursorSemantics(t *testing.T) {
 	st := New()
 	cl := st.EnableChangelog(0)
-	g := rdf.Resource("g")
 	for i := 0; i < 5; i++ {
-		st.AddBatch([]rdf.Quad{quad(fmt.Sprintf("s%d", i), "p", "o", g)})
+		cl.Append(ChangeTables, i, 1, uint64(i+1))
 	}
 
 	// Pagination: max bounds each page, AtHead only on the last.
@@ -102,18 +105,19 @@ func TestChangelogCursorSemantics(t *testing.T) {
 	}
 }
 
+// TestChangelogRetentionBudget: a record weighs one more than the quads its
+// mutation added plus removed, and the log keeps the newest records whose
+// weight fits the budget.
 func TestChangelogRetentionBudget(t *testing.T) {
 	st := New()
-	cl := st.EnableChangelog(6) // tiny budget: ~3 single-quad records
-	g := rdf.Resource("g")
-	for i := 0; i < 10; i++ {
-		st.AddBatch([]rdf.Quad{quad(fmt.Sprintf("s%d", i), "p", "o", g)})
+	cl := st.EnableChangelog(12)
+	for i, quads := range []int{3, 0, 4, 1, 2, 5, 0, 2} {
+		cl.Append(ChangeTables, i, quads, uint64(i+1))
 	}
-	if cl.Head() != 10 {
-		t.Fatalf("head = %d, want 10", cl.Head())
-	}
-	if cl.Floor() == 0 {
-		t.Fatal("retention budget never compacted")
+	// Newest first the weights are 3, 1, 6, 3, 2, 5: 3+1+6 fits in 12,
+	// adding 3 does not.
+	if cl.Head() != 8 || cl.Floor() != 5 {
+		t.Fatalf("head/floor = %d/%d, want 8/5", cl.Head(), cl.Floor())
 	}
 	view, err := cl.Since(cl.Floor(), 0)
 	if err != nil {
@@ -121,24 +125,30 @@ func TestChangelogRetentionBudget(t *testing.T) {
 	}
 	weight := 0
 	for _, rec := range view.Records {
-		weight += len(rec.Quads) + 1
+		weight += rec.Weight + 1
 	}
-	if weight > 6 {
-		t.Errorf("retained weight %d exceeds budget 6", weight)
+	if len(view.Records) != 3 || weight != 10 {
+		t.Errorf("retained %d records weighing %d, want 3 weighing 10", len(view.Records), weight)
 	}
 
-	// One oversized batch still lands: the newest record is always kept.
-	big := make([]rdf.Quad, 50)
-	for i := range big {
-		big[i] = quad(fmt.Sprintf("big%d", i), "p", "o", g)
-	}
-	st.AddBatch(big)
+	// One oversized record still lands: the newest record is always kept.
+	cl.Append(ChangeTables, "big", 50, 9)
 	view, err = cl.Since(cl.Floor(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(view.Records) != 1 || len(view.Records[0].Quads) != 50 {
-		t.Fatalf("oversized batch not retained as the sole record: %d records", len(view.Records))
+	if len(view.Records) != 1 || view.Records[0].Weight != 50 {
+		t.Fatalf("oversized record not retained as the sole record: %d records", len(view.Records))
+	}
+
+	// Compaction releases the weight of what it drops: after it, the budget
+	// holds as many records as before.
+	cl.CompactTo(cl.Head())
+	for i := 0; i < 3; i++ {
+		cl.Append(ChangePipelines, i, 3, uint64(10+i))
+	}
+	if view, err = cl.Since(cl.Floor(), 0); err != nil || len(view.Records) != 3 {
+		t.Fatalf("after compaction %d records retained, err=%v, want 3", len(view.Records), err)
 	}
 }
 
@@ -149,7 +159,7 @@ func TestChangelogSeedFloor(t *testing.T) {
 	if cl.Head() != 41 || cl.Floor() != 41 {
 		t.Fatalf("seeded head/floor = %d/%d, want 41/41", cl.Head(), cl.Floor())
 	}
-	st.AddBatch([]rdf.Quad{quad("s", "p", "o", rdf.Resource("g"))})
+	cl.Append(ChangeTables, nil, 1, 1)
 	view, err := cl.Since(41, 0)
 	if err != nil || len(view.Records) != 1 || view.Records[0].Seq != 42 {
 		t.Fatalf("record after seeded floor: %+v, err=%v (want seq 42)", view.Records, err)
@@ -158,27 +168,5 @@ func TestChangelogSeedFloor(t *testing.T) {
 	cl.SeedFloor(100)
 	if cl.Head() != 42 {
 		t.Fatalf("SeedFloor after records moved head to %d", cl.Head())
-	}
-}
-
-func TestChangelogGenerationMatchesStore(t *testing.T) {
-	st := New()
-	cl := st.EnableChangelog(0)
-	g := rdf.Resource("g")
-	st.AddBatch([]rdf.Quad{quad("a", "p", "o", g)})
-	st.AddBatch([]rdf.Quad{quad("b", "p", "o", g)})
-	st.RemoveGraph(g)
-	view, err := cl.Since(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := view.Records[len(view.Records)-1]
-	if last.Gen != st.Generation() {
-		t.Errorf("final record gen %d != store generation %d", last.Gen, st.Generation())
-	}
-	for i := 1; i < len(view.Records); i++ {
-		if view.Records[i].Gen <= view.Records[i-1].Gen {
-			t.Errorf("generations not increasing: %d then %d", view.Records[i-1].Gen, view.Records[i].Gen)
-		}
 	}
 }

@@ -46,10 +46,9 @@ type Store struct {
 	// SPARQL planner orders joins from these real cardinalities.
 	pstat map[TermID]*PredicateStats
 
-	// log, when enabled, receives a record for every term-level mutation
-	// (see changelog.go). The snapshot-restore fast path (AddEncodedBatch)
-	// is deliberately not logged: a restore reproduces a position the log
-	// is seeded from, not a new mutation.
+	// log, when enabled, holds the mutation records the platform appends
+	// (see changelog.go). No store write touches it: a record is a whole
+	// mutation, which the store never sees.
 	log *Changelog
 }
 
@@ -86,8 +85,8 @@ func (st *Store) AddToGraph(t rdf.Triple, g rdf.Term) { st.AddQuad(rdf.Quad{Trip
 
 // AddQuad inserts a quad. Duplicate quads are ignored.
 func (st *Store) AddQuad(q rdf.Quad) {
-	// Terms are interned in AddBatch's order (graph first), so a primary's
-	// AddQuad and a follower's replay of it as a batch assign the same IDs.
+	// Terms are interned in AddBatch's order (graph first), so a quad
+	// gets the same IDs whether it is added alone or in a batch.
 	var e EncodedQuad
 	if q.Graph.Value != "" {
 		e.G = st.dict.Intern(q.Graph)
@@ -95,9 +94,7 @@ func (st *Store) AddQuad(q rdf.Quad) {
 	e.S, e.P, e.O = st.dict.Intern(q.Subject), st.dict.Intern(q.Predicate), st.dict.Intern(q.Object)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.addEncoded(e) && st.log != nil {
-		st.log.append(ChangeAddQuads, []rdf.Quad{q}, rdf.Term{}, nil, st.gen)
-	}
+	st.addEncoded(e)
 }
 
 // AddBatch inserts many quads under a single lock acquisition; the result
@@ -109,32 +106,23 @@ func (st *Store) AddBatch(quads []rdf.Quad) {
 	enc := st.dict.internQuads(quads)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	accepted := 0
 	if len(enc) >= st.count {
-		accepted = st.bulkLoad(enc)
-	} else {
-		for _, e := range enc {
-			if st.addEncoded(e) {
-				accepted++
-			}
-		}
+		st.bulkLoad(enc)
+		return
 	}
-	if st.log != nil && accepted > 0 {
-		// The record carries the full requested batch: duplicates no-op
-		// identically on a follower holding identical state, so replay
-		// reproduces the same acceptance set and the same generation.
-		st.log.append(ChangeAddQuads, append([]rdf.Quad(nil), quads...), rdf.Term{}, nil, st.gen)
+	for _, e := range enc {
+		st.addEncoded(e)
 	}
 }
 
-// addEncoded inserts one encoded quad and reports whether it was new.
-// Caller holds st.mu.
-func (st *Store) addEncoded(q EncodedQuad) bool {
+// addEncoded inserts one encoded quad unless it is present. Caller holds
+// st.mu.
+func (st *Store) addEncoded(q EncodedQuad) {
 	s, p, o, g := q.S, q.P, q.O, q.G
 	key := EncodedQuad{S: s, P: p, O: o}
 	set := st.graphsOf[key]
 	if containsID(set, g) {
-		return false
+		return
 	}
 	// Any existing membership implies the triple is already in the union
 	// index, so it is new there exactly when the membership set was empty.
@@ -158,7 +146,6 @@ func (st *Store) addEncoded(q EncodedQuad) bool {
 		insertIdx(st.pos, unionGraph, p, o, s)
 		insertIdx(st.osp, unionGraph, o, s, p)
 	}
-	return true
 }
 
 func containsID(s []TermID, v TermID) bool {
@@ -290,8 +277,7 @@ func (st *Store) ForEachEncodedQuad(fn func(q EncodedQuad)) {
 // AddEncodedBatch inserts already-encoded quads under one lock acquisition
 // through the bulk loader. Term IDs must have been interned in this store's
 // dictionary; it is the snapshot-restore path, which skips the dictionary
-// altogether and is not logged. The result is identical to adding each quad
-// through AddQuad.
+// altogether. The result is identical to adding each quad through AddQuad.
 func (st *Store) AddEncodedBatch(quads []EncodedQuad) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -299,11 +285,11 @@ func (st *Store) AddEncodedBatch(quads []EncodedQuad) {
 }
 
 // bulkLoad is the store's one bulk loader: it inserts a batch by sorting it
-// once per index ordering instead of probing three nested maps per quad,
-// and returns how many quads were new. Beyond the batch it only re-makes
+// once per index ordering instead of probing three nested maps per quad.
+// Beyond the batch it only re-makes
 // maps that the batch at least doubles, so its cost is bounded by the batch
 // whenever that is not small next to the store. Caller holds st.mu.
-func (st *Store) bulkLoad(quads []EncodedQuad) int {
+func (st *Store) bulkLoad(quads []EncodedQuad) {
 	// The three orderings and the membership sets share no state, so each
 	// is built by one goroutine outright with no further synchronization;
 	// all join before the store lock is released. The per-predicate
@@ -367,7 +353,6 @@ func (st *Store) bulkLoad(quads []EncodedQuad) int {
 	wg.Wait()
 	st.statMerge(bySubject)
 	st.statMerge(byObject)
-	return accepted
 }
 
 // index is one ordering of the store: graph -> a -> b -> sorted []c (spo
@@ -539,11 +524,7 @@ func (st *Store) RemoveQuad(q rdf.Quad) bool {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	removed := st.removeEncoded(ids)
-	if removed && st.log != nil {
-		st.log.append(ChangeRemoveQuads, []rdf.Quad{q}, rdf.Term{}, nil, st.gen)
-	}
-	return removed
+	return st.removeEncoded(ids)
 }
 
 // RemoveBatch deletes many quads under a single lock acquisition and
@@ -562,11 +543,6 @@ func (st *Store) RemoveBatch(quads []rdf.Quad) int {
 		if st.removeEncoded(e) {
 			removed++
 		}
-	}
-	if removed > 0 && st.log != nil {
-		// Log the full request: quads absent here are equally absent on a
-		// follower at the same position and skip identically on replay.
-		st.log.append(ChangeRemoveQuads, append([]rdf.Quad(nil), quads...), rdf.Term{}, nil, st.gen)
 	}
 	return removed
 }
@@ -659,9 +635,6 @@ func (st *Store) RemoveGraph(g rdf.Term) int {
 		if st.removeEncoded(t) {
 			removed++
 		}
-	}
-	if removed > 0 && st.log != nil {
-		st.log.append(ChangeRemoveGraph, nil, g, nil, st.gen)
 	}
 	return removed
 }

@@ -30,7 +30,7 @@ var (
 
 // EnableChangelog turns this platform into a replication primary: every
 // subsequent mutation (table ingest/update/removal, pipeline registration)
-// appends sequence-numbered records that followers tail via
+// appends one sequence-numbered record that followers tail via
 // ChangelogSince. retainQuads bounds in-memory retention (<= 0 uses
 // DefaultChangelogRetention); the floor additionally advances whenever a
 // snapshot is saved. Call once, before serving.
@@ -93,37 +93,25 @@ func (p *Platform) ChangelogSince(cursor uint64, max int) (ChangelogView, error)
 
 // ApplyChange applies one replicated changelog record to this platform —
 // the follower side of the protocol. Records must be applied in sequence
-// order on a platform seeded from the primary's snapshot. gen, when
-// non-zero, is the primary's post-record store generation; for quad-level
-// records the follower must land on the same value, and a mismatch
-// reports divergence (the follower should re-seed from a snapshot).
+// order on a platform seeded from the primary's snapshot. A record is one
+// whole mutation, committed through the path the primary's own took, so a
+// reader never sees part of one. gen is the primary's store generation
+// after the record; the follower must land on the same value, and a
+// mismatch reports divergence (the follower should re-seed from a
+// snapshot).
 func (p *Platform) ApplyChange(kind string, gen uint64, payload []byte) error {
 	c, err := snapshot.DecodeChange(kind, payload)
 	if err != nil {
 		return err
 	}
-	st := p.core.Store
-	switch c.Kind {
-	case store.ChangeAddQuads:
-		st.AddBatch(c.Quads)
-	case store.ChangeRemoveQuads:
-		st.RemoveBatch(c.Quads)
-	case store.ChangeRemoveGraph:
-		st.RemoveGraph(c.Graph)
-	case store.ChangeAux:
-		// Generation is diagnostic only for platform deltas: on the
-		// primary the delta's gen stamp can interleave with concurrent
-		// quad records, so followers do not gate on it.
+	if c.Kind == store.ChangePipelines {
+		p.core.AddPipelines(c.Scripts)
+	} else {
 		p.core.ApplyPlatformDelta(c.Delta)
-		return nil
-	default:
-		return fmt.Errorf("kglids: unknown changelog kind %q", kind)
 	}
-	if gen != 0 {
-		if got := st.Generation(); got != gen {
-			return fmt.Errorf("kglids: replica diverged: generation %d after %s record, primary had %d (re-seed from snapshot)",
-				got, kind, gen)
-		}
+	if got := p.core.Store.Generation(); got != gen {
+		return fmt.Errorf("kglids: replica diverged: generation %d after %s record, primary had %d (re-seed from snapshot)",
+			got, kind, gen)
 	}
 	return nil
 }

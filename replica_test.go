@@ -64,6 +64,9 @@ func assertConverged(t *testing.T, primary, replica *Platform, bench *lakegen.Be
 			t.Fatalf("profile %d: primary %s, replica %s", i, pp[i].ID(), rp[i].ID())
 		}
 	}
+	if pp, rp := pipelineIDs(primary), pipelineIDs(replica); !equalStrings(pp, rp) {
+		t.Fatalf("pipelines diverge:\n  primary: %v\n  replica: %v", pp, rp)
+	}
 	const q = `SELECT ?n WHERE { ?t a kglids:Table ; kglids:name ?n . }`
 	if pn, rn := sparqlProbe(t, primary, q, "n"), sparqlProbe(t, replica, q, "n"); !equalStrings(pn, rn) {
 		t.Fatalf("SPARQL table names diverge:\n  primary: %v\n  replica: %v", pn, rn)
@@ -82,6 +85,16 @@ func assertConverged(t *testing.T, primary, replica *Platform, bench *lakegen.Be
 			t.Fatalf("unionable(%s) diverges:\n  primary: %v\n  replica: %v", id, pu, ru)
 		}
 	}
+}
+
+// pipelineIDs returns the script IDs of a platform's pipelines, in the
+// order they were added.
+func pipelineIDs(p *Platform) []string {
+	var ids []string
+	for _, abs := range p.Core().Pipelines() {
+		ids = append(ids, abs.Script.ID)
+	}
+	return ids
 }
 
 // TestReplicaReplayDeterminism is the replication property test: for
@@ -233,5 +246,103 @@ func TestChangelogCursorRecovery(t *testing.T) {
 	}
 	if _, err := replica.ChangelogSince(0, 0); !errors.Is(err, ErrNoChangelog) {
 		t.Fatalf("follower ChangelogSince err = %v, want ErrNoChangelog", err)
+	}
+}
+
+// platformState is what a reader of a platform can observe of it.
+type platformState struct {
+	Tables     []string
+	Unionable  map[string]string
+	TableNames []string
+	Stats      Stats
+	Pipelines  []string
+}
+
+func observe(t *testing.T, p *Platform) platformState {
+	t.Helper()
+	st := platformState{
+		Tables:     p.TableIDs(),
+		Unionable:  map[string]string{},
+		TableNames: sparqlProbe(t, p, `SELECT ?n WHERE { ?t a kglids:Table ; kglids:name ?n . }`, "n"),
+		Stats:      p.Stats(),
+		Pipelines:  pipelineIDs(p),
+	}
+	for _, id := range st.Tables {
+		res, err := p.UnionableTables(id, 0)
+		if err != nil {
+			t.Fatalf("unionable(%s): %v", id, err)
+		}
+		st.Unionable[id] = fmt.Sprint(res)
+	}
+	return st
+}
+
+// TestFollowerMatchesPrimaryAtEveryRecord: every mutation on the primary
+// is one changelog record, so a follower replaying the log one record at a
+// time passes through exactly the states the primary did, and a reader of
+// the follower never sees part of a mutation — no table that discovery
+// names while SPARQL does not, no pipeline missing after its record.
+func TestFollowerMatchesPrimaryAtEveryRecord(t *testing.T) {
+	for _, seed := range []int64{3, 11} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			tables, _ := ingestLakeTables(t)
+			n := len(tables)
+			primary := Bootstrap(Options{}, tables[:n-3])
+			primary.EnableChangelog(0)
+			var snap bytes.Buffer
+			if err := primary.SaveTo(&snap); err != nil {
+				t.Fatal(err)
+			}
+			follower, err := Read(&snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Each kind of mutation three times, in a random order.
+			var states []platformState
+			for i, kind := range rng.Perm(12) {
+				pos := primary.ChangelogPosition()
+				var err error
+				switch resident := primary.TableIDs(); kind % 4 {
+				case 0: // add, or update with the full table
+					_, err = primary.AddTables([]Table{tables[n-3+rng.Intn(3)]})
+				case 1: // add or update with part of a table's rows
+					tb := tables[rng.Intn(n)]
+					_, err = primary.AddTables([]Table{{Dataset: tb.Dataset, Frame: tb.Frame.Head(10 + rng.Intn(30))}})
+				case 2:
+					err = primary.RemoveTable(resident[rng.Intn(len(resident))])
+				case 3:
+					primary.AddPipelines([]Script{{
+						ID:     fmt.Sprintf("kaggle/every-record/p%d", i),
+						Source: "import pandas as pd\nfrom sklearn.ensemble import RandomForestClassifier\ndf = pd.read_csv('x.csv')\nRandomForestClassifier().fit(df, df)\n",
+						Meta:   pipeline.Metadata{Votes: i, Task: "classification"},
+					}})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := primary.ChangelogPosition(); got != pos+1 {
+					t.Fatalf("mutation %d moved the changelog from %d to %d, want one record", i, pos, got)
+				}
+				states = append(states, observe(t, primary))
+			}
+
+			view, err := primary.ChangelogSince(follower.ChangelogPosition(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(view.Entries) != len(states) {
+				t.Fatalf("%d records for %d mutations", len(view.Entries), len(states))
+			}
+			for i, e := range view.Entries {
+				if err := follower.ApplyChange(e.Kind, e.Generation, e.Payload); err != nil {
+					t.Fatalf("apply record %d (%s): %v", e.Seq, e.Kind, err)
+				}
+				if got := observe(t, follower); !reflect.DeepEqual(got, states[i]) {
+					t.Fatalf("after record %d (%s) the follower shows\n  %+v\nthe primary showed\n  %+v", e.Seq, e.Kind, got, states[i])
+				}
+			}
+		})
 	}
 }
