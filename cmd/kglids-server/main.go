@@ -59,11 +59,6 @@
 // pipeline used by bootstrap and every ingest delta (see
 // docs/ARCHITECTURE.md, "Schema construction at scale"). They move time
 // and memory around without ever changing the resulting edge set.
-//
-// -query-workers sets the width of morsel-driven parallel SPARQL
-// execution. The default 0 uses one worker per CPU; 1 selects the serial
-// executor. Any width returns the same results — parallelism only changes
-// latency.
 package main
 
 import (
@@ -105,7 +100,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "listen address for the diagnostics mux (/metrics, /debug/vars); empty disables it")
 	pprofFlag := flag.Bool("pprof", false, "serve runtime profiles under /debug/pprof on the diagnostics mux (needs -debug-addr)")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log SPARQL queries slower than this many milliseconds with their stage breakdown (0 disables)")
-	queryWorkers := flag.Int("query-workers", 0, "parallel SPARQL execution width (0 = number of CPUs, 1 = serial)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 	replicaMode := flag.Bool("replica", false, "serve as a read-only replica following a primary (needs -follow)")
@@ -163,9 +157,6 @@ func main() {
 	}
 	if *slowQueryMS > 0 {
 		plat.SetSlowQuery(time.Duration(*slowQueryMS) * time.Millisecond)
-	}
-	if *queryWorkers > 0 {
-		plat.SetQueryWorkers(*queryWorkers)
 	}
 	stats := plat.Stats()
 	logger.Info("LiDS graph ready",

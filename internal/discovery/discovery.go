@@ -698,11 +698,6 @@ func (e *Engine) CacheStats() sparql.CacheStats { return e.eng.CacheStats() }
 // engine; 0 disables the slow-query log.
 func (e *Engine) SetSlowQuery(d time.Duration) { e.eng.SetSlowQuery(d) }
 
-// SetWorkers sets the parallel execution width of the SPARQL morsel
-// executor. 0 restores the GOMAXPROCS default; 1 forces the serial path
-// (the equivalence oracle).
-func (e *Engine) SetWorkers(n int) { e.eng.SetWorkers(n) }
-
 // CacheExport returns the current-generation SPARQL result-cache entries
 // for snapshot persistence.
 func (e *Engine) CacheExport() []sparql.CacheEntry { return e.eng.CacheExport() }

@@ -226,42 +226,22 @@ func TestPanicBecomes500(t *testing.T) {
 }
 
 // TestSPARQLTimeoutCancelsQuery: a query that cannot finish inside the
-// per-request deadline yields the 504 envelope, and the context threaded
-// through plat.QueryContext aborts the evaluation mid-iteration instead of
-// leaving the worker goroutine spinning.
+// per-request deadline yields the 504 envelope within 5 s, because the
+// context threaded through plat.QueryContext aborts the evaluation
+// mid-iteration instead of enumerating the whole cross-product.
 func TestSPARQLTimeoutCancelsQuery(t *testing.T) {
 	plat, _ := testPlatform(t)
 	h := New(plat, Options{RequestTimeout: 10 * time.Millisecond})
 	q := url.QueryEscape(`SELECT (COUNT(*) AS ?n) WHERE {
 		?a kglids:name ?n1 . ?b kglids:name ?n2 . ?c kglids:name ?n3 .
 		?d kglids:name ?n4 . ?e kglids:name ?n5 . }`)
-	code, body := get(t, h, "/sparql?query="+q)
-	if code != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504; body %s", code, body)
-	}
-	decodeErr(t, body)
-}
-
-// TestSPARQLTimeoutUnderParallelExecution: the same deadline discipline
-// must hold when the query fans out across morsel workers. Each streaming
-// iterator polls its context only every 1024 index hits, so a parallel
-// fan-out could overshoot by workers×1024 hits; the merge-stage check
-// bounds the overshoot and the 504 still arrives near the deadline, not
-// after the full cross-product has been enumerated.
-func TestSPARQLTimeoutUnderParallelExecution(t *testing.T) {
-	plat, _ := testPlatform(t)
-	plat.SetQueryWorkers(8)
-	h := New(plat, Options{RequestTimeout: 10 * time.Millisecond})
-	q := url.QueryEscape(`SELECT (COUNT(*) AS ?n) WHERE {
-		?a kglids:name ?n1 . ?b kglids:name ?n2 . ?c kglids:name ?n3 .
-		?d kglids:name ?n4 . ?e kglids:name ?n5 . }`)
 	start := time.Now()
-	code, body := get(t, h, "/sparql?query="+q)
+	code, body := get(t, h, "/api/v1/sparql?query="+q)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504; body %s", code, body)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("504 took %v under parallel execution, deadline not enforced", elapsed)
+		t.Fatalf("504 took %v, deadline not enforced", elapsed)
 	}
 	decodeErr(t, body)
 }

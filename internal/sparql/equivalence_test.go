@@ -201,9 +201,7 @@ func sameResult(a, b *Result) bool {
 
 // TestCompiledMatchesReference is the randomized equivalence harness: the
 // compiled ID-space engine must agree with the term-space reference on
-// every generated query shape, at every parallel width. workers=1 is the
-// serial oracle; 4 and 8 drive the morsel executor (and, on ordered+limited
-// shapes, the top-k push-down) over the same queries.
+// every generated query shape.
 func TestCompiledMatchesReference(t *testing.T) {
 	st := buildSeededStore(7, 30)
 	e := NewEngine(st)
@@ -215,16 +213,13 @@ func TestCompiledMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference %q: %v", src, err)
 		}
-		for _, workers := range []int{1, 4, 8} {
-			e.SetWorkers(workers)
-			got, err := e.Query(src)
-			if err != nil {
-				t.Fatalf("compiled %q at %d workers: %v", src, workers, err)
-			}
-			if !sameResult(got, want) {
-				t.Fatalf("divergence on %q at %d workers:\ncompiled:  %d rows %v\nreference: %d rows %v",
-					src, workers, len(got.Rows), canonical(got), len(want.Rows), canonical(want))
-			}
+		got, err := e.Query(src)
+		if err != nil {
+			t.Fatalf("compiled %q: %v", src, err)
+		}
+		if !sameResult(got, want) {
+			t.Fatalf("divergence on %q:\ncompiled:  %d rows %v\nreference: %d rows %v",
+				src, len(got.Rows), canonical(got), len(want.Rows), canonical(want))
 		}
 	}
 }
@@ -248,8 +243,7 @@ var fixtureQueries = []string{
 
 // discoveryQueries are the discovery-shaped queries a serving platform
 // answers: a typed column scan, a similarity join, a keyword filter, a
-// type histogram, and the 4-pattern similarity-to-table join whose leading
-// pattern the morsel executor partitions.
+// type histogram, and a 4-pattern similarity-to-table join.
 var discoveryQueries = []string{
 	`SELECT ?t ?c ?n WHERE {
 		?t a kglids:Table .
@@ -267,34 +261,31 @@ var discoveryQueries = []string{
 
 // TestCompiledMatchesReferenceFixtures pins the hand-written fixture
 // queries to the same equivalence property, and the discovery queries
-// over a seeded LiDS-shaped store at the serial width and a parallel one.
+// over a seeded LiDS-shaped store.
 func TestCompiledMatchesReferenceFixtures(t *testing.T) {
-	check := func(e *Engine, src string, workers int) {
+	check := func(e *Engine, src string) {
 		t.Helper()
 		got, err := e.Query(src)
 		if err != nil {
-			t.Fatalf("compiled %q at %d workers: %v", src, workers, err)
+			t.Fatalf("compiled %q: %v", src, err)
 		}
 		want, err := e.QueryReference(src)
 		if err != nil {
 			t.Fatalf("reference %q: %v", src, err)
 		}
 		if !sameResult(got, want) {
-			t.Errorf("divergence on %q at %d workers:\ncompiled:  %v\nreference: %v", src, workers, canonical(got), canonical(want))
+			t.Errorf("divergence on %q:\ncompiled:  %v\nreference: %v", src, canonical(got), canonical(want))
 		}
 	}
 	e := NewEngine(buildFixture())
 	for _, src := range fixtureQueries {
-		check(e, src, 0) // the default width, one worker per CPU
+		check(e, src)
 	}
 
 	e = NewEngine(buildSeededStore(7, 30))
-	e.SetCacheCapacity(0) // each width must execute, not hit the cache
-	for _, workers := range []int{1, 4} {
-		e.SetWorkers(workers)
-		for _, src := range discoveryQueries {
-			check(e, src, workers)
-		}
+	e.SetCacheCapacity(0)
+	for _, src := range discoveryQueries {
+		check(e, src)
 	}
 }
 
@@ -390,17 +381,15 @@ func TestQueryContextCancellation(t *testing.T) {
 	}
 }
 
-// TestParallelQueriesDuringIngest runs parallel (multi-worker) queries
-// concurrently with live store mutations; under -race this proves the
-// morsel executor's view pinning and shared atomics are sound against the
-// ingest path. Row counts are also sanity-checked: every result must
-// reflect some consistent store generation (between the initial 40 tables
-// and the final 40+adds), never a torn read.
-func TestParallelQueriesDuringIngest(t *testing.T) {
+// TestQueriesDuringIngest runs concurrent queries against live store
+// mutations; under -race this proves each query's read view is sound
+// against the ingest path. Row counts are also sanity-checked: every
+// result must reflect some consistent store generation (between the
+// initial 40 tables and the final 40+adds), never a torn read.
+func TestQueriesDuringIngest(t *testing.T) {
 	st := buildSeededStore(17, 40)
 	e := NewEngine(st)
 	e.SetCacheCapacity(0)
-	e.SetWorkers(8)
 
 	const adds = 30
 	var wg sync.WaitGroup

@@ -7,9 +7,10 @@ import (
 	"kglids/internal/rdf"
 )
 
-// binder supplies variable values to FILTER evaluation. Binding implements
-// it directly; the compiled ID-space engine implements it with a slot row
-// that decodes terms lazily (see slotEnv in idexec.go).
+// binder supplies variable values to FILTER evaluation. The compiled
+// ID-space engine implements it with a slot row that decodes terms lazily
+// (see slotEnv in idexec.go); the test-only reference evaluator with a
+// Binding.
 type binder interface {
 	value(name string) (rdf.Term, bool)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -20,12 +19,6 @@ import (
 
 // Binding maps variable names to terms for one solution.
 type Binding map[string]rdf.Term
-
-// value implements binder for the term-space reference engine.
-func (b Binding) value(name string) (rdf.Term, bool) {
-	t, ok := b[name]
-	return t, ok
-}
 
 // Result is the outcome of executing a query: column names and rows of
 // terms aligned with the columns. Results returned by Query/QueryContext
@@ -49,18 +42,14 @@ func (r *Result) Get(i int, v string) rdf.Term { return r.Rows[i][v] }
 // repeated queries without re-execution; any store mutation bumps the
 // generation and so invalidates every cached result.
 //
-// The pre-compilation evaluator is retained as QueryReference/
-// ExecReference: it is the semantic oracle the equivalence tests and
-// benchmarks compare against.
+// Each query runs on one goroutine over one read view; concurrent queries
+// run side by side, each on its own view.
 type Engine struct {
 	st    *store.Store
 	cache *queryCache
 	// slowNanos, when positive, is the slow-query threshold: any query
 	// whose wall time reaches it is logged with its per-stage breakdown.
 	slowNanos atomic.Int64
-	// workers is the morsel-driven parallel execution width; 0 means the
-	// GOMAXPROCS default, 1 selects the serial executor.
-	workers atomic.Int32
 }
 
 // NewEngine returns an engine over st with a DefaultCacheCapacity-sized
@@ -81,25 +70,11 @@ func (e *Engine) SetSlowQuery(d time.Duration) { e.slowNanos.Store(int64(d)) }
 // CacheStats reports cumulative cache behaviour (tests and monitoring).
 func (e *Engine) CacheStats() CacheStats { return e.cache.stats() }
 
-// SetWorkers sets the morsel-driven parallel execution width: how many
-// goroutines a single query may fan out over. 1 selects the serial
-// executor (the equivalence oracle); n <= 0 restores the GOMAXPROCS
-// default. The width may be changed at any time; in-flight queries keep
-// the width they started with.
-func (e *Engine) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.workers.Store(int32(n))
-}
-
-// Workers reports the effective parallel execution width.
-func (e *Engine) Workers() int {
-	if w := e.workers.Load(); w > 0 {
-		return int(w)
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// SetWorkers has no effect: every query runs serially.
+//
+// Deprecated: there is no execution width to set. The method remains only
+// so existing callers compile, and will be removed.
+func (e *Engine) SetWorkers(int) {}
 
 // CacheExport returns the cached results computed at the store's current
 // generation, least-recently-used first, so re-importing in order
@@ -178,7 +153,7 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*Result, error) 
 			return res, nil
 		}
 	}
-	res, err := compileTimed(tr, q, v).execute(ctx, v, e.Workers())
+	res, err := compileTimed(tr, q, v).execute(ctx, v)
 	outcome := "ok"
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
@@ -259,38 +234,12 @@ func (e *Engine) ExecContext(ctx context.Context, q *Query) (*Result, error) {
 	}
 	v := e.st.AcquireView()
 	defer v.Close()
-	return compileTimed(obs.FromContext(ctx), q, v).execute(ctx, v, e.Workers())
+	return compileTimed(obs.FromContext(ctx), q, v).execute(ctx, v)
 }
 
-// QueryReference parses and executes src on the term-space reference path.
-func (e *Engine) QueryReference(src string) (*Result, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.ExecReference(q)
-}
-
-// ExecReference executes a parsed query with the reference evaluator:
-// term-space bindings, map-cloning joins, no planning beyond the static
-// most-bound-first heuristic. It defines the semantics the compiled engine
-// must reproduce.
-func (e *Engine) ExecReference(q *Query) (*Result, error) {
-	sols, err := e.evalGroup(q.Where, rdf.DefaultGraph, []Binding{{}})
-	if err != nil {
-		return nil, err
-	}
-	if len(q.GroupBy) > 0 || hasAggregates(q) {
-		sols, err = aggregate(q, sols)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return finishRows(q, sols), nil
-}
-
-// finishRows applies the solution-modifier tail shared by both engines:
-// projection, DISTINCT, ORDER BY, OFFSET/LIMIT.
+// finishRows applies the solution-modifier tail to term-space solutions:
+// projection, DISTINCT, ORDER BY, OFFSET/LIMIT. The compiled engine runs it
+// on aggregated rows; the test-only reference evaluator on every result.
 func finishRows(q *Query, sols []Binding) *Result {
 	vars := projectionVars(q, sols)
 	rows := make([]Binding, 0, len(sols))
@@ -385,259 +334,9 @@ func distinctRows(vars []string, rows []Binding) []Binding {
 	return out
 }
 
-// evalGroup evaluates a group pattern under the active graph, extending each
-// input binding.
-func (e *Engine) evalGroup(g *GroupPattern, graph rdf.Term, in []Binding) ([]Binding, error) {
-	sols := in
-	// Order triple patterns greedily: most-bound (fewest unbound vars given
-	// already-seen variables) first. This mirrors index-driven join ordering
-	// in RDF engines.
-	pats := orderPatterns(g.Triples, in)
-	for _, tp := range pats {
-		sols = e.evalTriple(tp, graph, sols)
-		if len(sols) == 0 {
-			break
-		}
-	}
-	// GRAPH blocks.
-	for _, gp := range g.Graphs {
-		var err error
-		sols, err = e.evalGraphPattern(gp, sols)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// UNION blocks.
-	for _, alts := range g.Unions {
-		var merged []Binding
-		for _, alt := range alts {
-			sub, err := e.evalGroup(alt, graph, sols)
-			if err != nil {
-				return nil, err
-			}
-			merged = append(merged, sub...)
-		}
-		sols = merged
-	}
-	// OPTIONAL blocks (left join).
-	for _, opt := range g.Optionals {
-		var out []Binding
-		for _, b := range sols {
-			sub, err := e.evalGroup(opt, graph, []Binding{b})
-			if err != nil {
-				return nil, err
-			}
-			if len(sub) == 0 {
-				out = append(out, b)
-			} else {
-				out = append(out, sub...)
-			}
-		}
-		sols = out
-	}
-	// FILTERs.
-	for _, f := range g.Filters {
-		var out []Binding
-		for _, b := range sols {
-			v, err := evalExpr(f, b)
-			if err != nil {
-				continue // error in filter → row excluded
-			}
-			if truthy(v) {
-				out = append(out, b)
-			}
-		}
-		sols = out
-	}
-	return sols, nil
-}
-
-func (e *Engine) evalGraphPattern(gp *GraphPattern, in []Binding) ([]Binding, error) {
-	if !gp.Graph.IsVar() {
-		return e.evalGroup(gp.Pattern, gp.Graph.Term, in)
-	}
-	// Variable graph: if already bound use it, else iterate all graphs.
-	var out []Binding
-	for _, b := range in {
-		if t, ok := b[gp.Graph.Var]; ok {
-			sub, err := e.evalGroup(gp.Pattern, t, []Binding{b})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, sub...)
-			continue
-		}
-		for _, gt := range e.st.Graphs() {
-			nb := cloneBinding(b)
-			nb[gp.Graph.Var] = gt
-			sub, err := e.evalGroup(gp.Pattern, gt, []Binding{nb})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, sub...)
-		}
-	}
-	return out, nil
-}
-
-// orderPatterns sorts triple patterns so that patterns with more bound
-// positions (constants or already-bound variables) come first.
-func orderPatterns(pats []TriplePattern, in []Binding) []TriplePattern {
-	bound := map[string]bool{}
-	if len(in) > 0 {
-		for v := range in[0] {
-			bound[v] = true
-		}
-	}
-	rest := append([]TriplePattern(nil), pats...)
-	var ordered []TriplePattern
-	for len(rest) > 0 {
-		best, bestScore := 0, -1
-		for i, tp := range rest {
-			score := 0
-			for _, n := range []NodePattern{tp.S, tp.P, tp.O} {
-				if !n.IsVar() || bound[n.Var] {
-					score++
-				}
-			}
-			// Prefer bound subject over bound object over bound predicate,
-			// reflecting index selectivity.
-			if !tp.S.IsVar() || bound[tp.S.Var] {
-				score++
-			}
-			if score > bestScore {
-				best, bestScore = i, score
-			}
-		}
-		tp := rest[best]
-		rest = append(rest[:best], rest[best+1:]...)
-		ordered = append(ordered, tp)
-		for _, n := range []NodePattern{tp.S, tp.P, tp.O} {
-			if n.IsVar() {
-				bound[n.Var] = true
-			}
-		}
-	}
-	return ordered
-}
-
-func (e *Engine) evalTriple(tp TriplePattern, graph rdf.Term, in []Binding) []Binding {
-	var out []Binding
-	for _, b := range in {
-		s := resolveNode(tp.S, b)
-		p := resolveNode(tp.P, b)
-		o := resolveNode(tp.O, b)
-		e.st.MatchFunc(s, p, o, graph, func(t rdf.Triple) bool {
-			nb := cloneBinding(b)
-			if tp.S.IsVar() {
-				if prev, ok := nb[tp.S.Var]; ok && !prev.Equal(t.Subject) {
-					return true
-				}
-				nb[tp.S.Var] = t.Subject
-			}
-			if tp.P.IsVar() {
-				if prev, ok := nb[tp.P.Var]; ok && !prev.Equal(t.Predicate) {
-					return true
-				}
-				nb[tp.P.Var] = t.Predicate
-			}
-			if tp.O.IsVar() {
-				if prev, ok := nb[tp.O.Var]; ok && !prev.Equal(t.Object) {
-					return true
-				}
-				nb[tp.O.Var] = t.Object
-			}
-			out = append(out, nb)
-			return true
-		})
-	}
-	return out
-}
-
-func resolveNode(n NodePattern, b Binding) rdf.Term {
-	if !n.IsVar() {
-		return n.Term
-	}
-	if t, ok := b[n.Var]; ok {
-		return t
-	}
-	return store.Wildcard
-}
-
-func cloneBinding(b Binding) Binding {
-	nb := make(Binding, len(b)+3)
-	for k, v := range b {
-		nb[k] = v
-	}
-	return nb
-}
-
-// aggregate implements GROUP BY + aggregates (or a single implicit group).
-func aggregate(q *Query, sols []Binding) ([]Binding, error) {
-	groups := map[string][]Binding{}
-	var orderKeys []string
-	for _, s := range sols {
-		var sb strings.Builder
-		for _, v := range q.GroupBy {
-			if t, ok := s[v]; ok {
-				sb.WriteString(t.Key())
-			}
-			sb.WriteByte(0)
-		}
-		k := sb.String()
-		if _, ok := groups[k]; !ok {
-			orderKeys = append(orderKeys, k)
-		}
-		groups[k] = append(groups[k], s)
-	}
-	if len(sols) == 0 && len(q.GroupBy) == 0 {
-		// Implicit single empty group so COUNT(*) over no rows yields 0.
-		orderKeys = append(orderKeys, "")
-		groups[""] = nil
-	}
-	var out []Binding
-	for _, k := range orderKeys {
-		members := groups[k]
-		row := Binding{}
-		for _, v := range q.GroupBy {
-			if len(members) > 0 {
-				if t, ok := members[0][v]; ok {
-					row[v] = t
-				}
-			}
-		}
-		for _, p := range q.Projection {
-			if p.Agg == nil {
-				continue
-			}
-			t, err := evalAggregate(p.Agg, members)
-			if err != nil {
-				return nil, err
-			}
-			row[p.Var] = t
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-func evalAggregate(a *Aggregate, members []Binding) (rdf.Term, error) {
-	var values []rdf.Term
-	for _, m := range members {
-		if a.Var == "*" {
-			values = append(values, rdf.Integer(1))
-			continue
-		}
-		if t, ok := m[a.Var]; ok {
-			values = append(values, t)
-		}
-	}
-	return aggFromValues(a, values)
-}
-
-// aggFromValues computes an aggregate over collected values (shared by the
-// reference and ID-space engines; the latter decodes bound IDs to values
-// first).
+// aggFromValues computes an aggregate over collected values (the ID-space
+// engine decodes bound IDs to values first; the test-only reference
+// evaluator shares it).
 func aggFromValues(a *Aggregate, values []rdf.Term) (rdf.Term, error) {
 	if a.Distinct {
 		seen := map[string]bool{}

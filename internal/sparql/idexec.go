@@ -63,10 +63,8 @@ func (s slotEnv) value(name string) (rdf.Term, bool) {
 // stay as []TermID rows until the final projection; only FILTER operands,
 // ORDER BY keys, aggregate inputs, and projected columns are ever decoded.
 // The streaming match and the materialization are timed as the "execute"
-// and "materialize" stages. With workers > 1 and a partitionable leading
-// pattern, the streaming phase fans out over candidate morsels (see
-// parallel.go); workers == 1 selects the serial iterator unchanged.
-func (c *compiledQuery) execute(ctx context.Context, v *store.View, workers int) (*Result, error) {
+// and "materialize" stages.
+func (c *compiledQuery) execute(ctx context.Context, v *store.View) (*Result, error) {
 	q := c.q
 	tr := obs.FromContext(ctx)
 
@@ -79,30 +77,23 @@ func (c *compiledQuery) execute(ctx context.Context, v *store.View, workers int)
 
 	execStart := time.Now()
 	var rows [][]store.TermID
-	var err error
-	if pp := c.planParallel(v, workers); pp != nil {
-		rows, err = pp.run(ctx, earlyStop)
-	} else {
-		mQueryWorkers.Observe(1)
-		es := &execState{ctx: ctx, v: v, c: c, row: make([]store.TermID, len(c.names))}
-		err = c.root.run(es, store.UnionGraph, func() error {
-			rows = append(rows, append([]store.TermID(nil), es.row...))
-			if earlyStop >= 0 && len(rows) >= earlyStop {
-				return errStop
-			}
-			return nil
-		})
-	}
+	es := &execState{ctx: ctx, v: v, c: c, row: make([]store.TermID, len(c.names))}
+	err := c.root.run(es, store.UnionGraph, func() error {
+		rows = append(rows, append([]store.TermID(nil), es.row...))
+		if earlyStop >= 0 && len(rows) >= earlyStop {
+			return errStop
+		}
+		return nil
+	})
 	execDur := time.Since(execStart)
 	mStage.WithLabelValues("execute").Observe(execDur.Seconds())
 	tr.AddSpan("execute", execStart, execDur)
 	if err != nil && !errors.Is(err, errStop) {
 		return nil, err
 	}
-	// Merge/materialize boundary check: the streaming iterators poll the
-	// context only every 1024 index hits each, so a parallel fan-out can
-	// overshoot a deadline by workers×1024 hits; never start the decode
-	// work of an already-dead query.
+	// The iterator polls the context only every ctxCheckInterval index
+	// hits, so a deadline can pass after its last poll; never start the
+	// decode work of an already-dead query.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

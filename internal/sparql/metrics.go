@@ -20,11 +20,4 @@ var (
 		"Result-cache lookups that had to execute (absent or stale entry).")
 	mCacheEvictions = obs.Default.NewCounter("kglids_sparql_cache_evictions_total",
 		"Result-cache entries dropped: stale generation, capacity, or resize.")
-	mMorsels = obs.Default.NewCounter("kglids_sparql_morsels_total",
-		"Leading-pattern candidate morsels claimed by parallel query workers.")
-	mQueryWorkers = obs.Default.NewHistogram("kglids_sparql_query_workers",
-		"Workers engaged per executed query (1 = serial path): worker-pool utilization.",
-		obs.ExpBuckets(1, 2, 6))
-	mTopKSkipped = obs.Default.NewCounter("kglids_sparql_topk_skipped_total",
-		"Rows discarded early by the ORDER BY+LIMIT top-k cutoff push-down.")
 )

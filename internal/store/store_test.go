@@ -190,51 +190,6 @@ func TestQuickAddFind(t *testing.T) {
 	}
 }
 
-// TestCandidateIDs: the parallel executor's morsel domains must cover
-// exactly the IDs the matching indexes would enumerate, with the partition
-// slot naming the triple position the IDs bind.
-func TestCandidateIDs(t *testing.T) {
-	st := New()
-	for i := 0; i < 6; i++ {
-		tbl := rdf.Resource(fmt.Sprintf("t%d", i))
-		st.Add(rdf.T(tbl, rdf.RDFType, rdf.ClassTable))
-		st.Add(rdf.T(tbl, rdf.PropName, rdf.String(fmt.Sprintf("t%d.csv", i))))
-	}
-	enc := func(term rdf.Term) TermID {
-		id, ok := st.EncodeTerm(term)
-		if !ok {
-			t.Fatalf("term %v not interned", term)
-		}
-		return id
-	}
-	v := st.AcquireView()
-	defer v.Close()
-
-	// Object bound: candidates are the subjects reaching it (OSP keys).
-	ids, part := v.CandidateIDs(0, enc(rdf.RDFType), enc(rdf.ClassTable), UnionGraph)
-	if part != PartitionSubject || len(ids) != 6 {
-		t.Fatalf("o-bound: %d ids, partition %d", len(ids), part)
-	}
-	// Only the predicate bound: candidates are its objects (POS keys).
-	ids, part = v.CandidateIDs(0, enc(rdf.PropName), 0, UnionGraph)
-	if part != PartitionObject || len(ids) != 6 {
-		t.Fatalf("p-bound: %d ids, partition %d", len(ids), part)
-	}
-	// Nothing bound: candidates are all subjects.
-	ids, part = v.CandidateIDs(0, 0, 0, UnionGraph)
-	if part != PartitionSubject || len(ids) != 6 {
-		t.Fatalf("unbound: %d ids, partition %d", len(ids), part)
-	}
-	// Subject already bound: nothing to partition.
-	if ids, part = v.CandidateIDs(enc(rdf.Resource("t0")), 0, 0, UnionGraph); part != PartitionNone || ids != nil {
-		t.Fatalf("s-bound: %d ids, partition %d", len(ids), part)
-	}
-	// Absent object: empty domain, no partition.
-	if ids, part = v.CandidateIDs(0, 0, enc(rdf.PropName), UnionGraph); part != PartitionNone || ids != nil {
-		t.Fatalf("absent o: %d ids, partition %d", len(ids), part)
-	}
-}
-
 func TestConcurrentAdd(t *testing.T) {
 	st := New()
 	done := make(chan struct{})

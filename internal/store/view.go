@@ -77,59 +77,3 @@ func (v *View) GraphIDs() []TermID {
 // Dict exposes the term dictionary for late materialization. The dictionary
 // carries its own lock and is safe to use under the view.
 func (v *View) Dict() *Dictionary { return v.st.dict }
-
-// Partition positions returned by CandidateIDs: which position of the
-// probed pattern the candidate IDs bind.
-const (
-	PartitionNone    = -1
-	PartitionSubject = 0
-	PartitionObject  = 2
-)
-
-// CandidateIDs enumerates the distinct IDs the best index offers for one
-// wildcard position of the encoded pattern (s, p, o) in graph g — the
-// candidate domain a morsel-driven executor partitions across workers.
-// The returned position follows the same index-selection order as
-// matchEncoded: a bound object yields the subjects under OSP, a bound
-// predicate (with both endpoints free) yields the objects under POS, and
-// a fully unconstrained pattern yields every subject of the graph. A
-// bound subject returns PartitionNone — its per-subject domain is the
-// pattern's own result, too narrow to be worth splitting. The slice is a
-// fresh copy in index-map order (unordered); callers own it.
-func (v *View) CandidateIDs(s, p, o, g TermID) ([]TermID, int) {
-	st := v.st
-	switch {
-	case s != 0:
-		return nil, PartitionNone
-	case o != 0:
-		l1 := st.osp[g][o]
-		if len(l1) == 0 {
-			return nil, PartitionNone
-		}
-		ids := make([]TermID, 0, len(l1))
-		for es := range l1 {
-			ids = append(ids, es)
-		}
-		return ids, PartitionSubject
-	case p != 0:
-		l1 := st.pos[g][p]
-		if len(l1) == 0 {
-			return nil, PartitionNone
-		}
-		ids := make([]TermID, 0, len(l1))
-		for eo := range l1 {
-			ids = append(ids, eo)
-		}
-		return ids, PartitionObject
-	default:
-		l2 := st.spo[g]
-		if len(l2) == 0 {
-			return nil, PartitionNone
-		}
-		ids := make([]TermID, 0, len(l2))
-		for es := range l2 {
-			ids = append(ids, es)
-		}
-		return ids, PartitionSubject
-	}
-}

@@ -246,12 +246,12 @@ func (p *Platform) Generation() uint64 { return p.core.Store.Generation() }
 // Zero disables it. kglids-server wires this to -slow-query-ms.
 func (p *Platform) SetSlowQuery(d time.Duration) { p.core.Discovery.SetSlowQuery(d) }
 
-// SetQueryWorkers sets the parallel width of SPARQL execution: the
-// morsel-driven executor partitions the leading pattern's candidates
-// across this many workers. 0 restores the
-// GOMAXPROCS default; 1 forces the serial path (the equivalence oracle).
-// kglids-server wires this to -query-workers.
-func (p *Platform) SetQueryWorkers(n int) { p.core.Discovery.SetWorkers(n) }
+// SetQueryWorkers has no effect: every SPARQL query runs serially, and
+// concurrent queries run side by side.
+//
+// Deprecated: there is no query execution width to set. The method
+// remains only so existing callers compile, and will be removed.
+func (p *Platform) SetQueryWorkers(int) {}
 
 // Query runs an ad-hoc SPARQL query on the compiled ID-space engine.
 // Repeated queries are served from a bounded result cache keyed on (query
