@@ -1,8 +1,8 @@
 // Command kglids-server exposes a KGLiDS platform over HTTP: the
 // versioned /api/v1 surface (stable DTOs, cursor pagination, generation
 // ETags, SPARQL 1.1 protocol — consumed through the typed client in
-// package kglids/client) plus the frozen legacy routes, mirroring the
-// KGLiDS Interfaces in service form (paper Section 5). See
+// package kglids/client) plus the /healthz load-balancer probe, mirroring
+// the KGLiDS Interfaces in service form (paper Section 5). See
 // docs/SERVER_API.md for the endpoint reference.
 //
 // The platform comes from one of three sources:
@@ -38,12 +38,12 @@
 // -save-snapshot persists the platform after it is ready (from either
 // source), so the next start can skip bootstrapping.
 //
-// -ingest enables live mutation: POST /ingest submits tables that an
-// asynchronous worker pool profiles and splices into the serving graph,
-// DELETE /tables/{id} retracts a table, and GET /jobs reports job states —
-// no restart, no re-bootstrap. On shutdown queued jobs drain before the
-// process exits (and before -save-snapshot runs, when given, so the saved
-// snapshot reflects every accepted job).
+// -ingest enables live mutation: POST /api/v1/ingest submits tables that
+// an asynchronous worker pool profiles and splices into the serving graph,
+// DELETE /api/v1/tables/{id} retracts a table, and GET /api/v1/jobs
+// reports job states — no restart, no re-bootstrap. On shutdown queued
+// jobs drain before the process exits (and before -save-snapshot runs,
+// when given, so the saved snapshot reflects every accepted job).
 //
 // -debug-addr starts a second listener serving the diagnostics surface —
 // /metrics (Prometheus text exposition), /debug/vars (expvar), and with
@@ -54,11 +54,6 @@
 //
 // Logs are structured (log/slog): -log-format json emits one JSON object
 // per line for ingestion into log pipelines, -log-level sets the floor.
-//
-// -edge-block-size and -edge-candidates tune the blocked similarity-edge
-// pipeline used by bootstrap and every ingest delta (see
-// docs/ARCHITECTURE.md, "Schema construction at scale"). They move time
-// and memory around without ever changing the resulting edge set.
 package main
 
 import (
@@ -91,11 +86,9 @@ func main() {
 	saveSnapshot := flag.String("save-snapshot", "", "write the ready platform to this snapshot file")
 	addr := flag.String("addr", ":8080", "listen address")
 	timeout := flag.Duration("request-timeout", server.DefaultRequestTimeout, "per-request deadline")
-	ingestMode := flag.Bool("ingest", false, "enable live mutation endpoints (POST /ingest, DELETE /tables/{id})")
+	ingestMode := flag.Bool("ingest", false, "enable live mutation endpoints (POST /api/v1/ingest, DELETE /api/v1/tables/{id})")
 	ingestWorkers := flag.Int("ingest-workers", 2, "ingestion worker pool size")
 	ingestQueue := flag.Int("ingest-queue", 64, "bounded ingestion job queue size")
-	edgeBlockSize := flag.Int("edge-block-size", 0, "similarity pipeline: largest same-type column block compared exhaustively (0 = default)")
-	edgeCandidates := flag.Int("edge-candidates", 0, "similarity pipeline: target pre-filter candidates per column (0 = default)")
 	accessLog := flag.Bool("access-log", true, "log one structured line per request (request ID, route, status, bytes, duration)")
 	debugAddr := flag.String("debug-addr", "", "listen address for the diagnostics mux (/metrics, /debug/vars); empty disables it")
 	pprofFlag := flag.Bool("pprof", false, "serve runtime profiles under /debug/pprof on the diagnostics mux (needs -debug-addr)")
@@ -142,13 +135,11 @@ func main() {
 		plat, err = replicaPlatform(logger, primary, *snapshotPath)
 	} else {
 		plat, err = ready(logger, bootSources{
-			lakeDir:        *lakeDir,
-			source:         *source,
-			snapshotPath:   *snapshotPath,
-			edgeBlockSize:  *edgeBlockSize,
-			edgeCandidates: *edgeCandidates,
-			chunkRows:      *chunkRows,
-			reservoir:      *reservoir,
+			lakeDir:      *lakeDir,
+			source:       *source,
+			snapshotPath: *snapshotPath,
+			chunkRows:    *chunkRows,
+			reservoir:    *reservoir,
 		})
 	}
 	if err != nil {
@@ -373,20 +364,16 @@ func replicaPlatform(logger *slog.Logger, primary *client.Client, snapshotPath s
 
 // bootSources carries the platform-source flags into ready.
 type bootSources struct {
-	lakeDir        string
-	source         string
-	snapshotPath   string
-	edgeBlockSize  int
-	edgeCandidates int
-	chunkRows      int
-	reservoir      int
+	lakeDir      string
+	source       string
+	snapshotPath string
+	chunkRows    int
+	reservoir    int
 }
 
 // ready produces a serving-ready platform, preferring the snapshot fast
 // path when several sources are given, then the streaming connector,
-// then the in-memory lake walk. The edge-tuning knobs apply to the
-// bootstrap similarity build and to every later ingest delta; snapshots
-// persist thresholds but not tuning, so they are re-applied after a load.
+// then the in-memory lake walk.
 func ready(logger *slog.Logger, b bootSources) (*kglids.Platform, error) {
 	if b.snapshotPath != "" {
 		if b.lakeDir != "" || b.source != "" {
@@ -397,17 +384,14 @@ func ready(logger *slog.Logger, b bootSources) (*kglids.Platform, error) {
 		if err != nil {
 			return nil, err
 		}
-		plat.SetEdgeTuning(b.edgeBlockSize, b.edgeCandidates)
 		logger.Info("snapshot loaded (no re-profiling)", "path", b.snapshotPath,
 			"duration", time.Since(start).Round(time.Millisecond).String())
 		return plat, nil
 	}
 
 	opts := kglids.Options{
-		EdgeBlockSize:  b.edgeBlockSize,
-		EdgeCandidates: b.edgeCandidates,
-		ChunkRows:      b.chunkRows,
-		ReservoirSize:  b.reservoir,
+		ChunkRows:     b.chunkRows,
+		ReservoirSize: b.reservoir,
 	}
 	if b.source != "" {
 		if b.lakeDir != "" {

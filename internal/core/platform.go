@@ -267,21 +267,6 @@ func (p *Platform) newBuilder() *schema.Builder {
 	return b
 }
 
-// SetEdgeTuning adjusts the blocked similarity-edge pipeline knobs on a
-// live platform (0 keeps a knob's current value). Tuning only: the knobs
-// change where time and memory go, never the edge set, so it is safe to
-// apply to a restored snapshot before enabling ingestion.
-func (p *Platform) SetEdgeTuning(blockSize, candidates int) {
-	p.ingestMu.Lock()
-	defer p.ingestMu.Unlock()
-	if blockSize > 0 {
-		p.cfg.EdgeBlockSize = blockSize
-	}
-	if candidates > 0 {
-		p.cfg.EdgeCandidates = candidates
-	}
-}
-
 // AddTables profiles new tables and splices them into the live platform:
 // delta profiling (Algorithm 2 over just the new tables), delta similarity
 // edges (new columns against all columns), per-table named-graph insertion

@@ -25,8 +25,11 @@ func TestRouteLabel(t *testing.T) {
 		"/api/v1/jobs/42":         "/api/v1/jobs/{id}",
 		"/api/v1/tables/ds/a.csv": "/api/v1/tables/{id}",
 		"/healthz":                "/healthz",
-		"/jobs/7":                 "/jobs/{id}",
-		"/tables/ds/a.csv":        "/tables/{id}",
+		"/stats":                  "other",
+		"/sparql":                 "other",
+		"/ingest":                 "other",
+		"/jobs/7":                 "other",
+		"/tables/ds/a.csv":        "other",
 		"/favicon.ico":            "other",
 		"/api/v2/whatever":        "other",
 	}

@@ -43,29 +43,23 @@ var (
 		"Entries resident in the SPARQL result cache.")
 )
 
-// v1Routes and legacyRoutes enumerate the exact-match route labels.
-var v1Routes = map[string]bool{
-	"/api/v1/healthz": true, "/api/v1/stats": true, "/api/v1/tables": true,
-	"/api/v1/search": true, "/api/v1/unionable": true, "/api/v1/similar": true,
-	"/api/v1/libraries": true, "/api/v1/sparql": true, "/api/v1/ingest": true,
-	"/api/v1/jobs": true, "/api/v1/changelog": true, "/api/v1/snapshot": true,
+// routeLabels are the route labels: the exact-match routes, then the
+// two path-parameter patterns and "other", which statsFor maps the rest
+// onto.
+var routeLabels = []string{
+	"/healthz", "/api/v1/healthz", "/api/v1/stats", "/api/v1/tables",
+	"/api/v1/search", "/api/v1/unionable", "/api/v1/similar",
+	"/api/v1/libraries", "/api/v1/sparql", "/api/v1/ingest", "/api/v1/jobs",
+	"/api/v1/changelog", "/api/v1/snapshot",
+	"/api/v1/jobs/{id}", "/api/v1/tables/{id}", "other",
 }
 
-var legacyRoutes = map[string]bool{
-	"/healthz": true, "/stats": true, "/sparql": true, "/search": true,
-	"/unionable": true, "/similar": true, "/libraries": true, "/ingest": true,
-	"/jobs": true,
-}
-
-// tracedRoutes are the routes whose handlers record spans into a
-// request trace — the SPARQL query path, where the engine attributes
+// tracedRoute is the route whose handler records spans into a request
+// trace — the SPARQL query path, where the engine attributes
 // compile/plan/execute/materialize timings and the slow-query log picks
 // up the request ID. Other routes skip the trace install (a request
 // clone plus two allocations) because nothing downstream would read it.
-var tracedRoutes = map[string]bool{
-	"/api/v1/sparql": true,
-	"/sparql":        true,
-}
+const tracedRoute = "/api/v1/sparql"
 
 // routeStats is the per-route bundle the request hot path touches: the
 // route label plus metric children resolved once at init, so recording a
@@ -81,23 +75,13 @@ type routeStats struct {
 }
 
 var routeStatsByLabel = func() map[string]*routeStats {
-	labels := []string{
-		"/api/v1/jobs/{id}", "/api/v1/tables/{id}",
-		"/jobs/{id}", "/tables/{id}", "other",
-	}
-	for l := range v1Routes {
-		labels = append(labels, l)
-	}
-	for l := range legacyRoutes {
-		labels = append(labels, l)
-	}
-	m := make(map[string]*routeStats, len(labels))
-	for _, l := range labels {
+	m := make(map[string]*routeStats, len(routeLabels))
+	for _, l := range routeLabels {
 		m[l] = &routeStats{
 			label:   l,
 			latency: mHTTPLatency.WithLabelValues(l),
 			getOK:   mHTTPRequests.WithLabelValues(l, "GET", "200"),
-			traced:  tracedRoutes[l],
+			traced:  l == tracedRoute,
 		}
 	}
 	return m
@@ -117,10 +101,6 @@ func statsFor(path string) *routeStats {
 		label = "/api/v1/jobs/{id}"
 	case strings.HasPrefix(path, "/api/v1/tables/"):
 		label = "/api/v1/tables/{id}"
-	case strings.HasPrefix(path, "/jobs/"):
-		label = "/jobs/{id}"
-	case strings.HasPrefix(path, "/tables/"):
-		label = "/tables/{id}"
 	}
 	return routeStatsByLabel[label]
 }

@@ -139,9 +139,8 @@ func TestReplicaRejectsWrites(t *testing.T) {
 		method, path string
 	}{
 		{http.MethodPost, "/api/v1/ingest"},
-		{http.MethodPost, "/ingest"},
 		{http.MethodDelete, "/api/v1/tables/health%2Fpatients.csv"},
-		{http.MethodDelete, "/tables/health%2Fpatients.csv"},
+		{http.MethodDelete, "/api/v1/tables/health/patients.csv"},
 	} {
 		var req *http.Request
 		if tc.method == http.MethodPost {
@@ -158,40 +157,43 @@ func TestReplicaRejectsWrites(t *testing.T) {
 	}
 
 	// Reads still work, and job listing stays readable.
-	for _, path := range []string{"/api/v1/stats", "/api/v1/tables", "/api/v1/jobs", "/stats"} {
+	for _, path := range []string{"/healthz", "/api/v1/stats", "/api/v1/tables", "/api/v1/jobs"} {
 		if rec := getRaw(t, h, path, nil); rec.Code != http.StatusOK {
 			t.Errorf("GET %s on replica = %d, want 200", path, rec.Code)
 		}
 	}
 }
 
+// TestHealthzReportsReplicaRole: the health body names the role, and on a
+// replica the applied generation and lag. /healthz, the load-balancer
+// probe, answers byte for byte what /api/v1/healthz answers.
 func TestHealthzReportsReplicaRole(t *testing.T) {
 	plat := tinyPlatform(t)
-
-	// Primary: role only.
-	h := New(plat, Options{})
-	var v1 client.Health
-	if err := json.Unmarshal(getRaw(t, h, "/api/v1/healthz", nil).Body.Bytes(), &v1); err != nil {
-		t.Fatal(err)
-	}
-	if v1.Role != "primary" || v1.AppliedGeneration != 0 {
-		t.Errorf("primary healthz = %+v", v1)
-	}
-
-	// Replica: role plus applied generation and lag on both surfaces.
-	hr := New(plat, Options{ReadOnly: true, Replica: fixedReplica{gen: 42, lag: 1.5}})
-	if err := json.Unmarshal(getRaw(t, hr, "/api/v1/healthz", nil).Body.Bytes(), &v1); err != nil {
-		t.Fatal(err)
-	}
-	if v1.Role != "replica" || v1.AppliedGeneration != 42 || v1.LagSeconds != 1.5 {
-		t.Errorf("replica v1 healthz = %+v", v1)
-	}
-	var legacy map[string]any
-	if err := json.Unmarshal(getRaw(t, hr, "/healthz", nil).Body.Bytes(), &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if legacy["status"] != "ok" || legacy["role"] != "replica" ||
-		legacy["applied_generation"] != float64(42) || legacy["lag_seconds"] != 1.5 {
-		t.Errorf("replica legacy healthz = %v", legacy)
+	for _, c := range []struct {
+		name string
+		opts Options
+		want client.Health
+	}{
+		{"primary", Options{}, client.Health{Status: "ok", Role: "primary"}},
+		{"replica", Options{ReadOnly: true, Replica: fixedReplica{gen: 42, lag: 1.5}},
+			client.Health{Status: "ok", Role: "replica", AppliedGeneration: 42, LagSeconds: 1.5}},
+	} {
+		h := New(plat, c.opts)
+		v1 := getRaw(t, h, "/api/v1/healthz", nil)
+		probe := getRaw(t, h, "/healthz", nil)
+		if v1.Code != http.StatusOK || probe.Code != http.StatusOK {
+			t.Fatalf("%s: healthz = %d, /healthz = %d", c.name, v1.Code, probe.Code)
+		}
+		if probe.Body.String() != v1.Body.String() {
+			t.Errorf("%s: /healthz body %q differs from /api/v1/healthz %q", c.name, probe.Body, v1.Body)
+		}
+		var got client.Health
+		if err := json.Unmarshal(v1.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		c.want.Generation = plat.Generation()
+		if got != c.want {
+			t.Errorf("%s healthz = %+v, want %+v", c.name, got, c.want)
+		}
 	}
 }

@@ -2,21 +2,14 @@
 // Interfaces (paper Section 5) exposed as a JSON API over a concurrently
 // shared platform.
 //
-// The API has two generations:
-//
-//   - /api/v1 is the versioned, resource-oriented surface with a stable
-//     wire contract: dedicated DTOs (package kglids/client, which the
-//     handlers marshal so client and server cannot drift), cursor/limit
-//     pagination on every list endpoint, conditional GET via
-//     ETag/If-None-Match bound to the store generation, and a SPARQL 1.1
-//     protocol endpoint. New integrations use this surface through the
-//     typed client in package kglids/client.
-//
-//   - The original unversioned routes (/search, /sparql, /ingest, ...)
-//     are legacy: their wire format — internal structs marshaled as-is —
-//     is frozen for byte compatibility and they answer with a
-//     `Deprecation: true` header plus a `Link: rel="successor-version"`
-//     pointing at their /api/v1 replacement. See legacy.go.
+// The API is the versioned, resource-oriented /api/v1 surface with a
+// stable wire contract: dedicated DTOs (package kglids/client, which the
+// handlers marshal so client and server cannot drift), cursor/limit
+// pagination on every list endpoint, conditional GET via
+// ETag/If-None-Match bound to the store generation, and a SPARQL 1.1
+// protocol endpoint. Integrations use it through the typed client in
+// package kglids/client. The one unversioned route is /healthz, the
+// load-balancer probe, which serves the /api/v1/healthz body.
 //
 // Every request passes a middleware chain — request-ID stamping, optional
 // access logging, gzip compression, a per-request deadline with panic
@@ -46,6 +39,7 @@ import (
 	"time"
 
 	"kglids"
+	"kglids/client"
 	"kglids/internal/dataframe"
 	"kglids/internal/ingest"
 )
@@ -54,10 +48,11 @@ import (
 // is zero.
 const DefaultRequestTimeout = 30 * time.Second
 
-// MaxIngestBody bounds a POST /ingest request body (64 MiB).
+// MaxIngestBody bounds a POST /api/v1/ingest request body (64 MiB); a
+// larger body is answered 413.
 const MaxIngestBody = 64 << 20
 
-// Parameter bounds shared by the legacy and v1 surfaces.
+// Parameter bounds.
 const (
 	// MaxK caps top-k parameters; larger requests are clamped.
 	MaxK = 1000
@@ -73,8 +68,8 @@ type Options struct {
 	// receive 504 {"error": "request timed out"}. Zero means
 	// DefaultRequestTimeout.
 	RequestTimeout time.Duration
-	// Ingest enables the mutation endpoints (POST /{api/v1/}ingest,
-	// GET /jobs, GET /jobs/{id}, DELETE /tables/{id}); nil serves
+	// Ingest enables the mutation endpoints (POST /api/v1/ingest,
+	// GET /api/v1/jobs[/{id}], DELETE /api/v1/tables/{id}); nil serves
 	// read-only.
 	Ingest *ingest.Manager
 	// Logger receives the server's structured logs (panics, write
@@ -84,9 +79,10 @@ type Options struct {
 	Logger *slog.Logger
 	// AccessLog enables the per-request structured access-log line.
 	AccessLog bool
-	// ReadOnly rejects every mutation (POST /ingest, DELETE /tables)
-	// with 405 — the replica serving mode, where writes must go to the
-	// primary. Read and job endpoints are unaffected.
+	// ReadOnly rejects every mutation (POST /api/v1/ingest, DELETE
+	// /api/v1/tables/{id}) with 405 — the replica serving mode, where
+	// writes must go to the primary. Read and job endpoints are
+	// unaffected.
 	ReadOnly bool
 	// Replica, when non-nil, reports the follower's replication state on
 	// the health endpoints. Nil means this server is a primary.
@@ -113,9 +109,8 @@ type server struct {
 	replica  ReplicaStatus
 }
 
-// New returns the kglids HTTP API over a shared platform: the versioned
-// /api/v1 surface (see v1.go) plus the frozen legacy routes (see
-// legacy.go), wrapped in the middleware chain.
+// New returns the kglids HTTP API over a shared platform: the /api/v1
+// surface and /healthz (see v1.go), wrapped in the middleware chain.
 func New(plat *kglids.Platform, opts Options) http.Handler {
 	timeout := opts.RequestTimeout
 	if timeout <= 0 {
@@ -130,7 +125,6 @@ func New(plat *kglids.Platform, opts Options) http.Handler {
 	}
 	s := &server{plat: plat, ingest: opts.Ingest, readOnly: opts.ReadOnly, replica: opts.Replica}
 	mux := http.NewServeMux()
-	s.registerLegacy(mux)
 	s.registerV1(mux)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown endpoint "+r.URL.Path)
@@ -159,68 +153,68 @@ func (s *server) manager() (*ingest.Manager, error) {
 	return s.ingest, nil
 }
 
-// submitIngest decodes a POST /ingest body and submits it as an add job.
-// Shared by the legacy and v1 handlers, which differ only in their
-// response envelope.
-func (s *server) submitIngest(r *http.Request) (int, error) {
+// handleIngest decodes a POST /api/v1/ingest body and submits it as an
+// add job.
+func (s *server) handleIngest(r *http.Request) (any, error) {
 	if s.readOnly {
-		return 0, errReadOnly
+		return nil, errReadOnly
 	}
 	m, err := s.manager()
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	tables, err := decodeTables(r.Body)
 	if err != nil {
-		return 0, badRequest(err.Error())
+		return nil, bodyError(err)
 	}
 	jobID, err := m.Submit(tables)
 	if err != nil {
-		return 0, ingestError(err)
+		return nil, ingestError(err)
 	}
-	return jobID, nil
+	return client.JobRef{Job: jobID, State: string(ingest.Queued)}, nil
 }
 
-// submitRemoval validates a "dataset/table" ID and submits its removal
-// job (shared by the legacy and v1 DELETE handlers).
-func (s *server) submitRemoval(id string) (int, error) {
+// handleDeleteTable validates the "dataset/table" ID of a DELETE
+// /api/v1/tables/{id...} and submits its removal job. ServeMux
+// percent-decodes the wildcard, so escaped slashes, spaces, and percent
+// signs in table IDs round-trip.
+func (s *server) handleDeleteTable(r *http.Request) (any, error) {
 	if s.readOnly {
-		return 0, errReadOnly
+		return nil, errReadOnly
 	}
 	m, err := s.manager()
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
+	id := r.PathValue("id")
 	if !s.plat.HasTable(id) {
-		return 0, notFound(fmt.Sprintf("unknown table %q", id))
+		return nil, notFound(fmt.Sprintf("unknown table %q", id))
 	}
 	jobID, err := m.SubmitRemoval(id)
 	if err != nil {
-		return 0, ingestError(err)
+		return nil, ingestError(err)
 	}
-	return jobID, nil
+	return client.JobRef{Job: jobID, State: string(ingest.Queued)}, nil
 }
 
-// jobByID resolves a /jobs/{id} path value to a job snapshot (shared by
-// the legacy and v1 job handlers).
-func (s *server) jobByID(r *http.Request) (ingest.Job, error) {
+// handleJob serves one job of GET /api/v1/jobs/{id}.
+func (s *server) handleJob(r *http.Request) (any, error) {
 	m, err := s.manager()
 	if err != nil {
-		return ingest.Job{}, err
+		return nil, err
 	}
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		return ingest.Job{}, badRequest("job ID must be an integer")
+		return nil, badRequest("job ID must be an integer")
 	}
 	job, ok := m.Job(id)
 	if !ok {
-		return ingest.Job{}, notFound(fmt.Sprintf("unknown job %d", id))
+		return nil, notFound(fmt.Sprintf("unknown job %d", id))
 	}
-	return job, nil
+	return jobDTO(job), nil
 }
 
-// ingestTable is the wire form of one submitted table (identical for the
-// legacy and v1 ingest endpoints).
+// ingestTable is the wire form of one submitted table.
 type ingestTable struct {
 	Dataset string `json:"dataset"`
 	Name    string `json:"name"`
@@ -230,16 +224,22 @@ type ingestTable struct {
 	} `json:"columns"`
 }
 
-// decodeTables parses a POST /ingest body into platform tables. Column
-// values may be JSON strings (parsed like CSV cells), numbers, booleans,
-// or null.
-func decodeTables(body io.Reader) ([]kglids.Table, error) {
+// decodeTables parses a POST /api/v1/ingest body into platform tables.
+// Column values may be JSON strings (parsed like CSV cells), numbers,
+// booleans, or null. A body over MaxIngestBody fails with the
+// *http.MaxBytesError that bodyError answers 413, even when its JSON
+// ends below the cap.
+func decodeTables(body io.ReadCloser) ([]kglids.Table, error) {
 	var req struct {
 		Tables []ingestTable `json:"tables"`
 	}
-	dec := json.NewDecoder(io.LimitReader(body, MaxIngestBody))
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("invalid JSON body: %v", err)
+	body = http.MaxBytesReader(nil, body, MaxIngestBody)
+	err := json.NewDecoder(body).Decode(&req)
+	if err == nil {
+		_, err = io.Copy(io.Discard, body)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("invalid JSON body: %w", err)
 	}
 	if len(req.Tables) == 0 {
 		return nil, fmt.Errorf("body needs a non-empty 'tables' array")
@@ -327,6 +327,18 @@ type httpError struct {
 }
 
 func (e *httpError) Error() string { return e.msg }
+
+// bodyError answers a request body that could not be read or decoded:
+// 413 naming the cap when it overran its http.MaxBytesReader, 400
+// otherwise.
+func bodyError(err error) error {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &httpError{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+	}
+	return badRequest(err.Error())
+}
 
 func badRequest(msg string) error { return &httpError{status: http.StatusBadRequest, msg: msg} }
 func notFound(msg string) error   { return &httpError{status: http.StatusNotFound, msg: msg} }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"kglids"
+	"kglids/client"
 	"kglids/internal/lakegen"
 	"kglids/internal/pipegen"
 )
@@ -74,52 +75,46 @@ func TestEndpoints(t *testing.T) {
 	plat, lake := testPlatform(t)
 	h := New(plat, Options{})
 
-	code, body := get(t, h, "/healthz")
-	if code != http.StatusOK {
-		t.Fatalf("/healthz = %d %s", code, body)
+	for _, path := range []string{"/healthz", "/api/v1/healthz"} {
+		if code, body := get(t, h, path); code != http.StatusOK {
+			t.Fatalf("%s = %d %s", path, code, body)
+		}
 	}
 
-	code, body = get(t, h, "/stats")
+	code, body := get(t, h, "/api/v1/stats")
 	if code != http.StatusOK {
-		t.Fatalf("/stats = %d %s", code, body)
+		t.Fatalf("/api/v1/stats = %d %s", code, body)
 	}
-	var stats kglids.Stats
+	var stats client.Stats
 	if err := json.Unmarshal(body, &stats); err != nil || stats.Triples == 0 {
 		t.Fatalf("stats = %+v err=%v", stats, err)
 	}
 
 	q := lake.QueryTables[0]
 	tableID := lake.Dataset[q] + "/" + q
-	code, body = get(t, h, "/search?q="+url.QueryEscape(q[:3]))
-	if code != http.StatusOK {
-		t.Fatalf("/search = %d %s", code, body)
-	}
-	var hits []kglids.TableResult
-	if err := json.Unmarshal(body, &hits); err != nil || len(hits) == 0 {
-		t.Fatalf("search hits = %v err=%v", hits, err)
-	}
-
-	code, body = get(t, h, "/unionable?table="+url.QueryEscape(tableID)+"&k=5")
-	if code != http.StatusOK {
-		t.Fatalf("/unionable = %d %s", code, body)
-	}
-	if err := json.Unmarshal(body, &hits); err != nil || len(hits) == 0 {
-		t.Fatalf("unionable hits = %v err=%v", hits, err)
+	for _, path := range []string{
+		"/api/v1/search?q=" + url.QueryEscape(q[:3]),
+		"/api/v1/unionable?table=" + url.QueryEscape(tableID) + "&k=5",
+		"/api/v1/similar?table=" + url.QueryEscape(tableID) + "&k=3",
+	} {
+		code, body = get(t, h, path)
+		if code != http.StatusOK {
+			t.Fatalf("%s = %d %s", path, code, body)
+		}
+		var hits client.Page[client.TableHit]
+		if err := json.Unmarshal(body, &hits); err != nil || len(hits.Items) == 0 {
+			t.Fatalf("%s hits = %+v err=%v", path, hits, err)
+		}
 	}
 
-	code, body = get(t, h, "/similar?table="+url.QueryEscape(tableID)+"&k=3")
-	if code != http.StatusOK {
-		t.Fatalf("/similar = %d %s", code, body)
+	rec := getRaw(t, h, "/api/v1/sparql?query="+url.QueryEscape("SELECT (COUNT(?t) AS ?n) WHERE { ?t a kglids:Table . }"), nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/api/v1/sparql = %d %s", rec.Code, rec.Body)
 	}
 
-	code, body = get(t, h, "/sparql?query="+url.QueryEscape("SELECT (COUNT(?t) AS ?n) WHERE { ?t a kglids:Table . }"))
+	code, body = get(t, h, "/api/v1/libraries?k=5")
 	if code != http.StatusOK {
-		t.Fatalf("/sparql = %d %s", code, body)
-	}
-
-	code, body = get(t, h, "/libraries?k=5")
-	if code != http.StatusOK {
-		t.Fatalf("/libraries = %d %s", code, body)
+		t.Fatalf("/api/v1/libraries = %d %s", code, body)
 	}
 }
 
@@ -131,12 +126,12 @@ func TestErrorEnvelopes(t *testing.T) {
 		path string
 		code int
 	}{
-		{"/sparql", http.StatusBadRequest},                      // missing query
-		{"/sparql?query=SELECT+garbage", http.StatusBadRequest}, // parse error
-		{"/search", http.StatusBadRequest},                      // missing q
-		{"/unionable", http.StatusBadRequest},                   // missing table
-		{"/unionable?table=no/such.csv", http.StatusNotFound},
-		{"/similar?table=no/such.csv", http.StatusNotFound},
+		{"/api/v1/sparql", http.StatusBadRequest},                      // missing query
+		{"/api/v1/sparql?query=SELECT+garbage", http.StatusBadRequest}, // parse error
+		{"/api/v1/search", http.StatusBadRequest},                      // missing q
+		{"/api/v1/unionable", http.StatusBadRequest},                   // missing table
+		{"/api/v1/unionable?table=no/such.csv", http.StatusNotFound},
+		{"/api/v1/similar?table=no/such.csv", http.StatusNotFound},
 		{"/definitely-not-an-endpoint", http.StatusNotFound},
 	}
 	for _, c := range cases {
@@ -149,13 +144,40 @@ func TestErrorEnvelopes(t *testing.T) {
 	}
 
 	// Non-GET methods are rejected with an envelope too.
-	req := httptest.NewRequest(http.MethodPost, "/stats", nil)
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/stats", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /stats = %d", rec.Code)
+		t.Fatalf("POST /api/v1/stats = %d", rec.Code)
 	}
 	decodeErr(t, rec.Body.Bytes())
+}
+
+// TestUnversionedRoutesRemoved: the pre-/api/v1 routes other than
+// /healthz are gone. They answer the 404 envelope like any unknown path
+// and are counted under the route label "other".
+func TestUnversionedRoutesRemoved(t *testing.T) {
+	plat, _ := testPlatform(t)
+	h := New(plat, Options{})
+	for _, c := range []struct{ method, path string }{
+		{http.MethodGet, "/stats"},
+		{http.MethodGet, "/sparql?query=" + url.QueryEscape("SELECT ?t WHERE { ?t a kglids:Table . }")},
+		{http.MethodPost, "/ingest"},
+		{http.MethodDelete, "/tables/x/y"},
+	} {
+		counter := mHTTPRequests.WithLabelValues("other", c.method, "404")
+		before := counter.Value()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s = %d %s, want 404", c.method, c.path, rec.Code, rec.Body)
+			continue
+		}
+		decodeErr(t, rec.Body.Bytes())
+		if after := counter.Value(); after != before+1 {
+			t.Errorf("%s %s: route \"other\" 404 counter %d -> %d, want +1", c.method, c.path, before, after)
+		}
+	}
 }
 
 func TestConcurrentRequests(t *testing.T) {
@@ -164,11 +186,11 @@ func TestConcurrentRequests(t *testing.T) {
 	q := lake.QueryTables[0]
 	tableID := lake.Dataset[q] + "/" + q
 	paths := []string{
-		"/stats",
-		"/search?q=" + url.QueryEscape(q[:3]),
-		"/unionable?table=" + url.QueryEscape(tableID),
-		"/similar?table=" + url.QueryEscape(tableID),
-		"/libraries",
+		"/api/v1/stats",
+		"/api/v1/search?q=" + url.QueryEscape(q[:3]),
+		"/api/v1/unionable?table=" + url.QueryEscape(tableID),
+		"/api/v1/similar?table=" + url.QueryEscape(tableID),
+		"/api/v1/libraries",
 	}
 	done := make(chan error, 32)
 	for i := 0; i < 32; i++ {
@@ -246,20 +268,20 @@ func TestSPARQLTimeoutCancelsQuery(t *testing.T) {
 	decodeErr(t, body)
 }
 
-// TestSPARQLServedFromCache: repeated identical /sparql requests are
-// answered from the engine's generation-keyed result cache.
+// TestSPARQLServedFromCache: repeated identical /api/v1/sparql requests
+// are answered from the engine's generation-keyed result cache.
 func TestSPARQLServedFromCache(t *testing.T) {
 	plat, _ := testPlatform(t)
 	h := New(plat, Options{})
 	q := url.QueryEscape(`SELECT ?t WHERE { ?t a kglids:Table . }`)
 	before := plat.Core().Discovery.CacheStats()
 	for i := 0; i < 3; i++ {
-		if code, body := get(t, h, "/sparql?query="+q); code != http.StatusOK {
-			t.Fatalf("status = %d: %s", code, body)
+		if rec := getRaw(t, h, "/api/v1/sparql?query="+q, nil); rec.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", rec.Code, rec.Body)
 		}
 	}
 	after := plat.Core().Discovery.CacheStats()
 	if after.Hits < before.Hits+2 {
-		t.Fatalf("repeated /sparql did not hit the cache: before %+v after %+v", before, after)
+		t.Fatalf("repeated /api/v1/sparql did not hit the cache: before %+v after %+v", before, after)
 	}
 }

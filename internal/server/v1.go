@@ -25,16 +25,18 @@ import (
 // sparqlResultsJSON is the SPARQL 1.1 query-results media type.
 const sparqlResultsJSON = "application/sparql-results+json"
 
-// maxSPARQLBody bounds a POST /api/v1/sparql query body (1 MiB).
+// maxSPARQLBody bounds a POST /api/v1/sparql body (1 MiB), raw or
+// form-encoded; a larger body is answered 413.
 const maxSPARQLBody = 1 << 20
 
 // registerV1 mounts the versioned /api/v1 surface: stable DTOs (the types
 // of package kglids/client — the handlers marshal them directly, so the
 // wire contract and the typed client cannot drift), cursor/limit
 // pagination on every list endpoint, conditional GET bound to the store
-// generation, and a SPARQL 1.1 protocol endpoint.
+// generation, and a SPARQL 1.1 protocol endpoint. /healthz, the
+// load-balancer probe, serves the /api/v1/healthz body.
 //
-//	GET    /api/v1/healthz                      liveness + generation
+//	GET    /healthz, /api/v1/healthz            liveness + generation
 //	GET    /api/v1/stats                        graph statistics DTO
 //	GET    /api/v1/tables                       paginated table inventory
 //	GET    /api/v1/search?q=kw1,kw2             paginated keyword search
@@ -60,9 +62,8 @@ func (s *server) registerV1(mux *http.ServeMux) {
 		})
 	}
 
-	get("/api/v1/healthz", false, func(*http.Request) (any, error) {
-		return s.healthDTO(), nil
-	})
+	get("/healthz", false, s.handleHealth)
+	get("/api/v1/healthz", false, s.handleHealth)
 	get("/api/v1/stats", true, func(*http.Request) (any, error) {
 		return statsDTO(s.plat.Stats(), s.plat.Generation()), nil
 	})
@@ -176,13 +177,7 @@ func (s *server) registerV1(mux *http.ServeMux) {
 
 	// Mutation surface (async job queue; 503 without -ingest).
 	s.route(mux, "/api/v1/ingest", map[string]v1handler{
-		http.MethodPost: {status: http.StatusAccepted, fn: func(r *http.Request) (any, error) {
-			jobID, err := s.submitIngest(r)
-			if err != nil {
-				return nil, err
-			}
-			return client.JobRef{Job: jobID, State: string(ingest.Queued)}, nil
-		}},
+		http.MethodPost: {status: http.StatusAccepted, fn: s.handleIngest},
 	})
 	get("/api/v1/jobs", false, func(r *http.Request) (any, error) {
 		m, err := s.manager()
@@ -200,23 +195,9 @@ func (s *server) registerV1(mux *http.ServeMux) {
 		}
 		return pageOf(dtos, pg), nil
 	})
-	get("/api/v1/jobs/{id}", false, func(r *http.Request) (any, error) {
-		job, err := s.jobByID(r)
-		if err != nil {
-			return nil, err
-		}
-		return jobDTO(job), nil
-	})
+	get("/api/v1/jobs/{id}", false, s.handleJob)
 	s.route(mux, "/api/v1/tables/{id...}", map[string]v1handler{
-		// ServeMux percent-decodes the wildcard, so escaped slashes,
-		// spaces, and percent signs in table IDs round-trip.
-		http.MethodDelete: {status: http.StatusAccepted, fn: func(r *http.Request) (any, error) {
-			jobID, err := s.submitRemoval(r.PathValue("id"))
-			if err != nil {
-				return nil, err
-			}
-			return client.JobRef{Job: jobID, State: string(ingest.Queued)}, nil
-		}},
+		http.MethodDelete: {status: http.StatusAccepted, fn: s.handleDeleteTable},
 	})
 
 	// Replication surface: followers tail the mutation changelog and
@@ -354,9 +335,9 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// healthDTO assembles the health body shared by the v1 and legacy
-// endpoints: liveness, generation, and the instance's replication role.
-func (s *server) healthDTO() client.Health {
+// handleHealth serves the health body: liveness, generation, and the
+// instance's replication role.
+func (s *server) handleHealth(*http.Request) (any, error) {
 	h := client.Health{Status: "ok", Generation: s.plat.Generation(), Role: "primary"}
 	if s.readOnly {
 		h.Role = "replica"
@@ -365,7 +346,7 @@ func (s *server) healthDTO() client.Health {
 		h.Role = "replica"
 		h.AppliedGeneration, h.LagSeconds = s.replica.ReplicaHealth()
 	}
-	return h
+	return h, nil
 }
 
 // v1handler is one method's behavior on a v1 route.
@@ -617,7 +598,7 @@ func jobDTO(j ingest.Job) client.Job {
 
 // sparqlQueryFrom extracts the query per the SPARQL 1.1 protocol: the
 // query parameter on GET; a raw application/sparql-query body or a
-// form-encoded query field on POST.
+// form-encoded query field on POST, either at most maxSPARQLBody bytes.
 func sparqlQueryFrom(r *http.Request) (string, error) {
 	if r.Method == http.MethodGet {
 		q := r.URL.Query().Get("query")
@@ -631,11 +612,12 @@ func sparqlQueryFrom(r *http.Request) (string, error) {
 	if mt, _, err := mime.ParseMediaType(ctype); err == nil {
 		mediaType = mt
 	}
+	r.Body = http.MaxBytesReader(nil, r.Body, maxSPARQLBody)
 	switch mediaType {
 	case "application/sparql-query":
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxSPARQLBody))
+		body, err := io.ReadAll(r.Body)
 		if err != nil {
-			return "", badRequest("reading query body: " + err.Error())
+			return "", bodyError(fmt.Errorf("reading query body: %w", err))
 		}
 		q := strings.TrimSpace(string(body))
 		if q == "" {
@@ -644,7 +626,7 @@ func sparqlQueryFrom(r *http.Request) (string, error) {
 		return q, nil
 	case "application/x-www-form-urlencoded":
 		if err := r.ParseForm(); err != nil {
-			return "", badRequest("invalid form body: " + err.Error())
+			return "", bodyError(fmt.Errorf("invalid form body: %w", err))
 		}
 		q := r.PostForm.Get("query")
 		if q == "" {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -119,7 +120,7 @@ func TestV1GoldenJSON(t *testing.T) {
 }
 
 // TestV1NoTermLeakage: no v1 response may contain the marshaled internals
-// of rdf.Term (the legacy /search leak this surface exists to fix).
+// of rdf.Term.
 func TestV1NoTermLeakage(t *testing.T) {
 	plat := tinyPlatform(t)
 	h := New(plat, Options{})
@@ -402,7 +403,7 @@ func TestV1SPARQLProtocol(t *testing.T) {
 }
 
 // TestV1ParamValidation: invalid k/limit/cursor values are 400 envelopes
-// (no silent defaults), on the v1 and legacy surfaces alike.
+// (no silent defaults).
 func TestV1ParamValidation(t *testing.T) {
 	plat := tinyPlatform(t)
 	h := New(plat, Options{})
@@ -419,10 +420,8 @@ func TestV1ParamValidation(t *testing.T) {
 		"/api/v1/tables?cursor=!!!",              // not base64 at all
 		"/api/v1/tables?cursor=bm90LWEtY3Vyc29y", // valid base64, wrong prefix
 		"/api/v1/search?q=patients&limit=-1",
-		// Legacy routes validate the same way now.
-		"/unionable?table=" + table + "&k=abc",
-		"/similar?table=" + table + "&k=0",
-		"/libraries?k=-1",
+		"/api/v1/similar?table=" + table + "&k=0",
+		"/api/v1/libraries?k=-1",
 	}
 	for _, p := range badPaths {
 		rec := getRaw(t, h, p, nil)
@@ -440,50 +439,48 @@ func TestV1ParamValidation(t *testing.T) {
 	}
 }
 
-// TestLegacyDeprecation: legacy routes answer their frozen wire format
-// under a Deprecation header naming the v1 successor.
-func TestLegacyDeprecation(t *testing.T) {
+// TestNoRetirementHeaders: no route, on success or error, answers with
+// the deprecation or successor Link header that marked a retiring route:
+// there is one surface.
+func TestNoRetirementHeaders(t *testing.T) {
 	plat := tinyPlatform(t)
-	h := New(plat, Options{})
-
-	rec := getRaw(t, h, "/search?q=patients", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/search = %d %s", rec.Code, rec.Body)
-	}
-	if dep := rec.Header().Get("Deprecation"); dep != "true" {
-		t.Errorf("Deprecation = %q, want true", dep)
-	}
-	if link := rec.Header().Get("Link"); !strings.Contains(link, "/api/v1/search") ||
-		!strings.Contains(link, `rel="successor-version"`) {
-		t.Errorf("Link = %q, want successor-version pointing at /api/v1/search", link)
-	}
-	// The frozen legacy format still marshals raw rdf.Term structs.
-	if !strings.Contains(rec.Body.String(), `"Kind"`) ||
-		!strings.Contains(rec.Body.String(), rdfResourceNS) {
-		t.Errorf("legacy /search no longer serves its frozen wire format: %s", rec.Body)
-	}
-
-	// Errors carry the headers too (the deprecation signal must reach
-	// clients that only ever hit error paths).
-	rec = getRaw(t, h, "/unionable", nil)
-	if rec.Header().Get("Deprecation") != "true" {
-		t.Error("legacy error response lost the Deprecation header")
-	}
-
-	// /healthz is not deprecated.
-	rec = getRaw(t, h, "/healthz", nil)
-	if rec.Header().Get("Deprecation") != "" {
-		t.Error("/healthz must not be deprecated")
-	}
-	// v1 routes are not deprecated.
-	rec = getRaw(t, h, "/api/v1/stats", nil)
-	if rec.Header().Get("Deprecation") != "" {
-		t.Error("/api/v1/stats must not carry a Deprecation header")
+	mgr := ingest.New(plat.Core(), ingest.Options{Workers: 1, QueueSize: 4})
+	defer mgr.Close()
+	h := New(plat, Options{Ingest: mgr})
+	table := url.QueryEscape("health/patients.csv")
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodGet, "/healthz", ""},
+		{http.MethodGet, "/api/v1/healthz", ""},
+		{http.MethodGet, "/api/v1/stats", ""},
+		{http.MethodGet, "/api/v1/tables", ""},
+		{http.MethodGet, "/api/v1/search?q=patients", ""},
+		{http.MethodGet, "/api/v1/search", ""},
+		{http.MethodGet, "/api/v1/unionable?table=" + table, ""},
+		{http.MethodGet, "/api/v1/similar?table=" + table, ""},
+		{http.MethodGet, "/api/v1/libraries", ""},
+		{http.MethodGet, "/api/v1/sparql?query=" + url.QueryEscape("SELECT ?t WHERE { ?t a kglids:Table . }"), ""},
+		{http.MethodPost, "/api/v1/ingest", "not json"},
+		{http.MethodGet, "/api/v1/jobs", ""},
+		{http.MethodGet, "/api/v1/jobs/99", ""},
+		{http.MethodDelete, "/api/v1/tables/no/such.csv", ""},
+		{http.MethodGet, "/api/v1/changelog", ""},
+		{http.MethodPost, "/api/v1/snapshot", ""},
+		{http.MethodGet, "/stats", ""},
+		{http.MethodGet, "/search?q=patients", ""},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		if dep := rec.Header().Get("deprecation"); dep != "" {
+			t.Errorf("%s %s (%d) carries deprecation: %s", c.method, c.path, rec.Code, dep)
+		}
+		if link := rec.Header().Get("Link"); link != "" {
+			t.Errorf("%s %s (%d) carries Link: %s", c.method, c.path, rec.Code, link)
+		}
 	}
 }
 
 // TestDeleteTableUnescapesID: a table ID with percent-encoded characters
-// (space, slash) round-trips through DELETE on both surfaces.
+// (space, slash) round-trips through DELETE.
 func TestDeleteTableUnescapesID(t *testing.T) {
 	df := dataframe.New("daily admissions.csv") // space forces %20 on the wire
 	s := &dataframe.Series{Name: "patient"}
@@ -528,14 +525,6 @@ func TestDeleteTableUnescapesID(t *testing.T) {
 		if _, err := plat.AddTables([]kglids.Table{{Dataset: "health", Frame: df}}); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	// The legacy route decodes identically.
-	req := httptest.NewRequest(http.MethodDelete, "/tables/health/daily%20admissions.csv", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("legacy DELETE = %d %s", rec.Code, rec.Body)
 	}
 }
 
@@ -671,8 +660,8 @@ func TestV1JobsSurface(t *testing.T) {
 	}
 }
 
-// TestV1TimeoutEnvelope: the per-request deadline applies to v1 SPARQL
-// exactly as to the legacy endpoint.
+// TestV1TimeoutEnvelope: the per-request deadline cuts off a v1 SPARQL
+// query with the 504 envelope.
 func TestV1TimeoutEnvelope(t *testing.T) {
 	plat, _ := testPlatform(t)
 	h := New(plat, Options{RequestTimeout: 10 * time.Millisecond})
@@ -684,4 +673,36 @@ func TestV1TimeoutEnvelope(t *testing.T) {
 		t.Fatalf("status = %d, want 504; body %s", rec.Code, rec.Body)
 	}
 	decodeErr(t, rec.Body.Bytes())
+}
+
+// TestSPARQLBodyTooLarge: a SPARQL POST body over maxSPARQLBody is
+// refused with 413 naming the cap, in both protocol media types, instead
+// of running the query that fits under it; a body of exactly the cap
+// runs.
+func TestSPARQLBodyTooLarge(t *testing.T) {
+	plat := tinyPlatform(t)
+	h := New(plat, Options{})
+	for _, c := range []struct{ ctype, prefix string }{
+		{"application/sparql-query", "SELECT ?s WHERE { ?s ?p ?o } LIMIT 1"},
+		{"application/x-www-form-urlencoded", "query=" + url.QueryEscape("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1")},
+	} {
+		post := func(size int64) *httptest.ResponseRecorder {
+			req := httptest.NewRequest(http.MethodPost, "/api/v1/sparql", paddedBody(c.prefix, size))
+			req.Header.Set("Content-Type", c.ctype)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			return rec
+		}
+		rec := post(maxSPARQLBody + 1)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s POST of %d bytes = %d %.200s, want 413", c.ctype, maxSPARQLBody+1, rec.Code, rec.Body)
+			continue
+		}
+		if msg := decodeErr(t, rec.Body.Bytes()); !strings.Contains(msg, strconv.Itoa(maxSPARQLBody)) {
+			t.Errorf("%s: 413 message %q does not name the %d-byte cap", c.ctype, msg, maxSPARQLBody)
+		}
+		if rec := post(maxSPARQLBody); rec.Code != http.StatusOK {
+			t.Errorf("%s POST of exactly %d bytes = %d %.200s, want 200", c.ctype, maxSPARQLBody, rec.Code, rec.Body)
+		}
+	}
 }

@@ -157,15 +157,6 @@ func BootstrapSource(ctx context.Context, opts Options, uri string) (*Platform, 
 	return &Platform{core: c}, failed, nil
 }
 
-// SetEdgeTuning adjusts the blocked similarity-edge pipeline knobs on a
-// live platform (0 keeps a knob's current value) — typically applied to a
-// freshly opened snapshot before enabling ingestion, since snapshots
-// persist thresholds but not performance tuning. The knobs change where
-// similarity-build time and memory go, never the edge set.
-func (p *Platform) SetEdgeTuning(blockSize, candidates int) {
-	p.core.SetEdgeTuning(blockSize, candidates)
-}
-
 // Save persists the bootstrapped platform — triple store, profiles,
 // embeddings, vector indexes, and pipeline scripts — to a single snapshot
 // file at path. Open reloads it without re-profiling the lake. Trained
