@@ -18,8 +18,9 @@ import (
 // store's IDs is what keeps rankings identical to a walk of the edge
 // quads: a table's columns come out in the order of its hasColumn index.
 //
-// It is built once at bootstrap or restore and changed afterwards only by
-// commit, in its p.mu write sections; readers hold p.mu's read lock.
+// It starts empty with the platform and is changed only by apply and
+// removeTableLocked, in their p.mu write sections; readers hold p.mu's
+// read lock.
 type adjacency struct {
 	mu      *sync.RWMutex
 	tables  map[store.TermID][]store.TermID // table → its columns, ascending
@@ -45,12 +46,9 @@ type adjColumn struct {
 // edgeKinds are the edge kinds in the order they sort.
 var edgeKinds = [2]string{"ContentSimilarity", "LabelSimilarity"}
 
-// newAdjacency builds the adjacency of a platform's profiles and edges,
-// whose quads st already holds.
-func newAdjacency(mu *sync.RWMutex, st *store.Store, profiles []*profiler.ColumnProfile, edges []schema.Edge) *adjacency {
-	s := &adjacency{mu: mu, tables: map[store.TermID][]store.TermID{}, columns: map[store.TermID]*adjColumn{}, ids: map[string]store.TermID{}}
-	s.add(s.encode(st, profiles, edges))
-	return s
+// newAdjacency returns an empty adjacency whose readers lock mu.
+func newAdjacency(mu *sync.RWMutex) *adjacency {
+	return &adjacency{mu: mu, tables: map[store.TermID][]store.TermID{}, columns: map[store.TermID]*adjColumn{}, ids: map[string]store.TermID{}}
 }
 
 // VisitColumns implements discovery.Adjacency.

@@ -13,13 +13,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"kglids/internal/dataframe"
 	"kglids/internal/discovery"
 	"kglids/internal/embed"
 	"kglids/internal/pipeline"
 	"kglids/internal/profiler"
+	"kglids/internal/rdf"
 	"kglids/internal/schema"
 	"kglids/internal/sparql"
 	"kglids/internal/store"
@@ -114,36 +114,38 @@ type Platform struct {
 	// N small ingests costs O(new labels) embeddings per batch, not
 	// O(all labels).
 	labels *schema.LabelCache
-	// Timings of the bootstrap phases.
-	ProfilingTime   time.Duration
-	SchemaBuildTime time.Duration
 }
 
-// Bootstrap profiles the lake and constructs the dataset graph.
+// Bootstrap profiles the lake (Algorithm 2) and commits the profiles onto
+// the empty platform. That first commit builds the data global schema
+// (Algorithm 3), the embedding indexes and the linker exactly as every
+// later AddTables does.
 func Bootstrap(cfg Config, tables []Table) *Platform {
-	p := newPlatform(cfg)
-
-	// Phase 1: Data Profiling (Algorithm 2).
-	start := time.Now()
-	var ptables []profiler.Table
+	p := newPlatform(cfg, store.New())
+	ptables := make([]profiler.Table, 0, len(tables))
 	for _, t := range tables {
 		ptables = append(ptables, profiler.Table{Dataset: t.Dataset, Frame: t.Frame})
 	}
-	profiles := p.profiler.ProfileAll(ptables)
-	p.finishBootstrap(profiles, time.Since(start))
+	p.addProfiles(nil, p.profiler.ProfileAll(ptables))
 	return p
 }
 
-// newPlatform builds the empty platform shell shared by Bootstrap and
-// BootstrapSource.
-func newPlatform(cfg Config) *Platform {
+// newPlatform returns a complete, empty, query-ready platform over st, the
+// one state every platform starts from: Bootstrap and BootstrapSource
+// commit their profiles onto it, and Restore applies its decoded state to
+// it.
+func newPlatform(cfg Config, st *store.Store) *Platform {
 	p := &Platform{
-		Store:      store.New(),
-		TableIndex: vectorindex.NewExact(),
-		cfg:        cfg,
-		labels:     schema.NewLabelCache(),
+		Store:           st,
+		Linker:          schema.NewLinker(nil),
+		TableIndex:      vectorindex.NewExact(),
+		TableANN:        vectorindex.NewHNSW(defaultANNM, defaultANNEfConstruction, defaultANNEfSearch),
+		TableEmbeddings: map[string]embed.Vector{},
+		cfg:             cfg,
+		profiler:        profiler.New(),
+		abstractor:      pipeline.NewAbstractor(),
+		labels:          schema.NewLabelCache(),
 	}
-	p.profiler = profiler.New()
 	if cfg.CoLR != nil {
 		p.profiler.CoLR = cfg.CoLR
 	}
@@ -152,56 +154,10 @@ func newPlatform(cfg Config) *Platform {
 	}
 	p.profiler.ReservoirSize = cfg.ReservoirSize
 	p.profiler.ExactDistinct = cfg.ExactDistinct
-	return p
-}
-
-// finishBootstrap runs phases 2-4 over already-computed profiles — the
-// join point of the in-memory and streaming bootstrap paths.
-func (p *Platform) finishBootstrap(profiles []*profiler.ColumnProfile, profilingTime time.Duration) {
-	p.Profiles = profiles
-	p.ProfilingTime = profilingTime
-
-	// Phase 2: Data Global Schema (Algorithm 3).
-	buildGraph := func() {
-		start := time.Now()
-		edges := p.newBuilder().BuildGraph(p.Store, p.Profiles)
-		p.SchemaBuildTime = time.Since(start)
-		p.adj = newAdjacency(&p.mu, p.Store, p.Profiles, edges)
-	}
-	// Phases 2 and 3 read the profiles and write disjoint state (the store
-	// and adjacency; the table embeddings and indexes), so phase 3 runs
-	// beside phase 2 unless the platform is held to one worker.
-	if p.cfg.Workers == 1 {
-		buildGraph()
-		p.buildEmbeddingIndexes()
-	} else {
-		indexed := make(chan struct{})
-		go func() {
-			defer close(indexed)
-			p.buildEmbeddingIndexes()
-		}()
-		buildGraph()
-		<-indexed
-	}
-
-	// Phase 4: Graph Linker and interfaces.
-	p.Linker = schema.NewLinker(p.Profiles)
-	p.abstractor = pipeline.NewAbstractor()
 	p.graphs = p.newGraphBuilder()
+	p.adj = newAdjacency(&p.mu)
 	p.Discovery = discovery.New(p.Store, p.adj)
-}
-
-// buildEmbeddingIndexes is bootstrap phase 3: the table embeddings (Eq. 1)
-// and their exact and HNSW indexes. Tables are indexed in sorted ID order
-// so bootstrap is deterministic — the HNSW graph and tie-breaking in exact
-// search depend on insertion order.
-func (p *Platform) buildEmbeddingIndexes() {
-	p.TableEmbeddings = tableEmbeddings(p.Profiles)
-	p.TableANN = vectorindex.NewHNSW(defaultANNM, defaultANNEfConstruction, defaultANNEfSearch)
-	for _, tid := range sortedIDs(p.TableEmbeddings) {
-		p.TableIndex.Add(tid, p.TableEmbeddings[tid])
-		p.TableANN.Add(tid, p.TableEmbeddings[tid])
-	}
+	return p
 }
 
 // tableEmbeddings groups column embeddings by table and fine-grained type
@@ -251,9 +207,9 @@ const (
 	defaultANNEfSearch       = 64
 )
 
-// newBuilder configures a schema builder exactly as Bootstrap does, so
-// incremental mutations score similarity identically to a full build. All
-// builders of one platform share its persistent label-embedding cache.
+// newBuilder configures the schema builder of every commit, bootstrap's
+// included. All builders of one platform share its persistent
+// label-embedding cache.
 func (p *Platform) newBuilder() *schema.Builder {
 	b := schema.NewBuilder()
 	b.Thresholds = p.cfg.Thresholds
@@ -306,9 +262,11 @@ func (p *Platform) AddTables(tables []Table) ([]string, error) {
 }
 
 // addProfiles makes the already-profiled tables ids part of the live
-// platform, replacing resident versions — the mutation both AddTables
-// (in-memory profiling) and AddSourceTable (streaming profiling) end in,
-// which is why they produce identical platforms for identical data.
+// platform, replacing resident versions — the mutation Bootstrap and
+// AddTables (in-memory profiling) and BootstrapSource and AddSourceTable
+// (streaming profiling) all end in, which is why they produce identical
+// platforms for identical data. Bootstrap passes no ids: nothing is
+// resident to replace.
 //
 // It builds the delta and commits it: similarity edges of the new columns
 // against the resident profiles minus the versions being replaced, and the
@@ -357,26 +315,24 @@ func (p *Platform) RemoveTable(id string) error {
 	return nil
 }
 
-// commit makes one table mutation take effect. After bootstrap or restore
-// it is the only writer of Profiles, the similarity adjacency,
-// TableEmbeddings, the embedding indexes, the linker and the store's table
-// quads: a primary's mutations and a follower's ApplyPlatformDelta both
+// commit makes one table mutation take effect: a primary's mutations,
+// bootstrap's first one included, and a follower's ApplyPlatformDelta all
 // are a call of it, so a replayed platform equals its primary record by
 // record. Caller holds ingestMu.
 //
 // The quad batches are built first, so an updated table is absent for two
 // store batches and no more. The removals go next, each platform half first
-// (discovery stops returning the table), then the additions: their quads,
-// then apply. On a primary the delta then becomes one changelog record.
+// (discovery stops returning the table), then the additions: apply, with
+// their quads. On a primary the delta then becomes one changelog record.
 func (p *Platform) commit(d *PlatformDelta) {
 	before := p.Store.Generation()
 	metaQuads, edgeQuads := schema.MetadataQuads(d.Profiles), schema.EdgeQuads(d.Edges)
 	for _, id := range d.Removed {
 		p.removeTableLocked(id)
 	}
-	p.Store.AddBatch(metaQuads)
-	p.Store.AddBatch(edgeQuads)
-	p.apply(d)
+	// Sorted insertion order: the exact index's tie-breaking and the HNSW
+	// graph depend on it.
+	p.apply(d, sortedIDs(d.TableEmbeddings), metaQuads, edgeQuads)
 	p.record(store.ChangeTables, d, before)
 }
 
@@ -404,20 +360,32 @@ func (p *Platform) removeTableLocked(id string) {
 	p.Store.RemoveGraph(schema.TableGraph(id))
 }
 
-// apply makes the additions of a delta visible to discovery; caller holds
-// ingestMu. The store is only read, to resolve the delta's terms to the
-// IDs the adjacency is keyed by, so the additions' quads must already be
-// in it. The p.mu write section holds no sort, no store call and no work
-// sized by the resident edges: it appends the delta's entries.
-func (p *Platform) apply(d *PlatformDelta) {
-	// Sorted insertion order, as at bootstrap: the exact index's
-	// tie-breaking and the HNSW graph depend on it.
-	for _, tid := range sortedIDs(d.TableEmbeddings) {
-		p.TableIndex.Add(tid, d.TableEmbeddings[tid])
-		p.TableANN.Add(tid, d.TableEmbeddings[tid])
+// apply makes the additions of a delta part of the platform. It is the only
+// writer of the additions to Profiles, the similarity adjacency,
+// TableEmbeddings, the embedding indexes and the linker: commit calls it
+// with the delta's quad batches, Restore with the decoded state and none.
+// Caller holds ingestMu, or owns a platform not yet published.
+//
+// The batches go into the store first, since the adjacency is keyed by the
+// IDs the store resolves the delta's terms to. The indexes are filled in
+// order on a goroutine beside that work, as they share no state with it.
+// The p.mu write section holds no sort, no store call and no work sized by
+// the resident edges: it appends the delta's entries.
+func (p *Platform) apply(d *PlatformDelta, order []string, batches ...[]rdf.Quad) {
+	indexed := make(chan struct{})
+	go func() {
+		defer close(indexed)
+		for _, tid := range order {
+			p.TableIndex.Add(tid, d.TableEmbeddings[tid])
+			p.TableANN.Add(tid, d.TableEmbeddings[tid])
+		}
+	}()
+	for _, batch := range batches {
+		p.Store.AddBatch(batch)
 	}
 	p.Linker.AddProfiles(d.Profiles)
 	add := p.adj.encode(p.Store, d.Profiles, d.Edges)
+	<-indexed
 
 	p.mu.Lock()
 	p.Profiles = append(p.Profiles, d.Profiles...)

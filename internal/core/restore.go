@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"kglids/internal/discovery"
 	"kglids/internal/embed"
 	"kglids/internal/pipeline"
 	"kglids/internal/profiler"
@@ -28,10 +27,11 @@ type RestoredState struct {
 	// TableEmbeddings maps "dataset/table" to its unnormalized embedding.
 	TableEmbeddings map[string]embed.Vector
 	// TableOrder is the TableIndex insertion order at save time, preserved
-	// so tie-breaking in exact search is identical after a reload.
+	// so tie-breaking in exact search is identical after a reload. It must
+	// list every key of TableEmbeddings, and nothing else, once.
 	TableOrder []string
-	// TableANN is the restored HNSW graph, or nil to rebuild it from
-	// TableOrder.
+	// TableANN is the restored HNSW graph, holding exactly the tables of
+	// TableEmbeddings, or nil to rebuild it from TableOrder.
 	TableANN *vectorindex.HNSW
 	// Scripts are the pipeline scripts added before the save; they are
 	// re-abstracted on restore (cheap, deterministic) to repopulate
@@ -56,47 +56,29 @@ type RestoredState struct {
 	ChangelogPos uint64
 }
 
-// Restore reassembles a query-ready Platform from decoded snapshot state.
+// Restore reassembles a query-ready Platform from decoded snapshot state:
+// one apply of it onto the empty platform, the apply every commit ends in.
 // It performs no profiling and no similarity computation; cost is linear in
 // the number of columns, tables, and pipeline statements.
 func Restore(st RestoredState) (*Platform, error) {
 	if st.Store == nil {
 		return nil, fmt.Errorf("core: restore requires a store")
 	}
-	p := &Platform{
-		Store:           st.Store,
-		Profiles:        st.Profiles,
-		TableIndex:      vectorindex.NewExact(),
-		TableANN:        st.TableANN,
-		TableEmbeddings: st.TableEmbeddings,
-		cfg:             DefaultConfig(),
+	if err := checkTableSets(st); err != nil {
+		return nil, err
 	}
+	cfg := DefaultConfig()
 	if st.Config != nil {
-		p.cfg = *st.Config
+		cfg = *st.Config
 	}
-	if p.TableEmbeddings == nil {
-		p.TableEmbeddings = map[string]embed.Vector{}
+	p := newPlatform(cfg, st.Store)
+	// A persisted HNSW graph holds exactly the tables apply adds, and
+	// re-adding an ID it holds only swaps in the same normalized vector, so
+	// the graph survives apply unchanged.
+	if st.TableANN != nil {
+		p.TableANN = st.TableANN
 	}
-	p.labels = schema.NewLabelCache()
-	p.profiler = profiler.New()
-	for _, tid := range st.TableOrder {
-		emb, ok := p.TableEmbeddings[tid]
-		if !ok {
-			return nil, fmt.Errorf("core: table order references unknown table %q", tid)
-		}
-		p.TableIndex.Add(tid, emb)
-	}
-	if p.TableANN == nil {
-		p.TableANN = vectorindex.NewHNSW(defaultANNM, defaultANNEfConstruction, defaultANNEfSearch)
-		for _, tid := range st.TableOrder {
-			p.TableANN.Add(tid, p.TableEmbeddings[tid])
-		}
-	}
-	p.Linker = schema.NewLinker(st.Profiles)
-	p.abstractor = pipeline.NewAbstractor()
-	p.graphs = p.newGraphBuilder()
-	p.adj = newAdjacency(&p.mu, p.Store, p.Profiles, st.Edges)
-	p.Discovery = discovery.New(p.Store, p.adj)
+	p.apply(&PlatformDelta{Profiles: st.Profiles, Edges: st.Edges, TableEmbeddings: st.TableEmbeddings}, st.TableOrder)
 	if len(st.Scripts) > 0 {
 		p.AddPipelines(st.Scripts)
 	}
@@ -114,6 +96,44 @@ func Restore(st RestoredState) (*Platform, error) {
 		p.Discovery.CacheImport(st.QueryCache)
 	}
 	return p, nil
+}
+
+// checkTableSets rejects state whose table order, or persisted HNSW graph,
+// does not hold exactly the tables of its embeddings, each once: the
+// restored indexes would otherwise disagree with the platform's tables. It
+// also rejects embeddings of differing lengths, which the HNSW index
+// cannot compare.
+func checkTableSets(st RestoredState) error {
+	seen := make(map[string]bool, len(st.TableOrder))
+	dim := -1
+	for _, id := range st.TableOrder {
+		emb, ok := st.TableEmbeddings[id]
+		if !ok {
+			return fmt.Errorf("core: table order references unknown table %q", id)
+		}
+		if seen[id] {
+			return fmt.Errorf("core: table order lists table %q twice", id)
+		}
+		if dim >= 0 && len(emb) != dim {
+			return fmt.Errorf("core: table %q has a %d-dimensional embedding, want %d", id, len(emb), dim)
+		}
+		seen[id] = true
+		dim = len(emb)
+	}
+	if len(seen) != len(st.TableEmbeddings) {
+		return fmt.Errorf("core: table order lists %d of %d tables", len(seen), len(st.TableEmbeddings))
+	}
+	if h := st.TableANN; h != nil {
+		if h.Len() != len(seen) {
+			return fmt.Errorf("core: HNSW graph holds %d tables, want %d", h.Len(), len(seen))
+		}
+		for _, id := range st.TableOrder {
+			if !h.Has(id) {
+				return fmt.Errorf("core: HNSW graph lacks table %q", id)
+			}
+		}
+	}
+	return nil
 }
 
 // Scripts returns the scripts of all abstractions added so far, in order —

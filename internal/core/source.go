@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"kglids/internal/connector"
+	"kglids/internal/store"
 )
 
 // Source-based ingestion: the streaming twin of Bootstrap/AddTables.
@@ -28,18 +28,17 @@ func (p *Platform) OpenSource(uri string) (connector.Source, error) {
 	return connector.OpenWith(uri, p.connectorOpts())
 }
 
-// BootstrapSource streams a connector source and bootstraps a platform
-// from its profiles — Bootstrap for lakes that don't fit in memory.
+// BootstrapSource streams a connector source and commits its profiles onto
+// the empty platform — Bootstrap for lakes that don't fit in memory.
 // Tables that fail to open or stream are skipped and reported in the
 // returned map by table ID (mirroring the lake walker's skip-unreadable
 // behavior); enumeration failure or context cancellation fails the call.
 func BootstrapSource(ctx context.Context, cfg Config, uri string) (*Platform, map[string]error, error) {
-	p := newPlatform(cfg)
+	p := newPlatform(cfg, store.New())
 	src, err := connector.OpenWith(uri, p.connectorOpts())
 	if err != nil {
 		return nil, nil, err
 	}
-	start := time.Now()
 	profiles, tableErrs, err := p.profiler.ProfileSource(ctx, src)
 	if err != nil {
 		return nil, nil, err
@@ -47,7 +46,7 @@ func BootstrapSource(ctx context.Context, cfg Config, uri string) (*Platform, ma
 	if len(profiles) == 0 {
 		return nil, tableErrs, fmt.Errorf("core: no readable tables in source %s", uri)
 	}
-	p.finishBootstrap(profiles, time.Since(start))
+	p.addProfiles(nil, profiles)
 	return p, tableErrs, nil
 }
 

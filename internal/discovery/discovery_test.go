@@ -48,8 +48,8 @@ func fixture(t *testing.T) (*store.Store, map[string]rdf.Term) {
 		"location":  cities,
 		"residents": {"1704694", "2731571", "631486", "934243", "1239220", "675647", "2746388", "737015"},
 	}, []string{"location", "residents"})
-	b := schema.NewBuilder()
-	b.BuildGraph(st, allProfiles)
+	st.AddBatch(schema.MetadataQuads(allProfiles))
+	st.AddBatch(schema.EdgeQuads(schema.NewBuilder().SimilarityEdges(allProfiles)))
 	tables := map[string]rdf.Term{
 		"A": schema.TableIRI("heartds/heart_disease_patients.csv"),
 		"B": schema.TableIRI("failure/heart_failure_clinical.csv"),

@@ -17,7 +17,6 @@ import (
 	"kglids/internal/embed"
 	"kglids/internal/profiler"
 	"kglids/internal/rdf"
-	"kglids/internal/store"
 )
 
 // Thresholds are the user-defined similarity thresholds of Algorithm 3:
@@ -358,18 +357,8 @@ func EdgeQuads(edges []Edge) []rdf.Quad {
 	return quads
 }
 
-// BuildGraph constructs the dataset graph in st: per-table metadata
-// subgraphs in per-table named graphs and similarity edges annotated with
-// certainty scores in the default graph, then returns the edges.
-func (b *Builder) BuildGraph(st *store.Store, profiles []*profiler.ColumnProfile) []Edge {
-	st.AddBatch(MetadataQuads(profiles))
-	edges := b.SimilarityEdges(profiles)
-	st.AddBatch(EdgeQuads(edges))
-	return edges
-}
-
-// SortEdges orders edges by (A, B, Kind), the canonical order BuildGraph
-// and the delta builders return.
+// SortEdges orders edges by (A, B, Kind), the canonical order the edge
+// builders return.
 func SortEdges(edges []Edge) {
 	sort.Slice(edges, func(i, j int) bool {
 		a, b := &edges[i], &edges[j]

@@ -131,7 +131,9 @@ func TestBuildGraph(t *testing.T) {
 	st := store.New()
 	b := NewBuilder()
 	profiles := fixtureProfiles(t)
-	edges := b.BuildGraph(st, profiles)
+	st.AddBatch(MetadataQuads(profiles))
+	edges := b.SimilarityEdges(profiles)
+	st.AddBatch(EdgeQuads(edges))
 	if len(edges) == 0 {
 		t.Fatal("no edges")
 	}

@@ -312,7 +312,8 @@ func TestSaveIsAtomic(t *testing.T) {
 }
 
 // payloadSeeds are the payload of a small platform — two tables, one
-// pipeline, one cached query — and each of its sections alone.
+// pipeline, one cached query — each of its sections alone, and the payload
+// with a table order that leaves a table out.
 func payloadSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	var tables []core.Table
@@ -354,7 +355,7 @@ func payloadSeeds(t testing.TB) [][]byte {
 		r.off += int(n)
 		seeds = append(seeds, payload[start:r.off])
 	}
-	return seeds
+	return append(seeds, omitFirstOrderedTable(t, payload))
 }
 
 // FuzzDecodePayload throws arbitrary payloads at the snapshot decoder, as

@@ -64,6 +64,14 @@ func (h *HNSW) Len() int {
 	return len(h.nodes) - h.nDeleted
 }
 
+// Has reports whether id is in the index; tombstoned IDs are not.
+func (h *HNSW) Has(id string) bool {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	_, ok := h.byID[id]
+	return ok
+}
+
 // Add implements Index. Re-adding an ID that was removed inserts a fresh
 // node with newly selected neighbours (the tombstone stays behind until
 // compaction).
