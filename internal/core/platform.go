@@ -536,8 +536,8 @@ func (p *Platform) TableIRI(id string) (string, error) {
 func (p *Platform) SimilarTablesByEmbedding(df *dataframe.DataFrame, k int) []vectorindex.Result {
 	byType := map[embed.Type][]embed.Vector{}
 	for i := 0; i < df.NumCols(); i++ {
-		cp := p.profiler.ProfileColumn("query", df.Name, df.ColumnAt(i))
-		byType[cp.Type] = append(byType[cp.Type], cp.Embed)
+		t, emb := p.profiler.EmbedColumn(df.ColumnAt(i))
+		byType[t] = append(byType[t], emb)
 	}
 	return p.TableIndex.Search(embed.TableEmbedding(byType), k)
 }

@@ -1,12 +1,14 @@
 package embed
 
 import (
-	"hash/fnv"
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Type is the fine-grained column data type inferred by the profiler
@@ -100,7 +102,7 @@ func (c *CoLR) EncodeSampled(sample []string, t Type) Vector {
 		// Booleans are compared via true-ratio, not embeddings (Alg. 3);
 		// still produce a coarse signature so table embeddings are stable.
 		for _, s := range sample {
-			addHashed(v, "bool:"+strings.ToLower(s), 1.0/float64(len(sample)))
+			addHash(v, fnv1a(seedBool, strings.ToLower(s)), 1.0/float64(len(sample)))
 		}
 	default: // named_entity, natural_language, string
 		for _, s := range sample {
@@ -117,14 +119,11 @@ func (c *CoLR) EncodeSampled(sample []string, t Type) Vector {
 // bounded reservoir selects exactly the values the in-memory sample
 // would — same hash, same ordering, identical embedding.
 func SampleHash(s string, i int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	var ib [8]byte
+	h := Hash64(s)
 	for b := 0; b < 8; b++ {
-		ib[b] = byte(i >> (8 * b))
+		h = fnvByte(h, byte(i>>(8*b)))
 	}
-	h.Write(ib[:])
-	return h.Sum64()
+	return h
 }
 
 // SampleSize returns how many values the sampler keeps for a column of n
@@ -144,7 +143,8 @@ func (c *CoLR) SampleSize(n int) int {
 }
 
 // sample draws a deterministic pseudo-random sample of the values
-// (hash-ordered), honoring SampleFraction and MinSample.
+// (hash-ordered, position breaking a hash tie), honoring SampleFraction
+// and MinSample.
 func (c *CoLR) sample(values []string) []string {
 	n := c.SampleSize(len(values))
 	if n >= len(values) {
@@ -158,7 +158,12 @@ func (c *CoLR) sample(values []string) []string {
 	for i, s := range values {
 		hs[i] = hv{h: SampleHash(s, i), i: i}
 	}
-	sort.Slice(hs, func(a, b int) bool { return hs[a].h < hs[b].h })
+	slices.SortFunc(hs, func(a, b hv) int {
+		if c := cmp.Compare(a.h, b.h); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
 	out := make([]string, n)
 	for k := 0; k < n; k++ {
 		out[k] = values[hs[k].i]
@@ -166,17 +171,76 @@ func (c *CoLR) sample(values []string) []string {
 	return out
 }
 
-// encodeStringValue hashes the whole value and its character trigrams.
+// Seeds of the feature-key prefixes (see Hash64), and the hashes of the
+// numeric keys, which take no value: zbinHash[k] is the hash of "zbin:k".
+var (
+	seedVal, seedTok, seedNval, seedBool = Hash64("val:"), Hash64("tok:"), Hash64("nval:"), Hash64("bool:")
+	seedYear, seedDecade                 = Hash64("year:"), Hash64("decade:")
+	seedMonth, seedDow                   = Hash64("month:"), Hash64("dow:")
+	hashNeg, hashIntlike                 = Hash64("neg"), Hash64("intlike")
+	zbinHash, mbinHash                   = binHashes("zbin:", 25), binHashes("mbin:", 30)
+)
+
+func binHashes(prefix string, n int) []uint64 {
+	out := make([]uint64, n)
+	for k := range out {
+		out[k] = fnvInt(Hash64(prefix), k)
+	}
+	return out
+}
+
+// encodeStringValue hashes the whole value, its character trigrams and
+// its whitespace-separated tokens.
 func encodeStringValue(v Vector, s string, w float64) {
 	ls := strings.ToLower(strings.TrimSpace(s))
-	addHashed(v, "val:"+ls, 2.0*w)
-	padded := "^" + ls + "$"
-	for i := 0; i+3 <= len(padded); i++ {
-		addHashed(v, "tri:"+padded[i:i+3], w)
+	addHash(v, fnv1a(seedVal, ls), 2.0*w)
+	addTrigrams(v, ls, w)
+	for tok, rest := nextField(ls); tok != ""; tok, rest = nextField(rest) {
+		addHash(v, fnv1a(seedTok, tok), w)
 	}
-	for _, tok := range strings.Fields(ls) {
-		addHashed(v, "tok:"+tok, w)
+}
+
+// nextField returns the first field of s as strings.Fields splits it (runs
+// of runes that are not unicode.IsSpace), and the rest of s after it; ""
+// when s has no field left.
+func nextField(s string) (field, rest string) {
+	start := -1
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if !unicode.IsSpace(r) {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			return s[start:i], s[i:]
+		}
+		i += size
 	}
+	if start < 0 {
+		return "", ""
+	}
+	return s[start:], ""
+}
+
+// binReach is how many centre spacings from a value its soft-histogram
+// bins reach: a bin counts when exp(-d²) > 1e-3, that is |d| < 2.63 widths,
+// which is under 2.63 spacings for the z bins (width = spacing) and under
+// 2.29 for the magnitude bins (width 0.3, spacing 10/29). Rounding the
+// value's position to the nearest centre adds at most half a spacing.
+const binReach = 3
+
+// binWindow returns the indices lo..hi of the n centres within binReach of
+// position x, measured in centre spacings from centre 0; lo > hi when none
+// is, or x is not a number.
+func binWindow(x float64, n int) (lo, hi int) {
+	if !(x > -binReach-1 && x < float64(n+binReach)) {
+		return 0, -1
+	}
+	k := int(math.Floor(x + 0.5))
+	return max(k-binReach, 0), min(k+binReach, n-1)
 }
 
 // encodeNumeric embeds a numeric sample: a z-scored soft histogram captures
@@ -201,15 +265,19 @@ func (c *CoLR) encodeNumeric(v Vector, sample []string) {
 		// Raw-value overlap is the paper's first similarity criterion;
 		// exact values dominate for columns sharing actual data (e.g.
 		// horizontal partitions of one source table).
-		addHashed(v, "nval:"+strconv.FormatFloat(f, 'g', -1, 64), 1.5*w)
+		var buf [32]byte
+		addHash(v, fnv1a(seedNval, strconv.AppendFloat(buf[:0], f, 'g', -1, 64)), 1.5*w)
 		z := (f - mean) / std
-		// Soft histogram over 25 RBF centers in [-3, 3].
-		for k := 0; k < 25; k++ {
+		// Soft histogram over 25 RBF centers in [-3, 3]; only those in
+		// reach of z are evaluated, and they pass the same test in the
+		// same order as a loop over all 25 would.
+		lo, hi := binWindow((z+3)*4, len(zbinHash))
+		for k := lo; k <= hi; k++ {
 			center := -3.0 + 6.0*float64(k)/24.0
 			d := (z - center) / 0.25
 			wk := math.Exp(-d * d)
 			if wk > 1e-3 {
-				addHashed(v, "zbin:"+itoa(k), wk*w)
+				addHash(v, zbinHash[k], wk*w)
 			}
 		}
 		// Log-magnitude soft bins over [0, 10]. The weight balances two
@@ -218,19 +286,20 @@ func (c *CoLR) encodeNumeric(v Vector, sample []string) {
 		// columns from unrelated sources at different scales should fall
 		// below the materialization threshold θ.
 		mag := math.Log10(math.Abs(f) + 1)
-		for k := 0; k < 30; k++ {
+		lo, hi = binWindow(mag*2.9, len(mbinHash))
+		for k := lo; k <= hi; k++ {
 			center := 10.0 * float64(k) / 29.0
 			d := (mag - center) / 0.3
 			wk := math.Exp(-d * d)
 			if wk > 1e-3 {
-				addHashed(v, "mbin:"+itoa(k), 0.35*wk*w)
+				addHash(v, mbinHash[k], 0.35*wk*w)
 			}
 		}
 		if f < 0 {
-			addHashed(v, "neg", 0.5*w)
+			addHash(v, hashNeg, 0.5*w)
 		}
 		if f == math.Trunc(f) {
-			addHashed(v, "intlike", 0.25*w)
+			addHash(v, hashIntlike, 0.25*w)
 		}
 	}
 }
@@ -285,10 +354,10 @@ func (c *CoLR) encodeDates(v Vector, sample []string) {
 			encodeStringValue(v, s, w)
 			continue
 		}
-		addHashed(v, "year:"+itoa(d.Year()), w)
-		addHashed(v, "decade:"+itoa(d.Year()/10), 0.5*w)
-		addHashed(v, "month:"+itoa(int(d.Month())), 0.5*w)
-		addHashed(v, "dow:"+itoa(int(d.Weekday())), 0.25*w)
+		addHash(v, fnvInt(seedYear, d.Year()), w)
+		addHash(v, fnvInt(seedDecade, d.Year()/10), 0.5*w)
+		addHash(v, fnvInt(seedMonth, int(d.Month())), 0.5*w)
+		addHash(v, fnvInt(seedDow, int(d.Weekday())), 0.25*w)
 	}
 }
 

@@ -14,8 +14,8 @@
 package embed
 
 import (
-	"hash/fnv"
 	"math"
+	"strconv"
 )
 
 // Dim is the CoLR embedding dimensionality used throughout KGLiDS.
@@ -93,22 +93,75 @@ func Concat(vs ...Vector) Vector {
 	return out
 }
 
-// hashIndex maps a string feature to a dimension in [0, dim) with a signed
-// weight (+1/-1), the standard feature-hashing construction.
-func hashIndex(feature string, dim int) (int, float64) {
-	h := fnv.New64a()
-	h.Write([]byte(feature))
-	v := h.Sum64()
-	idx := int(v % uint64(dim))
-	sign := 1.0
-	if (v>>63)&1 == 1 {
-		sign = -1.0
+// Features are hashed with 64-bit FNV-1a, written out here so that a key
+// is hashed in pieces, without building it as a string or allocating a
+// hasher. A key is a prefix ("tri:", "val:", ...) and a suffix; hashing
+// the suffix from the prefix's seed gives the same hash as hashing the
+// whole key.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+// fnv1a continues the FNV-1a state h over the bytes of s.
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = fnvByte(h, s[i])
 	}
-	return idx, sign
+	return h
 }
 
-// addHashed adds a hashed feature with the given weight into v.
-func addHashed(v Vector, feature string, weight float64) {
-	i, sign := hashIndex(feature, len(v))
+func fnvByte(h uint64, c byte) uint64 { return (h ^ uint64(c)) * fnvPrime }
+
+// fnvInt continues h over the decimal digits of n.
+func fnvInt(h uint64, n int) uint64 {
+	var buf [20]byte
+	return fnv1a(h, strconv.AppendInt(buf[:0], int64(n), 10))
+}
+
+// Hash64 is the 64-bit FNV-1a hash of s, the value hash/fnv's New64a
+// gives for []byte(s). The hash of a key prefix is the seed that fnv1a
+// continues from to hash the whole key.
+func Hash64(s string) uint64 { return fnv1a(fnvOffset, s) }
+
+// addHash adds a feature with hash h and the given weight into v: the
+// standard feature-hashing construction, dimension h mod len(v) and sign
+// from the top bit. CoLR vectors take the constant-divisor branch, which
+// compiles to a multiply instead of a division.
+func addHash(v Vector, h uint64, weight float64) {
+	var i uint64
+	if len(v) == Dim {
+		i = h % Dim
+	} else {
+		i = h % uint64(len(v))
+	}
+	sign := 1.0
+	if h>>63 == 1 {
+		sign = -1.0
+	}
 	v[i] += sign * weight
+}
+
+var seedTri = Hash64("tri:")
+
+// addTrigrams adds the byte trigrams of "^"+s+"$" as "tri:" features,
+// reading the two padding bytes in place instead of building the padded
+// string.
+func addTrigrams(v Vector, s string, weight float64) {
+	for i := 0; i+3 <= len(s)+2; i++ {
+		h := fnvByte(seedTri, paddedByte(s, i))
+		h = fnvByte(h, paddedByte(s, i+1))
+		addHash(v, fnvByte(h, paddedByte(s, i+2)), weight)
+	}
+}
+
+// paddedByte is byte j of "^"+s+"$".
+func paddedByte(s string, j int) byte {
+	switch j {
+	case 0:
+		return '^'
+	case len(s) + 1:
+		return '$'
+	}
+	return s[j-1]
 }

@@ -84,6 +84,8 @@ var synsets = [][]string{
 	{"zip", "zipcode", "postal", "postcode"},
 }
 
+var seedSynset, seedWord = Hash64("synset:"), Hash64("word:")
+
 // NewWordModel returns the built-in label model.
 func NewWordModel() *WordModel {
 	m := &WordModel{synsetOf: map[string]int{}}
@@ -106,16 +108,13 @@ func (m *WordModel) Embed(word string) Vector {
 		return v
 	}
 	if syn, ok := m.synsetOf[w]; ok {
-		addHashed(v, "synset:"+itoa(syn), 1.0)
-		addHashed(v, "word:"+w, 0.25)
+		addHash(v, fnvInt(seedSynset, syn), 1.0)
+		addHash(v, fnv1a(seedWord, w), 0.25)
 		v.Normalize()
 		return v
 	}
-	padded := "^" + w + "$"
-	for i := 0; i+3 <= len(padded); i++ {
-		addHashed(v, "tri:"+padded[i:i+3], 1.0)
-	}
-	addHashed(v, "word:"+w, 0.5)
+	addTrigrams(v, w, 1.0)
+	addHash(v, fnv1a(seedWord, w), 0.5)
 	v.Normalize()
 	return v
 }
@@ -181,26 +180,4 @@ func TokenizeLabel(s string) []string {
 	}
 	flush()
 	return toks
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
 }

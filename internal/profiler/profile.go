@@ -71,9 +71,16 @@ func New() *Profiler {
 	return &Profiler{CoLR: embed.NewCoLR(), Types: NewTypeInferencer(), Workers: runtime.NumCPU()}
 }
 
+// EmbedColumn infers a column's fine-grained type and embeds it under that
+// type's CoLR encoder: the part of a profile a query by data frame uses.
+func (p *Profiler) EmbedColumn(s *dataframe.Series) (embed.Type, embed.Vector) {
+	fgt := p.Types.Infer(s)
+	return fgt, p.CoLR.EncodeColumn(s.Strings(), fgt)
+}
+
 // ProfileColumn profiles a single column (Algorithm 2, worker body).
 func (p *Profiler) ProfileColumn(dataset, table string, s *dataframe.Series) *ColumnProfile {
-	fgt := p.Types.Infer(s)
+	fgt, emb := p.EmbedColumn(s)
 	cp := &ColumnProfile{
 		Dataset: dataset,
 		Table:   table,
@@ -84,6 +91,7 @@ func (p *Profiler) ProfileColumn(dataset, table string, s *dataframe.Series) *Co
 			Missing:  s.NullCount(),
 			Distinct: s.Distinct(),
 		},
+		Embed: emb,
 	}
 	switch fgt {
 	case embed.TypeInt, embed.TypeFloat:
@@ -93,7 +101,6 @@ func (p *Profiler) ProfileColumn(dataset, table string, s *dataframe.Series) *Co
 	case embed.TypeBoolean:
 		cp.Stats.TrueRatio = booleanTrueRatio(s)
 	}
-	cp.Embed = p.CoLR.EncodeColumn(s.Strings(), fgt)
 	return cp
 }
 

@@ -1,12 +1,12 @@
 package profiler
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
-	"hash/fnv"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"kglids/internal/connector"
@@ -206,20 +206,26 @@ func (a *ColumnAccumulator) distinct() int {
 // embed encodes the reservoir. While the reservoir held every non-null
 // value, the values are restored to row order and pushed through the
 // normal EncodeColumn path — identical to the in-memory profile. On
-// overflow the reservoir's hash-ordered contents are the leading portion
-// of the exact sample; they are truncated to the true sample size (or
-// the whole reservoir if smaller) and encoded pre-sampled.
+// overflow the reservoir's contents, ordered by (hash, position) as the
+// sampler orders, are the leading portion of the exact sample; they are
+// truncated to the true sample size (or the whole reservoir if smaller)
+// and encoded pre-sampled.
 func (a *ColumnAccumulator) embed(fgt embed.Type) embed.Vector {
 	items := a.res.items
 	if !a.res.overflow {
-		sort.Slice(items, func(x, y int) bool { return items[x].idx < items[y].idx })
+		slices.SortFunc(items, func(x, y resItem) int { return cmp.Compare(x.idx, y.idx) })
 		vals := make([]string, len(items))
 		for i, it := range items {
 			vals[i] = it.val
 		}
 		return a.p.CoLR.EncodeColumn(vals, fgt)
 	}
-	sort.Slice(items, func(x, y int) bool { return items[x].hash < items[y].hash })
+	slices.SortFunc(items, func(x, y resItem) int {
+		if c := cmp.Compare(x.hash, y.hash); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.idx, y.idx)
+	})
 	n := a.p.CoLR.SampleSize(a.nonNull)
 	if n > len(items) {
 		n = len(items)
@@ -284,9 +290,7 @@ type kmvSketch struct {
 }
 
 func (s *kmvSketch) add(v string) {
-	h := fnv.New64a()
-	h.Write([]byte(v))
-	hv := h.Sum64()
+	hv := embed.Hash64(v)
 	if _, dup := s.in[hv]; dup {
 		return
 	}

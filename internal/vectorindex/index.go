@@ -6,6 +6,7 @@ package vectorindex
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -76,27 +77,75 @@ func (e *Exact) Remove(id string) bool {
 }
 
 // Search implements Index. Non-positive k and empty indexes yield no
-// results.
+// results. It is a bounded top-k scan: each score is inserted into a list
+// of at most k hits ordered by score, best first, an earlier-inserted
+// entry ahead of a later one with the same score — the order a stable
+// sort of every score gives, for vectors with finite entries. Only the
+// query's non-zero chunks are dotted: a skipped term is ±0, which never
+// changes a sum that began at +0, so every score is the full dot product.
 func (e *Exact) Search(q embed.Vector, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
 	nq := q.Clone()
 	nq.Normalize()
+	spans := nonZeroSpans(nq)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if len(e.ids) == 0 {
 		return nil
 	}
-	results := make([]Result, 0, len(e.ids))
+	top := make([]Result, 0, min(k, len(e.ids)))
 	for i, v := range e.vecs {
-		results = append(results, Result{ID: e.ids[i], Score: nq.Dot(v)})
+		s := dotSpans(nq, v, spans)
+		if len(top) == k && !(s > top[k-1].Score) {
+			continue
+		}
+		// The first hit scoring below s; ties stay ahead of s.
+		at := sort.Search(len(top), func(j int) bool { return top[j].Score < s })
+		if len(top) < k {
+			top = append(top, Result{})
+		}
+		copy(top[at+1:], top[at:len(top)-1])
+		top[at] = Result{ID: e.ids[i], Score: s}
 	}
-	sort.SliceStable(results, func(i, j int) bool { return results[i].Score > results[j].Score })
-	if k < len(results) {
-		results = results[:k]
+	return top
+}
+
+// dotChunk is the width of the chunks a query is split into to skip its
+// zero entries: table embeddings leave the 300-wide block of every column
+// type a table lacks at zero.
+const dotChunk = 60
+
+// nonZeroSpans returns the [lo, hi) spans of q that cover its dotChunk-wide
+// chunks holding a non-zero entry, adjacent chunks merged.
+func nonZeroSpans(q embed.Vector) [][2]int {
+	var spans [][2]int
+	for lo := 0; lo < len(q); lo += dotChunk {
+		hi := min(lo+dotChunk, len(q))
+		if !slices.ContainsFunc(q[lo:hi], func(x float64) bool { return x != 0 }) {
+			continue
+		}
+		if n := len(spans); n > 0 && spans[n-1][1] == lo {
+			spans[n-1][1] = hi
+		} else {
+			spans = append(spans, [2]int{lo, hi})
+		}
 	}
-	return results
+	return spans
+}
+
+// dotSpans is q·v summed over the spans only, term by term in index order
+// as embed.Vector.Dot sums.
+func dotSpans(q, v embed.Vector, spans [][2]int) float64 {
+	s := 0.0
+	for _, sp := range spans {
+		qs, vs := q[sp[0]:sp[1]], v[sp[0]:sp[1]]
+		for i := range qs {
+			s += qs[i] * vs[i]
+		}
+	}
+	return s
 }
 
 // Len implements Index.
