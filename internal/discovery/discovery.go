@@ -292,17 +292,24 @@ type rankedTable struct {
 }
 
 // rankTables scores every table that shares a similarity edge with the
-// query table's columns: per query column the best edge into each other
-// table (label or content for unionKind, content only for joinKind),
-// summed over the query columns in TermID order and divided by their
-// count. Adding in that order keeps every float64 score identical to a
-// walk of the store's edge quads. It returns nil for a table with no
-// columns, results sorted by score then IRI otherwise.
+// query table's columns, as rankTablesID does; it returns nil for a table
+// the store does not know.
 func (e *Engine) rankTables(table rdf.Term, kind similarityKind) []rankedTable {
 	tid, ok := e.st.EncodeTerm(table)
 	if !ok {
 		return nil
 	}
+	return e.rankTablesID(tid, kind)
+}
+
+// rankTablesID scores every table that shares a similarity edge with the
+// columns of table tid: per query column the best edge into each other
+// table (label or content for unionKind, content only for joinKind),
+// summed over the query columns in TermID order and divided by their
+// count. Adding in that order keeps every float64 score identical to a
+// walk of the store's edge quads. It returns nil for a table with no
+// columns, results sorted by score then IRI otherwise.
+func (e *Engine) rankTablesID(tid store.TermID, kind similarityKind) []rankedTable {
 	// Per other table: sum totals the best edge into it of each query
 	// column before col, best is col's own, added to sum once the walk
 	// leaves col.
@@ -358,6 +365,33 @@ func (e *Engine) rankTables(table rdf.Term, kind similarityKind) []rankedTable {
 		return strings.Compare(x.iri, y.iri)
 	})
 	return out
+}
+
+// joinScore is the score rankTablesID(tid, joinKind) gives target, and
+// whether it ranks target at all: per column of tid the best content edge
+// into target, summed in column order and divided by the column count.
+// The additions are rankTablesID's, in its order, so the float64 is the
+// same, without ranking the tables other than target.
+func (e *Engine) joinScore(tid, target store.TermID) (float64, bool) {
+	var sum float64
+	ncols, found := 0, false
+	e.adj.VisitColumns(tid, func(_ store.TermID, _, content []Neighbor) {
+		ncols++
+		best := 0.0
+		for _, n := range content {
+			if n.Table == target && n.Score > best {
+				best = n.Score
+			}
+		}
+		if best > 0 {
+			sum += best
+			found = true
+		}
+	})
+	if !found {
+		return 0, false
+	}
+	return sum / float64(ncols), true
 }
 
 // nameOfID resolves a node's display name under an already-held view.
@@ -459,46 +493,63 @@ type JoinPath struct {
 // maxJoinPaths paths are collected and at most maxJoinPathStates partial
 // paths expanded. Because the search is breadth-first, truncation drops
 // only the longest, most roundabout routes.
+//
+// The search runs on the store's TermIDs and decodes only the paths it
+// returns. A partial path one hop short of the budget is not ranked: it is
+// scored against the target alone, the only table it can still reach.
 func (e *Engine) GetPathToTable(start, target rdf.Term, maxHops int) []JoinPath {
 	if maxHops < 1 || start.Equal(target) {
 		return nil
 	}
+	// A table the dictionary does not know has no edges: no path starts or
+	// ends at it.
+	sid, okStart := e.st.EncodeTerm(start)
+	tid, okTarget := e.st.EncodeTerm(target)
+	if !okStart || !okTarget {
+		return nil
+	}
 	type state struct {
-		path  []rdf.Term
+		path  []store.TermID
 		score float64
 	}
-	var paths []JoinPath
-	queue := []state{{path: []rdf.Term{start}, score: 1}}
+	extend := func(cur state, next store.TermID, score float64) state {
+		return state{append(slices.Clip(cur.path), next), cur.score * score}
+	}
+	var found []state
+	queue := []state{{path: []store.TermID{sid}, score: 1}}
 	expanded := 0
-	for len(queue) > 0 && len(paths) < maxJoinPaths && expanded < maxJoinPathStates {
+	for len(queue) > 0 && len(found) < maxJoinPaths && expanded < maxJoinPathStates {
 		cur := queue[0]
 		queue = queue[1:]
 		expanded++
 		hops := len(cur.path) - 1
-		if hops >= maxHops {
-			continue // budget exhausted: cannot take another hop
-		}
-		for _, next := range e.rankTables(cur.path[len(cur.path)-1], joinKind) {
-			table := e.st.DecodeTerm(next.id)
-			if table.Equal(target) {
-				if len(paths) < maxJoinPaths {
-					paths = append(paths, JoinPath{
-						Tables: append(append([]rdf.Term{}, cur.path...), target),
-						Score:  cur.score * next.score,
-					})
-				}
-				continue
+		last := cur.path[hops]
+		if hops+1 == maxHops {
+			// The last hop: only the target can extend the path, and the
+			// ranking's one entry that matters is the target's.
+			if score, ok := e.joinScore(last, tid); ok {
+				found = append(found, extend(cur, tid, score))
 			}
-			// Extending to an intermediate spends a hop and still needs
-			// one more to reach the target.
-			if hops+1 >= maxHops || onPath(cur.path, table) {
-				continue
-			}
-			queue = append(queue, state{
-				path:  append(append([]rdf.Term{}, cur.path...), table),
-				score: cur.score * next.score,
-			})
+			continue
 		}
+		for _, next := range e.rankTablesID(last, joinKind) {
+			if next.id == tid {
+				found = append(found, extend(cur, tid, next.score))
+			} else if !slices.Contains(cur.path, next.id) {
+				queue = append(queue, extend(cur, next.id, next.score))
+			}
+		}
+	}
+	if found == nil {
+		return nil
+	}
+	paths := make([]JoinPath, len(found))
+	for i, f := range found {
+		tables := make([]rdf.Term, len(f.path))
+		for j, id := range f.path {
+			tables[j] = e.st.DecodeTerm(id)
+		}
+		paths[i] = JoinPath{Tables: tables, Score: f.score}
 	}
 	sort.Slice(paths, func(i, j int) bool {
 		if len(paths[i].Tables) != len(paths[j].Tables) {
@@ -520,17 +571,6 @@ const (
 	// maxJoinPathStates caps the number of partial paths expanded.
 	maxJoinPathStates = 4096
 )
-
-// onPath reports whether table already appears in the path (per-path cycle
-// guard).
-func onPath(path []rdf.Term, table rdf.Term) bool {
-	for _, t := range path {
-		if t.Equal(table) {
-			return true
-		}
-	}
-	return false
-}
 
 // lessTables orders equal-length table sequences lexicographically, the
 // deterministic tie-break for equal-score paths.

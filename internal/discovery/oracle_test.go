@@ -189,3 +189,76 @@ func (a storeAdjacency) VisitColumns(table store.TermID, fn func(col store.TermI
 		fn(col, nbrs(col, rdf.PropLabelSimilarity), nbrs(col, rdf.PropContentSimilarity))
 	}
 }
+
+// ReferenceGetPathToTable is how GetPathToTable used to search: every
+// partial path held as terms, every expanded state ranked in full by
+// rankTables, the last hop included, and the target and the cycle guard
+// compared as terms. It is the reference GetPathToTable is held to
+// (TestJoinPathMatchesReference), so it stays as it was.
+func ReferenceGetPathToTable(e *Engine, start, target rdf.Term, maxHops int) []JoinPath {
+	if maxHops < 1 || start.Equal(target) {
+		return nil
+	}
+	type state struct {
+		path  []rdf.Term
+		score float64
+	}
+	var paths []JoinPath
+	queue := []state{{path: []rdf.Term{start}, score: 1}}
+	expanded := 0
+	for len(queue) > 0 && len(paths) < maxJoinPaths && expanded < maxJoinPathStates {
+		cur := queue[0]
+		queue = queue[1:]
+		expanded++
+		hops := len(cur.path) - 1
+		if hops >= maxHops {
+			continue // budget exhausted: cannot take another hop
+		}
+		for _, next := range e.rankTables(cur.path[len(cur.path)-1], joinKind) {
+			table := e.st.DecodeTerm(next.id)
+			if table.Equal(target) {
+				if len(paths) < maxJoinPaths {
+					paths = append(paths, JoinPath{
+						Tables: append(append([]rdf.Term{}, cur.path...), target),
+						Score:  cur.score * next.score,
+					})
+				}
+				continue
+			}
+			// Extending to an intermediate spends a hop and still needs
+			// one more to reach the target.
+			if hops+1 >= maxHops || onPath(cur.path, table) {
+				continue
+			}
+			queue = append(queue, state{
+				path:  append(append([]rdf.Term{}, cur.path...), table),
+				score: cur.score * next.score,
+			})
+		}
+	}
+	sort.Slice(paths, func(i, j int) bool {
+		if len(paths[i].Tables) != len(paths[j].Tables) {
+			return len(paths[i].Tables) < len(paths[j].Tables)
+		}
+		if paths[i].Score != paths[j].Score {
+			return paths[i].Score > paths[j].Score
+		}
+		return lessTables(paths[i].Tables, paths[j].Tables)
+	})
+	return paths
+}
+
+// onPath reports whether table already appears in the path (per-path cycle
+// guard).
+func onPath(path []rdf.Term, table rdf.Term) bool {
+	for _, t := range path {
+		if t.Equal(table) {
+			return true
+		}
+	}
+	return false
+}
+
+// StoreAdjacency returns the adjacency read straight off st's edge quads,
+// for tests outside the package that rank over a bare store.
+func StoreAdjacency(st *store.Store) Adjacency { return storeAdjacency{st} }

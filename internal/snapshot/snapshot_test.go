@@ -359,16 +359,24 @@ func payloadSeeds(t testing.TB) [][]byte {
 }
 
 // FuzzDecodePayload throws arbitrary payloads at the snapshot decoder, as
-// if they had passed the file checksum. It must never panic, and a payload
-// it accepts must come with a store.
+// if they had passed the file checksum, and every payload it accepts at
+// core.Restore, as Read does. Neither may panic; a payload the decoder
+// accepts must come with a store, and Restore must return a platform or an
+// error.
 func FuzzDecodePayload(f *testing.F) {
 	for _, seed := range payloadSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		st, err := decodePayload(payload)
-		if err == nil && st.Store == nil {
+		if err != nil {
+			return
+		}
+		if st.Store == nil {
 			t.Fatal("payload accepted without a store")
+		}
+		if p, err := core.Restore(*st); (p == nil) == (err == nil) {
+			t.Fatalf("Restore returned platform %v and error %v", p != nil, err)
 		}
 	})
 }
