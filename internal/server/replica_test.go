@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +15,7 @@ import (
 	"kglids/client"
 	"kglids/internal/dataframe"
 	"kglids/internal/ingest"
+	"kglids/internal/snapshot"
 )
 
 // changelogPlatform is the tiny fixture with the changelog enabled and a
@@ -117,6 +121,61 @@ func TestSnapshotEndpoint(t *testing.T) {
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST snapshot = %d, want 405", w.Code)
+	}
+}
+
+// cutWriter passes on the first n bytes written to it and then fails, as a
+// connection does when the process at its far end dies.
+type cutWriter struct {
+	http.ResponseWriter
+	n int
+}
+
+var errCut = errors.New("connection cut")
+
+func (w *cutWriter) Write(b []byte) (int, error) {
+	if len(b) > w.n {
+		b = b[:w.n]
+	}
+	n, _ := w.ResponseWriter.Write(b)
+	w.n -= n
+	if w.n == 0 {
+		return n, errCut
+	}
+	return n, nil
+}
+
+// TestFollowerSeedFromCutSnapshotStream: a primary that dies halfway
+// through streaming its snapshot leaves the follower seeding from it with
+// ErrTruncated and no platform.
+func TestFollowerSeedFromCutSnapshotStream(t *testing.T) {
+	plat := changelogPlatform(t)
+	var full bytes.Buffer
+	if err := plat.SaveTo(&full); err != nil {
+		t.Fatal(err)
+	}
+	h := New(plat, Options{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Uncompressed, the bytes on the wire are the snapshot's, so the
+		// cut falls mid-payload.
+		r.Header.Del("Accept-Encoding")
+		h.ServeHTTP(&cutWriter{ResponseWriter: w, n: full.Len() / 2}, r)
+		// Drop the connection without ending the response.
+		panic(http.ErrAbortHandler)
+	}))
+	defer ts.Close()
+	c, err := client.New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := c.Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer body.Close()
+	follower, err := kglids.Read(body)
+	if !errors.Is(err, snapshot.ErrTruncated) || follower != nil {
+		t.Fatalf("Read of a cut stream = %v, %v; want no platform and ErrTruncated", follower, err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"kglids/internal/embed"
 	"kglids/internal/rdf"
+	"kglids/internal/store"
 )
 
 // writer accumulates the snapshot payload. All integers are unsigned
@@ -45,7 +46,8 @@ func (w *writer) vec(v embed.Vector) {
 	}
 }
 
-// term encodes an RDF term, recursing into quoted triples.
+// term encodes an RDF term, recursing into quoted triples. It is the
+// encoding of a cached result's terms, which are not dictionary entries.
 func (w *writer) term(t rdf.Term) {
 	w.u8(byte(t.Kind))
 	switch t.Kind {
@@ -58,6 +60,30 @@ func (w *writer) term(t rdf.Term) {
 		w.term(t.Quoted.Object)
 	default: // IRI, blank node
 		w.str(t.Value)
+	}
+}
+
+// dict encodes the DICT section from Dictionary.Terms: the terms in ID
+// order, each a kind byte and its value (and datatype, for a literal),
+// except that a quoted triple is written as the IDs of its components,
+// which are earlier terms.
+func (w *writer) dict(terms []rdf.Term, quoted []store.TripleIDs) {
+	w.uint(len(terms))
+	for i := range terms {
+		t := &terms[i]
+		w.u8(byte(t.Kind))
+		switch t.Kind {
+		case rdf.KindLiteral:
+			w.str(t.Value)
+			w.str(t.Datatype)
+		case rdf.KindQuoted:
+			w.uvarint(uint64(quoted[0].S))
+			w.uvarint(uint64(quoted[0].P))
+			w.uvarint(uint64(quoted[0].O))
+			quoted = quoted[1:]
+		default: // IRI, blank node
+			w.str(t.Value)
+		}
 	}
 }
 
@@ -141,18 +167,21 @@ func (r *reader) countOf(size int) int {
 
 func (r *reader) uint() int { return int(r.uvarint()) }
 
-func (r *reader) str() string {
+func (r *reader) str() string { return string(r.bytes()) }
+
+// bytes reads a string without copying it out of the payload.
+func (r *reader) bytes() []byte {
 	n := r.uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(r.b)-r.off) {
 		r.fail("string length %d exceeds remaining %d bytes", n, len(r.b)-r.off)
-		return ""
+		return nil
 	}
-	s := string(r.b[r.off : r.off+int(n)])
+	b := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s
+	return b
 }
 
 func (r *reader) f64() float64 {
@@ -186,9 +215,67 @@ func (r *reader) vec() embed.Vector {
 	return v
 }
 
-// maxQuotedDepth bounds quoted-triple nesting so a corrupted kind byte
-// cannot recurse unboundedly.
+// maxQuotedDepth bounds quoted-triple nesting, so that a corrupted kind
+// byte cannot make term recurse unboundedly and a corrupted dictionary
+// cannot hand the store a term too deep to print or compare.
 const maxQuotedDepth = 16
+
+// dict decodes the DICT section into what Dictionary.Terms returned to
+// writer.dict. A quoted triple's back-references must name earlier terms,
+// and it is built from those terms as decoded, so it shares their strings;
+// literal datatypes are interned too. A restored dictionary so holds one
+// string per IRI and per datatype, as one filled by interning does.
+func (r *reader) dict() ([]rdf.Term, []store.TripleIDs) {
+	n := r.countOf(minTermBytes)
+	terms := make([]rdf.Term, 0, n)
+	depth := make([]uint8, 0, n) // quoted-triple nesting of each term
+	var quoted []store.TripleIDs
+	datatypes := map[string]string{}
+	for r.err == nil && len(terms) < n {
+		id := len(terms) + 1
+		kind := rdf.TermKind(r.u8())
+		t, d := rdf.Term{Kind: kind}, uint8(0)
+		switch kind {
+		case rdf.KindIRI, rdf.KindBlank:
+			t.Value = r.str()
+		case rdf.KindLiteral:
+			t.Value = r.str()
+			b := r.bytes()
+			dt, ok := datatypes[string(b)]
+			if !ok {
+				dt = string(b)
+				datatypes[dt] = dt
+			}
+			t.Datatype = dt
+		case rdf.KindQuoted:
+			k := store.TripleIDs{S: r.ref(id), P: r.ref(id), O: r.ref(id)}
+			if r.err != nil {
+				break
+			}
+			if d = 1 + max(depth[k.S-1], depth[k.P-1], depth[k.O-1]); d > maxQuotedDepth {
+				r.fail("quoted-triple nesting deeper than %d at term %d", maxQuotedDepth, id)
+				break
+			}
+			t.Quoted = &rdf.Triple{Subject: terms[k.S-1], Predicate: terms[k.P-1], Object: terms[k.O-1]}
+			quoted = append(quoted, k)
+		default:
+			r.fail("unknown term kind %d at byte %d", kind, r.off-1)
+		}
+		terms = append(terms, t)
+		depth = append(depth, d)
+	}
+	return terms, quoted
+}
+
+// ref reads a back-reference from the term with ID id to an earlier term.
+func (r *reader) ref(id int) store.TermID {
+	v := r.uvarint()
+	if r.err == nil && (v == 0 || v >= uint64(id)) {
+		r.fail("term %d refers to term %d, which is not an earlier term", id, v)
+		return 0
+	}
+	return store.TermID(v)
+}
 
 func (r *reader) term(depth int) rdf.Term {
 	if depth > maxQuotedDepth {

@@ -12,7 +12,7 @@
 // entries are saved and re-pinned to the restored store's generation, so a
 // restarted server answers hot discovery queries warm.
 //
-// # File format (version 1)
+// # File format (version 3)
 //
 //	offset  size  field
 //	0       4     magic "KGLS"
@@ -27,7 +27,9 @@
 // are IEEE-754 little-endian, strings and vectors are length-prefixed.
 //
 //	tag  section
-//	1    DICT    interned RDF terms in ID order (recursive term encoding)
+//	1    DICT    interned RDF terms in ID order: a kind byte, then the value
+//	             (and datatype, for a literal); a quoted triple is three
+//	             back-references, the IDs of its earlier components
 //	2    QUADS   encoded quads: s, p, o term IDs + graph ID (0 = default)
 //	3    PROF    column profiles: ids, fine-grained type, stats, embedding
 //	4    TEMB    table embeddings: "dataset/table" → unnormalized vector
@@ -45,9 +47,12 @@
 //
 // Version history: version 1 stored table/column metadata in the default
 // graph; version 2 stores it in per-table named graphs (the unit of live
-// table removal) and adds the CONF section. Version-1 files are rejected
-// with ErrVersion rather than loaded into a platform whose incremental
-// mutation path would silently fail to retract their metadata.
+// table removal) and adds the CONF section; version 3 writes a quoted
+// triple in DICT as back-references to its components instead of three
+// full terms. Files of any other version are rejected with ErrVersion:
+// version 1 would load into a platform whose incremental mutation path
+// would silently fail to retract its metadata, and no reader of version 2
+// is kept — re-bootstrap to migrate.
 package snapshot
 
 import (
@@ -74,7 +79,7 @@ import (
 )
 
 // Version is the current snapshot format version.
-const Version = 2
+const Version = 3
 
 var magic = [4]byte{'K', 'G', 'L', 'S'}
 
@@ -238,40 +243,24 @@ func Load(path string) (*core.Platform, error) {
 }
 
 func encodePayload(p *core.Platform, generation, logPos uint64) []byte {
-	var out writer
-
+	// Each section is encoded into a buffer of its own and copied once into
+	// a payload allocated at its final size.
+	type encoded struct {
+		tag  byte
+		body []byte
+	}
+	var sections []encoded
 	section := func(tag byte, body func(w *writer)) {
 		var w writer
 		body(&w)
-		out.u8(tag)
-		out.uvarint(uint64(w.buf.Len()))
-		out.buf.Write(w.buf.Bytes())
+		sections = append(sections, encoded{tag, w.buf.Bytes()})
 	}
 
-	section(secDict, func(w *writer) {
-		terms := p.Store.Dict().Terms()
-		w.uint(len(terms))
-		for _, t := range terms {
-			w.term(t)
-		}
-	})
+	section(secDict, func(w *writer) { w.dict(p.Store.Dict().Terms()) })
 	section(secQuads, func(w *writer) {
-		var quads []store.EncodedQuad
-		p.Store.ForEachEncodedQuad(func(q store.EncodedQuad) { quads = append(quads, q) })
-		// Sorted so identical platforms produce byte-identical snapshots.
-		sort.Slice(quads, func(i, j int) bool {
-			a, b := quads[i], quads[j]
-			if a.G != b.G {
-				return a.G < b.G
-			}
-			if a.S != b.S {
-				return a.S < b.S
-			}
-			if a.P != b.P {
-				return a.P < b.P
-			}
-			return a.O < b.O
-		})
+		// In (G, S, P, O) order, so identical platforms produce
+		// byte-identical snapshots.
+		quads := p.Store.EncodedQuads()
 		w.uint(len(quads))
 		for _, q := range quads {
 			w.uvarint(uint64(q.S))
@@ -393,7 +382,18 @@ func encodePayload(p *core.Platform, generation, logPos uint64) []byte {
 		w.uvarint(generation)
 		w.uvarint(logPos)
 	})
-	return out.buf.Bytes()
+
+	size := 0
+	for _, sec := range sections {
+		size += 1 + uvarintSize(uint64(len(sec.body))) + len(sec.body)
+	}
+	out := make([]byte, 0, size)
+	for _, sec := range sections {
+		out = append(out, sec.tag)
+		out = binary.AppendUvarint(out, uint64(len(sec.body)))
+		out = append(out, sec.body...)
+	}
+	return out
 }
 
 // tableEmb is one decoded TEMB entry; entries are collected per goroutine
@@ -456,10 +456,11 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 
 	st := &core.RestoredState{TableEmbeddings: map[string]embed.Vector{}}
 	var (
-		dictTerms []rdf.Term
-		quads     []store.EncodedQuad
-		tembs     []tableEmb
-		annErr    error
+		dictTerms  []rdf.Term
+		dictQuoted []store.TripleIDs
+		quads      []store.EncodedQuad
+		tembs      []tableEmb
+		annErr     error
 	)
 	sawDict, sawQuads := false, false
 
@@ -471,13 +472,7 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 		switch sec.tag {
 		case secDict:
 			sawDict = true
-			decode = func(r *reader) {
-				n := r.countOf(minTermBytes)
-				dictTerms = make([]rdf.Term, 0, n)
-				for i := 0; i < n && r.err == nil; i++ {
-					dictTerms = append(dictTerms, r.term(0))
-				}
-			}
+			decode = func(r *reader) { dictTerms, dictQuoted = r.dict() }
 		case secQuads:
 			sawQuads = true
 			decode = func(r *reader) {
@@ -647,7 +642,7 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 	// saved dictionary, then the encoded quads replay directly.
 	s := store.New()
 	dictLen := store.TermID(len(dictTerms))
-	if err := s.Dict().BulkLoad(dictTerms); err != nil {
+	if err := s.Dict().BulkLoad(dictTerms, dictQuoted); err != nil {
 		return nil, err
 	}
 	for _, q := range quads {

@@ -312,8 +312,9 @@ func TestSaveIsAtomic(t *testing.T) {
 }
 
 // payloadSeeds are the payload of a small platform — two tables, one
-// pipeline, one cached query — each of its sections alone, and the payload
-// with a table order that leaves a table out.
+// pipeline, one cached query — each of its sections alone, the payload
+// with a table order that leaves a table out, and the back-reference
+// seeds.
 func payloadSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	var tables []core.Table
@@ -355,7 +356,8 @@ func payloadSeeds(t testing.TB) [][]byte {
 		r.off += int(n)
 		seeds = append(seeds, payload[start:r.off])
 	}
-	return append(seeds, omitFirstOrderedTable(t, payload))
+	seeds = append(seeds, omitFirstOrderedTable(t, payload))
+	return append(seeds, backRefSeeds()...)
 }
 
 // FuzzDecodePayload throws arbitrary payloads at the snapshot decoder, as

@@ -97,8 +97,10 @@ func requireSameStore(t *testing.T, label string, got, want *Store) {
 	if got.Len() != want.Len() || got.Generation() != want.Generation() {
 		t.Fatalf("%s: Len/Generation = %d/%d, want %d/%d", label, got.Len(), got.Generation(), want.Len(), want.Generation())
 	}
-	if g, w := got.Dict().Terms(), want.Dict().Terms(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("%s: dictionaries differ: %d terms vs %d", label, len(g), len(w))
+	gotTerms, gotQuoted := got.Dict().Terms()
+	wantTerms, wantQuoted := want.Dict().Terms()
+	if !reflect.DeepEqual(gotTerms, wantTerms) || !reflect.DeepEqual(gotQuoted, wantQuoted) {
+		t.Fatalf("%s: dictionaries differ: %d terms vs %d", label, len(gotTerms), len(wantTerms))
 	}
 	if g, w := got.Graphs(), want.Graphs(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: Graphs = %v, want %v", label, g, w)
@@ -164,8 +166,7 @@ func TestBulkLoadEqualsPerQuad(t *testing.T) {
 		if err := restored.Dict().BulkLoad(perQuad.Dict().Terms()); err != nil {
 			t.Fatal(err)
 		}
-		var enc []EncodedQuad
-		perQuad.ForEachEncodedQuad(func(q EncodedQuad) { enc = append(enc, q) })
+		enc := perQuad.EncodedQuads()
 		restored.AddEncodedBatch(append(enc, enc[:len(enc)/3]...))
 		stores["encoded batch"] = restored
 
@@ -272,10 +273,13 @@ func TestDictionaryBulkLoad(t *testing.T) {
 	a, p := rdf.IRI("a"), rdf.IRI("p")
 	quoted := rdf.QuotedTriple(rdf.T(a, p, rdf.String("a")))
 	src.Intern(rdf.QuotedTriple(rdf.T(quoted, p, rdf.Blank("a"))))
-	terms := src.Terms()
+	terms, components := src.Terms()
+	if want := []TripleIDs{{1, 2, 3}, {4, 2, 5}}; !reflect.DeepEqual(components, want) {
+		t.Fatalf("Terms components = %v, want %v", components, want)
+	}
 
 	dst := NewDictionary()
-	if err := dst.BulkLoad(terms); err != nil {
+	if err := dst.BulkLoad(terms, components); err != nil {
 		t.Fatal(err)
 	}
 	for i, term := range terms {
@@ -283,14 +287,20 @@ func TestDictionaryBulkLoad(t *testing.T) {
 			t.Fatalf("Lookup(%v) = %d, %v; want %d", term, id, ok, i+1)
 		}
 	}
-	if err := dst.BulkLoad(terms); err == nil {
+	if err := dst.BulkLoad(terms, components); err == nil {
 		t.Error("BulkLoad into a non-empty dictionary succeeded")
 	}
-	if err := NewDictionary().BulkLoad([]rdf.Term{a, p, a}); err == nil {
+	if err := NewDictionary().BulkLoad([]rdf.Term{a, p, a}, nil); err == nil {
 		t.Error("BulkLoad accepted a duplicate term")
 	}
-	if err := NewDictionary().BulkLoad([]rdf.Term{a, quoted, p, rdf.String("a")}); err == nil {
+	if err := NewDictionary().BulkLoad([]rdf.Term{a, quoted, p, rdf.String("a")}, []TripleIDs{{1, 3, 4}}); err == nil {
 		t.Error("BulkLoad accepted a quoted triple listed before its components")
+	}
+	if err := NewDictionary().BulkLoad([]rdf.Term{a, p, rdf.String("a"), quoted}, []TripleIDs{{1, 2, 1}}); err == nil {
+		t.Error("BulkLoad accepted component IDs naming other terms")
+	}
+	if err := NewDictionary().BulkLoad([]rdf.Term{a, p, rdf.String("a"), quoted}, nil); err == nil {
+		t.Error("BulkLoad accepted a quoted triple without its component IDs")
 	}
 }
 

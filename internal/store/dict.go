@@ -18,9 +18,10 @@ type TermID uint32
 // and different datatypes are different terms.
 type literalKey struct{ value, datatype string }
 
-// quotedKey identifies an RDF-star quoted triple by the IDs of its
-// components, which are therefore always interned before it.
-type quotedKey struct{ s, p, o TermID }
+// TripleIDs identifies an RDF-star quoted triple by the IDs of its
+// subject, predicate and object, which are therefore always interned
+// before it.
+type TripleIDs struct{ S, P, O TermID }
 
 // Dictionary interns terms to dense integer IDs and back. It is safe for
 // concurrent use.
@@ -33,7 +34,7 @@ type Dictionary struct {
 	iris     map[string]TermID
 	blanks   map[string]TermID
 	literals map[literalKey]TermID
-	quoted   map[quotedKey]TermID
+	quoted   map[TripleIDs]TermID
 	// pages holds the terms in ID order in fixed-size pages — the term for
 	// id is pages[(id-1)/termPage][(id-1)%termPage] — so that interning
 	// never copies the terms already there, however many a batch adds.
@@ -49,7 +50,7 @@ func NewDictionary() *Dictionary {
 		iris:     map[string]TermID{},
 		blanks:   map[string]TermID{},
 		literals: map[literalKey]TermID{},
-		quoted:   map[quotedKey]TermID{},
+		quoted:   map[TripleIDs]TermID{},
 	}
 }
 
@@ -65,15 +66,15 @@ func (d *Dictionary) resolve(t *rdf.Term, intern bool) (TermID, bool) {
 	case rdf.KindBlank:
 		return resolveIn(d, d.blanks, t.Value, t, intern)
 	case rdf.KindQuoted:
-		var k quotedKey
+		var k TripleIDs
 		var ok bool
-		if k.s, ok = d.resolve(&t.Quoted.Subject, intern); !ok {
+		if k.S, ok = d.resolve(&t.Quoted.Subject, intern); !ok {
 			return 0, false
 		}
-		if k.p, ok = d.resolve(&t.Quoted.Predicate, intern); !ok {
+		if k.P, ok = d.resolve(&t.Quoted.Predicate, intern); !ok {
 			return 0, false
 		}
-		if k.o, ok = d.resolve(&t.Quoted.Object, intern); !ok {
+		if k.O, ok = d.resolve(&t.Quoted.Object, intern); !ok {
 			return 0, false
 		}
 		return resolveIn(d, d.quoted, k, t, intern)
@@ -140,16 +141,24 @@ func (d *Dictionary) Lookup(t rdf.Term) (TermID, bool) {
 func (d *Dictionary) Term(id TermID) rdf.Term {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.pages[(id-1)/termPage][(id-1)%termPage]
+	return *d.at(id)
+}
+
+// at returns the slot of id. Caller holds d.mu.
+func (d *Dictionary) at(id TermID) *rdf.Term {
+	return &d.pages[(id-1)/termPage][(id-1)%termPage]
 }
 
 // BulkLoad fills an empty dictionary with terms in ID order (terms[i] is
-// assigned ID i+1), the snapshot-restore counterpart of Terms. It rejects
-// non-empty dictionaries, duplicate terms (which would corrupt lookups)
-// and a quoted triple listed before one of its components — Terms never
-// produces either, because interning a quoted triple interns its
+// assigned ID i+1), the snapshot-restore counterpart of Terms: quoted[k]
+// holds the component IDs of the k-th quoted triple in terms, so a quoted
+// triple is keyed without looking its components up again. It rejects
+// non-empty dictionaries, duplicate terms (which would corrupt lookups),
+// a quoted list of the wrong length, and a quoted triple whose component
+// IDs are not those of earlier terms equal to its components — Terms never
+// produces any of these, because interning a quoted triple interns its
 // components first.
-func (d *Dictionary) BulkLoad(terms []rdf.Term) error {
+func (d *Dictionary) BulkLoad(terms []rdf.Term, quoted []TripleIDs) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.n != 0 {
@@ -161,30 +170,65 @@ func (d *Dictionary) BulkLoad(terms []rdf.Term) error {
 			kinds[t.Kind]++
 		}
 	}
+	if kinds[rdf.KindQuoted] != len(quoted) {
+		return fmt.Errorf("store: BulkLoad of %d quoted triples given components for %d", kinds[rdf.KindQuoted], len(quoted))
+	}
 	d.iris = make(map[string]TermID, kinds[rdf.KindIRI])
 	d.blanks = make(map[string]TermID, kinds[rdf.KindBlank])
 	d.literals = make(map[literalKey]TermID, kinds[rdf.KindLiteral])
-	d.quoted = make(map[quotedKey]TermID, kinds[rdf.KindQuoted])
+	d.quoted = make(map[TripleIDs]TermID, kinds[rdf.KindQuoted])
 	for i := range terms {
-		if id, _ := d.resolve(&terms[i], true); id != TermID(i+1) {
-			return fmt.Errorf("store: BulkLoad term %d (%s) is a duplicate or precedes a component of its quoted triple", i+1, terms[i])
+		t, want := &terms[i], TermID(i+1)
+		var id TermID
+		if t.Kind == rdf.KindQuoted {
+			k := quoted[0]
+			quoted = quoted[1:]
+			q := t.Quoted
+			if !d.component(k.S, want, &q.Subject) || !d.component(k.P, want, &q.Predicate) || !d.component(k.O, want, &q.Object) {
+				return fmt.Errorf("store: BulkLoad term %d (%s) does not follow its components %d, %d, %d", want, t, k.S, k.P, k.O)
+			}
+			id, _ = resolveIn(d, d.quoted, k, t, true)
+		} else {
+			id, _ = d.resolve(t, true)
+		}
+		if id != want {
+			return fmt.Errorf("store: BulkLoad term %d (%s) is a duplicate", want, t)
 		}
 	}
 	return nil
 }
 
-// Terms returns a copy of all interned terms in ID order: Terms()[i] is the
-// term with ID i+1. Interning the returned slice in order into an empty
-// dictionary reproduces the same ID assignment, which is what the snapshot
-// codec relies on.
-func (d *Dictionary) Terms() []rdf.Term {
+// component reports whether c names, among the IDs below id, a term equal
+// to t. Caller holds d.mu.
+func (d *Dictionary) component(c, id TermID, t *rdf.Term) bool {
+	return c != 0 && c < id && d.at(c).Equal(*t)
+}
+
+// Terms returns a copy of all interned terms in ID order — terms[i] is the
+// term with ID i+1 — and the component IDs of the quoted triples among
+// them, also in ID order: quoted[k] belongs to the k-th quoted triple in
+// terms. BulkLoad takes both back into an empty dictionary and reproduces
+// the same ID assignment, which is what the snapshot codec relies on.
+func (d *Dictionary) Terms() (terms []rdf.Term, quoted []TripleIDs) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]rdf.Term, 0, d.n)
+	terms = make([]rdf.Term, 0, d.n)
 	for _, page := range d.pages {
-		out = append(out, page...)
+		terms = append(terms, page...)
 	}
-	return out
+	// The quoted map is keyed by components. Inverting it through an array
+	// indexed by ID keeps the map's iteration order out of the result.
+	byID := make([]TripleIDs, d.n)
+	for k, id := range d.quoted {
+		byID[id-1] = k
+	}
+	quoted = make([]TripleIDs, 0, len(d.quoted))
+	for i := range terms {
+		if terms[i].Kind == rdf.KindQuoted {
+			quoted = append(quoted, byID[i])
+		}
+	}
+	return terms, quoted
 }
 
 // Len returns the number of interned terms.

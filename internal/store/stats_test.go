@@ -90,9 +90,7 @@ func TestStatsRebuiltByBulkLoad(t *testing.T) {
 	if err := dst.Dict().BulkLoad(src.Dict().Terms()); err != nil {
 		t.Fatal(err)
 	}
-	var enc []EncodedQuad
-	src.ForEachEncodedQuad(func(q EncodedQuad) { enc = append(enc, q) })
-	dst.AddEncodedBatch(enc)
+	dst.AddEncodedBatch(src.EncodedQuads())
 	checkStats(t, dst, "after bulk load")
 	if dst.Generation() == 0 {
 		t.Fatal("bulk load did not bump the generation")

@@ -260,18 +260,28 @@ func (st *Store) PredicateCount() int {
 	return len(seen)
 }
 
-// ForEachEncodedQuad streams every (s, p, o, g) combination in the store in
-// unspecified order. Quads in the default graph are reported with G == 0.
-// Replaying the stream through AddEncodedBatch on a store whose dictionary
-// interned the same terms in the same ID order reproduces the store exactly.
-func (st *Store) ForEachEncodedQuad(fn func(q EncodedQuad)) {
+// EncodedQuads returns every (s, p, o, g) combination in the store,
+// ordered by g, then s, p and o. Quads in the default graph have G == 0.
+// Replaying them through AddEncodedBatch on a store whose dictionary
+// interned the same terms in the same ID order reproduces the store
+// exactly.
+func (st *Store) EncodedQuads() []EncodedQuad {
 	st.mu.RLock()
-	defer st.mu.RUnlock()
+	keys := make([]indexKey, 0, st.count)
+	var maxID TermID
 	for q, gs := range st.graphsOf {
 		for _, g := range gs {
-			fn(EncodedQuad{S: q.S, P: q.P, O: q.O, G: g})
+			keys = append(keys, indexKey{g, q.S, q.P, q.O})
+			maxID = max(maxID, q.S, q.P, q.O, g)
 		}
 	}
+	st.mu.RUnlock()
+	keys = sortKeys(keys, maxID)
+	quads := make([]EncodedQuad, len(keys))
+	for i, k := range keys {
+		quads[i] = EncodedQuad{G: k[0], S: k[1], P: k[2], O: k[3]}
+	}
+	return quads
 }
 
 // AddEncodedBatch inserts already-encoded quads under one lock acquisition
