@@ -5,14 +5,14 @@
 // the KGLiDS Interfaces in service form (paper Section 5). See
 // docs/SERVER_API.md for the endpoint reference.
 //
-// The platform comes from one of three sources:
+// The platform comes from one of two sources:
 //
-//   - -lake DIR      bootstrap from a directory of CSV files (profile,
-//     build the LiDS graph, index embeddings) — minutes for large lakes;
 //   - -source URI    bootstrap by streaming a lake connector (dir://,
 //     jsonl://, http(s)://, lakegen://) through the one-pass profiler in
-//     bounded memory — the lake never has to fit in RAM, and the
-//     resulting graph is equivalent to the -lake path over the same data;
+//     bounded memory (profile, build the LiDS graph, index embeddings) —
+//     the lake never has to fit in RAM. -lake DIR is shorthand for
+//     -source dir://DIR: a directory of <dataset>/<table>.csv or .tsv
+//     files;
 //   - -snapshot FILE load a snapshot previously written with
 //     -save-snapshot (or kglids.Platform.Save) — milliseconds, with
 //     query results identical to the bootstrap that produced it.
@@ -65,20 +65,18 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
 	"kglids"
 	"kglids/client"
-	"kglids/internal/dataframe"
 	"kglids/internal/ingest"
 	"kglids/internal/server"
 )
 
 func main() {
-	lakeDir := flag.String("lake", "", "data lake directory of CSV files (bootstrap source)")
+	lakeDir := flag.String("lake", "", "data lake directory of <dataset>/<table>.csv or .tsv files (shorthand for -source dir://DIR)")
 	source := flag.String("source", "", "connector URI to bootstrap by streaming (dir://, jsonl://, http://, lakegen://)")
 	chunkRows := flag.Int("chunk-rows", 0, "streaming connectors: rows per chunk (0 = default)")
 	reservoir := flag.Int("reservoir", 0, "streaming profiler: per-column sample reservoir size (0 = default)")
@@ -100,6 +98,9 @@ func main() {
 	replicaPoll := flag.Duration("replica-poll", 500*time.Millisecond, "replica: at-head changelog poll interval (the idle staleness bound)")
 	changelogRetention := flag.Int("changelog-retention", 0, "primary: quad-weighted changelog retention budget (0 = default)")
 	flag.Parse()
+	if *source == "" && *lakeDir != "" {
+		*source = "dir://" + *lakeDir
+	}
 
 	logger, err := buildLogger(*logFormat, *logLevel)
 	if err != nil {
@@ -113,7 +114,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *lakeDir == "" && *snapshotPath == "" && *source == "" && !*replicaMode {
+	if *snapshotPath == "" && *source == "" && !*replicaMode {
 		fmt.Fprintln(os.Stderr, "kglids-server: need -lake DIR, -source URI, or -snapshot FILE")
 		flag.Usage()
 		os.Exit(2)
@@ -135,7 +136,6 @@ func main() {
 		plat, err = replicaPlatform(logger, primary, *snapshotPath)
 	} else {
 		plat, err = ready(logger, bootSources{
-			lakeDir:      *lakeDir,
 			source:       *source,
 			snapshotPath: *snapshotPath,
 			chunkRows:    *chunkRows,
@@ -364,7 +364,6 @@ func replicaPlatform(logger *slog.Logger, primary *client.Client, snapshotPath s
 
 // bootSources carries the platform-source flags into ready.
 type bootSources struct {
-	lakeDir      string
 	source       string
 	snapshotPath string
 	chunkRows    int
@@ -372,11 +371,10 @@ type bootSources struct {
 }
 
 // ready produces a serving-ready platform, preferring the snapshot fast
-// path when several sources are given, then the streaming connector,
-// then the in-memory lake walk.
+// path when both sources are given.
 func ready(logger *slog.Logger, b bootSources) (*kglids.Platform, error) {
 	if b.snapshotPath != "" {
-		if b.lakeDir != "" || b.source != "" {
+		if b.source != "" {
 			logger.Info("multiple platform sources given; loading snapshot", "path", b.snapshotPath)
 		}
 		start := time.Now()
@@ -393,57 +391,16 @@ func ready(logger *slog.Logger, b bootSources) (*kglids.Platform, error) {
 		ChunkRows:     b.chunkRows,
 		ReservoirSize: b.reservoir,
 	}
-	if b.source != "" {
-		if b.lakeDir != "" {
-			logger.Info("both -lake and -source given; streaming the connector", "uri", b.source)
-		}
-		logger.Info("bootstrapping from connector", "uri", b.source)
-		start := time.Now()
-		plat, failed, err := kglids.BootstrapSource(context.Background(), opts, b.source)
-		if err != nil {
-			return nil, err
-		}
-		for id, ferr := range failed {
-			logger.Warn("skipping unreadable table", "table", id, "err", ferr)
-		}
-		logger.Info("bootstrap finished",
-			"duration", time.Since(start).Round(time.Millisecond).String())
-		return plat, nil
-	}
-
-	tables, err := readLake(logger, b.lakeDir)
+	logger.Info("bootstrapping from connector", "uri", b.source)
+	start := time.Now()
+	plat, failed, err := kglids.BootstrapSource(context.Background(), opts, b.source)
 	if err != nil {
 		return nil, err
 	}
-	logger.Info("bootstrapping", "tables", len(tables))
-	start := time.Now()
-	plat := kglids.Bootstrap(opts, tables)
+	for id, ferr := range failed {
+		logger.Warn("skipping unreadable table", "table", id, "err", ferr)
+	}
 	logger.Info("bootstrap finished",
 		"duration", time.Since(start).Round(time.Millisecond).String())
 	return plat, nil
-}
-
-// readLake walks dir for CSV files; each becomes a table whose dataset is
-// its parent directory name. Unreadable files are skipped with a warning.
-func readLake(logger *slog.Logger, dir string) ([]kglids.Table, error) {
-	var tables []kglids.Table
-	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() || !strings.HasSuffix(strings.ToLower(path), ".csv") {
-			return err
-		}
-		df, err := dataframe.ReadCSVFile(path)
-		if err != nil {
-			logger.Warn("skipping unreadable table", "path", path, "err", err)
-			return nil
-		}
-		tables = append(tables, kglids.Table{Dataset: filepath.Base(filepath.Dir(path)), Frame: df})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(tables) == 0 {
-		return nil, fmt.Errorf("no readable CSV tables under %s", dir)
-	}
-	return tables, nil
 }

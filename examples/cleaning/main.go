@@ -67,8 +67,8 @@ func main() {
 			}
 		}
 		sexs = append(sexs, transform.ScalerExample{Embedding: transform.TableEmbedding(p, task.Frame), Op: bestScaler})
-		cp := p.ProfileColumn(task.Name, task.Name, task.Frame.ColumnAt(0))
-		uexs = append(uexs, transform.UnaryExample{Embedding: cp.Embed, Op: transform.Unaries[i%3]})
+		_, emb := p.EmbedColumn(task.Frame.ColumnAt(0))
+		uexs = append(uexs, transform.UnaryExample{Embedding: emb, Op: transform.Unaries[i%3]})
 	}
 	plat.TrainCleaningModel(cexs)
 	plat.TrainTransformModels(sexs, uexs)

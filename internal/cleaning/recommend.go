@@ -43,8 +43,8 @@ func MissingValueEmbedding(p *profiler.Profiler, df *dataframe.DataFrame) embed.
 		if anyMissing && col.NullCount() == 0 {
 			continue
 		}
-		cp := p.ProfileColumn(df.Name, df.Name, col)
-		byType[cp.Type] = append(byType[cp.Type], cp.Embed)
+		t, emb := p.EmbedColumn(col)
+		byType[t] = append(byType[t], emb)
 	}
 	return embed.TableEmbedding(byType)
 }

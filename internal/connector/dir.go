@@ -10,12 +10,9 @@ import (
 	"strings"
 )
 
-// dirSource walks a filesystem directory for CSV/TSV files — the
-// streaming replacement for the materializing lake walk the server and
-// profiler CLIs used to do. Layout and naming match that path exactly:
-// lake/<dataset>/<table>.csv, dataset = parent directory base name,
-// table = base filename, so a lake ingested via dir:// lands under the
-// same table IDs as one ingested via Bootstrap.
+// dirSource walks a filesystem directory for CSV/TSV files laid out as
+// lake/<dataset>/<table>.csv: dataset = parent directory base name,
+// table = base filename. Both CLIs' -lake DIR is shorthand for it.
 type dirSource struct {
 	root string
 	opts Options

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 
+	"kglids/internal/connector"
 	"kglids/internal/dataframe"
 	"kglids/internal/discovery"
 	"kglids/internal/embed"
@@ -27,10 +28,7 @@ import (
 )
 
 // Table pairs a dataset name with one of its tables.
-type Table struct {
-	Dataset string
-	Frame   *dataframe.DataFrame
-}
+type Table = profiler.Table
 
 // Config controls bootstrapping.
 type Config struct {
@@ -53,12 +51,14 @@ type Config struct {
 	// ChunkRows is the connector chunk size for source-based ingestion
 	// (BootstrapSource/AddSource). 0 means connector.DefaultChunkRows.
 	ChunkRows int
-	// ReservoirSize bounds the streaming profiler's per-column value
-	// sample (0 = profiler.DefaultReservoirSize). Source-based ingestion
-	// only; the in-memory path profiles whole columns.
+	// ReservoirSize bounds the profiler's per-column value sample
+	// (0 = profiler.DefaultReservoirSize). It bounds streamed tables only
+	// (BootstrapSource/AddSource): in-memory tables are always profiled
+	// exactly.
 	ReservoirSize int
-	// ExactDistinct bounds the streaming profiler's exact distinct set
-	// per column (0 = profiler.DefaultExactDistinct).
+	// ExactDistinct bounds the profiler's exact distinct set per column
+	// (0 = profiler.DefaultExactDistinct), for streamed tables only, as
+	// ReservoirSize does.
 	ExactDistinct int
 }
 
@@ -116,18 +116,30 @@ type Platform struct {
 	labels *schema.LabelCache
 }
 
-// Bootstrap profiles the lake (Algorithm 2) and commits the profiles onto
-// the empty platform. That first commit builds the data global schema
-// (Algorithm 3), the embedding indexes and the linker exactly as every
-// later AddTables does.
+// Bootstrap profiles in-memory tables (Algorithm 2) and commits the
+// profiles onto the empty platform: bootstrap over the frames as a source,
+// in the given order.
 func Bootstrap(cfg Config, tables []Table) *Platform {
-	p := newPlatform(cfg, store.New())
-	ptables := make([]profiler.Table, 0, len(tables))
-	for _, t := range tables {
-		ptables = append(ptables, profiler.Table{Dataset: t.Dataset, Frame: t.Frame})
-	}
-	p.addProfiles(nil, p.profiler.ProfileAll(ptables))
+	// Resident frames cannot fail to open or stream, and nothing cancels
+	// the context.
+	p, _, _ := bootstrap(context.Background(), cfg, profiler.Frames(tables))
 	return p
+}
+
+// bootstrap profiles every table of src through the profiler's worker pool
+// and commits the profiles onto the empty platform. That first commit
+// builds the data global schema (Algorithm 3), the embedding indexes and
+// the linker exactly as every later AddTables does. Tables that fail to
+// open or stream are skipped and reported by ID; enumeration failure or
+// context cancellation fails the call.
+func bootstrap(ctx context.Context, cfg Config, src connector.Source) (*Platform, map[string]error, error) {
+	p := newPlatform(cfg, store.New())
+	profiles, tableErrs, err := p.profiler.ProfileSource(ctx, src)
+	if err != nil {
+		return nil, nil, err
+	}
+	p.addProfiles(nil, profiles)
+	return p, tableErrs, nil
 }
 
 // newPlatform returns a complete, empty, query-ready platform over st, the
@@ -238,7 +250,6 @@ func (p *Platform) AddTables(tables []Table) ([]string, error) {
 	if len(tables) == 0 {
 		return nil, nil
 	}
-	ptables := make([]profiler.Table, 0, len(tables))
 	ids := make([]string, 0, len(tables))
 	seen := map[string]bool{}
 	for _, t := range tables {
@@ -254,19 +265,19 @@ func (p *Platform) AddTables(tables []Table) ([]string, error) {
 		}
 		seen[id] = true
 		ids = append(ids, id)
-		ptables = append(ptables, profiler.Table{Dataset: t.Dataset, Frame: t.Frame})
 	}
-	// Delta profiling: cost scales with the new tables only.
-	p.addProfiles(ids, p.profiler.ProfileAll(ptables))
+	// Delta profiling: cost scales with the new tables only. Resident
+	// frames cannot fail to open or stream.
+	profiles, _, _ := p.profiler.ProfileSource(context.Background(), profiler.Frames(tables))
+	p.addProfiles(ids, profiles)
 	return ids, nil
 }
 
 // addProfiles makes the already-profiled tables ids part of the live
-// platform, replacing resident versions — the mutation Bootstrap and
-// AddTables (in-memory profiling) and BootstrapSource and AddSourceTable
-// (streaming profiling) all end in, which is why they produce identical
-// platforms for identical data. Bootstrap passes no ids: nothing is
-// resident to replace.
+// platform, replacing resident versions — the mutation Bootstrap,
+// BootstrapSource, AddTables and AddSourceTable all end in, after the one
+// profiler, which is why they produce identical platforms for identical
+// data. Bootstrap passes no ids: nothing is resident to replace.
 //
 // It builds the delta and commits it: similarity edges of the new columns
 // against the resident profiles minus the versions being replaced, and the

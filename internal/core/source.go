@@ -7,46 +7,42 @@ import (
 	"sync"
 
 	"kglids/internal/connector"
-	"kglids/internal/store"
 )
 
-// Source-based ingestion: the streaming twin of Bootstrap/AddTables.
-// Tables arrive as connector chunks and are profiled by the one-pass
-// accumulators in internal/profiler, so the lake never has to fit in
-// memory — then the resulting profiles enter the same addProfiles as
-// in-memory profiling, making the two routes produce identical platforms
-// for identical data.
+// Source-based ingestion: tables arrive as connector chunks and are
+// profiled by the same one-pass accumulators as in-memory frames (see
+// internal/profiler), so the lake never has to fit in memory. The
+// profiles enter the same addProfiles as Bootstrap's and AddTables', so
+// both routes produce identical platforms for identical data.
 
 // connectorOpts derives the streaming options from the platform config.
-func (p *Platform) connectorOpts() connector.Options {
-	return connector.Options{ChunkRows: p.cfg.ChunkRows}
+func (c Config) connectorOpts() connector.Options {
+	return connector.Options{ChunkRows: c.ChunkRows}
 }
 
 // OpenSource opens a connector URI with the platform's streaming
 // configuration.
 func (p *Platform) OpenSource(uri string) (connector.Source, error) {
-	return connector.OpenWith(uri, p.connectorOpts())
+	return connector.OpenWith(uri, p.cfg.connectorOpts())
 }
 
 // BootstrapSource streams a connector source and commits its profiles onto
 // the empty platform — Bootstrap for lakes that don't fit in memory.
 // Tables that fail to open or stream are skipped and reported in the
-// returned map by table ID (mirroring the lake walker's skip-unreadable
-// behavior); enumeration failure or context cancellation fails the call.
+// returned map by table ID; enumeration failure or context cancellation
+// fails the call.
 func BootstrapSource(ctx context.Context, cfg Config, uri string) (*Platform, map[string]error, error) {
-	p := newPlatform(cfg, store.New())
-	src, err := connector.OpenWith(uri, p.connectorOpts())
+	src, err := connector.OpenWith(uri, cfg.connectorOpts())
 	if err != nil {
 		return nil, nil, err
 	}
-	profiles, tableErrs, err := p.profiler.ProfileSource(ctx, src)
+	p, tableErrs, err := bootstrap(ctx, cfg, src)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(profiles) == 0 {
+	if len(p.Profiles) == 0 {
 		return nil, tableErrs, fmt.Errorf("core: no readable tables in source %s", uri)
 	}
-	p.addProfiles(nil, profiles)
 	return p, tableErrs, nil
 }
 

@@ -305,45 +305,66 @@ func (c *CoLR) encodeNumeric(v Vector, sample []string) {
 }
 
 // dateLayouts are the formats the date encoder and the profiler's type
-// inference both recognize.
-var dateLayouts = []string{
-	"2006-01-02", "2006/01/02", "01/02/2006", "02-01-2006",
-	"2006-01-02 15:04:05", "2006-01-02T15:04:05", "Jan 2, 2006",
-	"2 Jan 2006", "January 2, 2006", "2006-01",
+// inference both recognize, each with the shape a value must have to
+// match it: head and tail are the value's first and last bytes, 'd'
+// standing for an ASCII digit and 'a' for an ASCII letter, and the length
+// is at least minLen and, if maxLen > 0, at most maxLen. A shape is only
+// as strict as time.Parse: a space in a layout matches a run of spaces, a
+// "2" or "15" one or two digits, and seconds take an unlisted fraction.
+var dateLayouts = []struct {
+	layout, head, tail string
+	minLen, maxLen     int
+}{
+	{layout: "2006-01-02", head: "dddd-dd-dd", minLen: 10, maxLen: 10},
+	{layout: "2006/01/02", head: "dddd/dd/dd", minLen: 10, maxLen: 10},
+	{layout: "01/02/2006", head: "dd/dd/dddd", minLen: 10, maxLen: 10},
+	{layout: "02-01-2006", head: "dd-dd-dddd", minLen: 10, maxLen: 10},
+	{layout: "2006-01-02 15:04:05", head: "dddd-dd-dd ", tail: "d", minLen: 18},
+	{layout: "2006-01-02T15:04:05", head: "dddd-dd-ddT", tail: "d", minLen: 18},
+	{layout: "Jan 2, 2006", head: "a", tail: " dddd", minLen: 11},
+	{layout: "2 Jan 2006", head: "d", tail: " dddd", minLen: 10},
+	{layout: "January 2, 2006", head: "a", tail: " dddd", minLen: 11},
+	{layout: "2006-01", head: "dddd-dd", minLen: 7, maxLen: 7},
 }
 
-// ParseDate attempts to parse s with the supported layouts.
+// ParseDate attempts to parse s with the supported layouts. A layout
+// whose shape s does not have is skipped, so most non-date cells are
+// rejected without time.Parse allocating an error for each layout.
 func ParseDate(s string) (time.Time, bool) {
 	t := strings.TrimSpace(s)
-	if !hasYear(t) {
-		return time.Time{}, false
-	}
-	for _, layout := range dateLayouts {
-		if parsed, err := time.Parse(layout, t); err == nil {
+	for _, l := range dateLayouts {
+		if len(t) < l.minLen || l.maxLen > 0 && len(t) > l.maxLen ||
+			!fits(t[:len(l.head)], l.head) || !fits(t[len(t)-len(l.tail):], l.tail) {
+			continue
+		}
+		if parsed, err := time.Parse(l.layout, t); err == nil {
 			return parsed, true
 		}
 	}
 	return time.Time{}, false
 }
 
-// hasYear reports whether s could match any of dateLayouts. Every layout
-// has a four-digit year, which time.Parse takes only from four consecutive
-// digits, and the shortest layout is seven bytes long — so most non-date
-// cells are rejected here, before time.Parse allocates an error for each
-// layout it tries.
-func hasYear(s string) bool {
-	if len(s) < len("2006-01") {
-		return false
-	}
-	run := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			run = 0
-		} else if run++; run == 4 {
-			return true
+// fits reports whether s, as long as shape, has its digits where shape
+// has 'd', ASCII letters where it has 'a', and its other bytes elsewhere.
+func fits(s, shape string) bool {
+	for i := 0; i < len(shape); i++ {
+		c := s[i]
+		switch shape[i] {
+		case 'd':
+			if c < '0' || c > '9' {
+				return false
+			}
+		case 'a':
+			if c|0x20 < 'a' || c|0x20 > 'z' {
+				return false
+			}
+		default:
+			if c != shape[i] {
+				return false
+			}
 		}
 	}
-	return false
+	return true
 }
 
 func (c *CoLR) encodeDates(v Vector, sample []string) {

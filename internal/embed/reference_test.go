@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The reference encoders state CoLR and the word model plainly: every
@@ -176,7 +177,7 @@ func refEncodeNumeric(v Vector, sample []string) {
 func refEncodeDates(v Vector, sample []string) {
 	w := 1.0 / float64(len(sample))
 	for _, s := range sample {
-		d, ok := ParseDate(s)
+		d, ok := refParseDate(s)
 		if !ok {
 			refEncodeStringValue(v, s, w)
 			continue
@@ -186,6 +187,17 @@ func refEncodeDates(v Vector, sample []string) {
 		refAddHashed(v, "month:"+refItoa(int(d.Month())), 0.5*w)
 		refAddHashed(v, "dow:"+refItoa(int(d.Weekday())), 0.25*w)
 	}
+}
+
+// refParseDate tries every layout in turn on the trimmed value.
+func refParseDate(s string) (time.Time, bool) {
+	s = strings.TrimSpace(s)
+	for _, l := range dateLayouts {
+		if parsed, err := time.Parse(l.layout, s); err == nil {
+			return parsed, true
+		}
+	}
+	return time.Time{}, false
 }
 
 func refWordEmbed(m *WordModel, word string) Vector {
@@ -378,6 +390,25 @@ func FuzzCoLRMatchesReference(f *testing.F) {
 			if i := sameBits(got, want); i >= 0 {
 				t.Fatalf("%s, type %s, column %q: entry %d = %v, reference %v", cfg.name, typ, col, i, got[i], want[i])
 			}
+		}
+	})
+}
+
+// FuzzParseDateMatchesReference: skipping the layouts whose shape a value
+// does not have gives the time and the ok flag of trying every layout.
+func FuzzParseDateMatchesReference(f *testing.F) {
+	for _, l := range dateLayouts {
+		f.Add(time.Date(1987, 6, 5, 4, 3, 2, 0, time.UTC).Format(l.layout))
+	}
+	for _, s := range []string{"", " 2020-05-17\t", "2020-05-17 3:04:05", "2020-05-17  3:04:05.25", "jan   2,  2006", "2 JAN 2006",
+		"2020-13-01", "1234567", "order 12345", "Sept 2, 2006", "١٢٣٤-٠١"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, ok := ParseDate(s)
+		want, wantOK := refParseDate(s)
+		if ok != wantOK || got != want {
+			t.Fatalf("ParseDate(%q) = %v, %v; every layout in turn gives %v, %v", s, got, ok, want, wantOK)
 		}
 	})
 }

@@ -214,8 +214,8 @@ func trainTransformRecommender(numTraining int) *transform.Recommender {
 			if col.Name == task.Target || !col.IsNumeric() {
 				continue
 			}
-			cp := p.ProfileColumn(task.Name, task.Name, col)
-			unaryExamples = append(unaryExamples, transform.UnaryExample{Embedding: cp.Embed, Op: bestUnary})
+			_, emb := p.EmbedColumn(col)
+			unaryExamples = append(unaryExamples, transform.UnaryExample{Embedding: emb, Op: bestUnary})
 		}
 	}
 	return transform.Train(scalerExamples, unaryExamples)

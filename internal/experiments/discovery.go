@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -52,7 +53,7 @@ func RunTable1Subset(specs []lakegen.Spec) []BenchmarkStats {
 		for _, df := range b.Tables {
 			tables = append(tables, profiler.Table{Dataset: b.Dataset[df.Name], Frame: df})
 		}
-		profiles := p.ProfileAll(tables)
+		profiles, _, _ := p.ProfileSource(context.Background(), profiler.Frames(tables)) // frames cannot fail
 		out = append(out, BenchmarkStats{
 			Name:          spec.Name,
 			SizeMB:        float64(b.SizeBytes()) / (1 << 20),

@@ -1,6 +1,7 @@
 package lakegen_test
 
 import (
+	"context"
 	"testing"
 
 	"kglids/internal/embed"
@@ -83,7 +84,11 @@ func TestTypeDiversity(t *testing.T) {
 	for _, df := range b.Tables {
 		tables = append(tables, profiler.Table{Dataset: b.Dataset[df.Name], Frame: df})
 	}
-	breakdown := profiler.TypeBreakdown(p.ProfileAll(tables))
+	profiles, _, err := p.ProfileSource(context.Background(), profiler.Frames(tables))
+	if err != nil {
+		t.Fatal(err)
+	}
+	breakdown := profiler.TypeBreakdown(profiles)
 	for _, typ := range []embed.Type{embed.TypeInt, embed.TypeFloat, embed.TypeBoolean, embed.TypeNamedEntity, embed.TypeNaturalLanguage, embed.TypeString, embed.TypeDate} {
 		if breakdown[typ] == 0 {
 			t.Errorf("no columns of type %s in generated lake: %v", typ, breakdown)

@@ -1,11 +1,14 @@
 package profiler
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"runtime"
-	"sync"
+	"strconv"
 
+	"kglids/internal/connector"
 	"kglids/internal/dataframe"
 	"kglids/internal/embed"
 )
@@ -49,19 +52,20 @@ func (cp *ColumnProfile) TableID() string {
 func (cp *ColumnProfile) JSON() ([]byte, error) { return json.Marshal(cp) }
 
 // Profiler runs Algorithm 2: it decomposes tables into columns and profiles
-// each column independently in parallel (the Spark-map substitution).
+// each column in one pass, tables in parallel (the Spark-map substitution).
 type Profiler struct {
 	CoLR    *embed.CoLR
 	Types   *TypeInferencer
 	Workers int
 
-	// ReservoirSize bounds the per-column value sample the streaming path
-	// retains for embeddings and exact std (see stream.go). 0 selects
-	// DefaultReservoirSize. The in-memory path ignores it.
+	// ReservoirSize bounds the per-column value sample retained for
+	// embeddings and exact std (see stream.go). 0 selects
+	// DefaultReservoirSize. It bounds streamed tables only: a resident
+	// frame's bound is lifted to its row count.
 	ReservoirSize int
-	// ExactDistinct bounds the exact distinct-value set per column on the
-	// streaming path; beyond it a KMV sketch estimates. 0 selects
-	// DefaultExactDistinct. The in-memory path ignores it.
+	// ExactDistinct bounds the exact distinct-value set per column; beyond
+	// it a KMV sketch estimates. 0 selects DefaultExactDistinct. It bounds
+	// streamed tables only, as ReservoirSize does.
 	ExactDistinct int
 }
 
@@ -78,38 +82,11 @@ func (p *Profiler) EmbedColumn(s *dataframe.Series) (embed.Type, embed.Vector) {
 	return fgt, p.CoLR.EncodeColumn(s.Strings(), fgt)
 }
 
-// ProfileColumn profiles a single column (Algorithm 2, worker body).
-func (p *Profiler) ProfileColumn(dataset, table string, s *dataframe.Series) *ColumnProfile {
-	fgt, emb := p.EmbedColumn(s)
-	cp := &ColumnProfile{
-		Dataset: dataset,
-		Table:   table,
-		Column:  s.Name,
-		Type:    fgt,
-		Stats: ColumnStats{
-			Total:    s.Len(),
-			Missing:  s.NullCount(),
-			Distinct: s.Distinct(),
-		},
-		Embed: emb,
-	}
-	switch fgt {
-	case embed.TypeInt, embed.TypeFloat:
-		cp.Stats.Min, cp.Stats.Max = s.MinMax()
-		cp.Stats.Mean = s.Mean()
-		cp.Stats.Std = s.Std()
-	case embed.TypeBoolean:
-		cp.Stats.TrueRatio = booleanTrueRatio(s)
-	}
-	return cp
-}
-
-// ProfileTable profiles all columns of one table.
+// ProfileTable profiles all columns of one resident table: a one-table
+// Frames source through ProfileTableStream.
 func (p *Profiler) ProfileTable(dataset string, df *dataframe.DataFrame) []*ColumnProfile {
-	out := make([]*ColumnProfile, df.NumCols())
-	for i := 0; i < df.NumCols(); i++ {
-		out[i] = p.ProfileColumn(dataset, df.Name, df.ColumnAt(i))
-	}
+	// A frame's reader returns no error under a context nothing cancels.
+	out, _ := p.ProfileTableStream(context.Background(), dataset, df.Name, &frameReader{df: df})
 	return out
 }
 
@@ -119,67 +96,60 @@ type Table struct {
 	Frame   *dataframe.DataFrame
 }
 
-// ProfileAll profiles every column of every table in parallel and returns
-// profiles in deterministic (table, column) order.
-func (p *Profiler) ProfileAll(tables []Table) []*ColumnProfile {
-	type job struct {
-		tableIdx, colIdx int
-		dataset          string
-		table            string
-		series           *dataframe.Series
+// Frames returns a connector source over resident tables. It lists them
+// in the given order and opens them by position, duplicates included,
+// and each reader yields its frame as one chunk. Profiled through
+// ProfileSource, every table's bounds are lifted to its row count, so
+// the profiles are exact.
+func Frames(tables []Table) connector.Source { return frameSource(tables) }
+
+type frameSource []Table
+
+func (frameSource) Scheme() string { return "frames" }
+
+func (s frameSource) Tables(context.Context) ([]connector.TableRef, error) {
+	refs := make([]connector.TableRef, len(s))
+	for i, t := range s {
+		refs[i] = connector.TableRef{Dataset: t.Dataset, Table: t.Frame.Name, Locator: strconv.Itoa(i)}
 	}
-	var jobs []job
-	offsets := make([]int, len(tables)+1)
-	for ti, t := range tables {
-		offsets[ti+1] = offsets[ti] + t.Frame.NumCols()
-		for ci := 0; ci < t.Frame.NumCols(); ci++ {
-			jobs = append(jobs, job{tableIdx: ti, colIdx: ci, dataset: t.Dataset, table: t.Frame.Name, series: t.Frame.ColumnAt(ci)})
-		}
-	}
-	out := make([]*ColumnProfile, len(jobs))
-	workers := p.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ji := range ch {
-				j := jobs[ji]
-				out[offsets[j.tableIdx]+j.colIdx] = p.ProfileColumn(j.dataset, j.table, j.series)
-			}
-		}()
-	}
-	for ji := range jobs {
-		ch <- ji
-	}
-	close(ch)
-	wg.Wait()
-	return out
+	return refs, nil
 }
 
-// booleanTrueRatio computes the fraction of non-null values that are true
-// for a column inferred as boolean. Unlike Series.TrueRatio, it also counts
-// 0/1 numeric encodings, which the type inferencer classifies as boolean.
-func booleanTrueRatio(s *dataframe.Series) float64 {
-	total, trues := 0, 0
-	for _, c := range s.Cells {
-		if c.IsNull() {
-			continue
-		}
-		total++
-		if (c.Kind == dataframe.Boolean || c.Kind == dataframe.Number) && c.F == 1 {
-			trues++
-		}
+func (s frameSource) Open(ctx context.Context, ref connector.TableRef) (connector.TableReader, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	if total == 0 {
-		return 0
+	i, err := strconv.Atoi(ref.Locator)
+	if err != nil || i < 0 || i >= len(s) {
+		return nil, fmt.Errorf("profiler: no frame at position %q", ref.Locator)
 	}
-	return float64(trues) / float64(total)
+	return &frameReader{df: s[i].Frame}, nil
 }
+
+// frameReader yields a resident frame as one chunk of its own cells.
+type frameReader struct {
+	df   *dataframe.DataFrame
+	done bool
+}
+
+func (r *frameReader) Columns() []string { return r.df.Columns() }
+
+func (r *frameReader) Next(ctx context.Context) (*connector.Chunk, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if r.done {
+		return nil, io.EOF
+	}
+	r.done = true
+	cols := make([][]dataframe.Cell, r.df.NumCols())
+	for i := range cols {
+		cols[i] = r.df.ColumnAt(i).Cells
+	}
+	return &connector.Chunk{Cols: cols}, nil
+}
+
+func (r *frameReader) Close() error { return nil }
 
 // TypeBreakdown counts profiles per fine-grained type, the statistic
 // reported in Table 1.

@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -16,6 +17,13 @@ func seriesOf(name string, vals ...string) *dataframe.Series {
 		s.Cells = append(s.Cells, dataframe.ParseCell(v))
 	}
 	return s
+}
+
+// profileSeries profiles s as the one column of table.
+func profileSeries(p *Profiler, dataset, table string, s *dataframe.Series) *ColumnProfile {
+	df := dataframe.New(table)
+	df.AddColumn(s)
+	return p.ProfileTable(dataset, df)[0]
 }
 
 func TestNERRecognize(t *testing.T) {
@@ -109,7 +117,7 @@ func TestInferEmptyAndNulls(t *testing.T) {
 func TestProfileColumn(t *testing.T) {
 	p := New()
 	s := seriesOf("Age", "22", "38", "", "35", "35")
-	cp := p.ProfileColumn("titanic", "train.csv", s)
+	cp := profileSeries(p, "titanic", "train.csv", s)
 	if cp.Type != embed.TypeInt {
 		t.Errorf("type = %v", cp.Type)
 	}
@@ -135,7 +143,7 @@ func TestProfileColumn(t *testing.T) {
 
 func TestProfileBooleanStats(t *testing.T) {
 	p := New()
-	cp := p.ProfileColumn("d", "t", seriesOf("flag", "true", "false", "true", "true"))
+	cp := profileSeries(p, "d", "t", seriesOf("flag", "true", "false", "true", "true"))
 	if cp.Type != embed.TypeBoolean {
 		t.Fatalf("type = %v", cp.Type)
 	}
@@ -146,7 +154,7 @@ func TestProfileBooleanStats(t *testing.T) {
 
 func TestProfileJSONRoundtrip(t *testing.T) {
 	p := New()
-	cp := p.ProfileColumn("d", "t", seriesOf("c", "a", "b"))
+	cp := profileSeries(p, "d", "t", seriesOf("c", "a", "b"))
 	data, err := cp.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +180,10 @@ func TestProfileAllParallel(t *testing.T) {
 		df.AddColumn(b)
 		tables = append(tables, Table{Dataset: "ds", Frame: df})
 	}
-	profiles := p.ProfileAll(tables)
+	profiles, tableErrs, err := p.ProfileSource(context.Background(), Frames(tables))
+	if err != nil || len(tableErrs) != 0 {
+		t.Fatal(err, tableErrs)
+	}
 	if len(profiles) != 12 {
 		t.Fatalf("profiles = %d, want 12", len(profiles))
 	}
@@ -199,8 +210,8 @@ func TestProfileAllSingleWorker(t *testing.T) {
 	p.Workers = 0 // must clamp to 1
 	df := dataframe.New("x.csv")
 	df.AddColumn(seriesOf("a", "1", "2"))
-	profiles := p.ProfileAll([]Table{{Dataset: "d", Frame: df}})
-	if len(profiles) != 1 || profiles[0] == nil {
+	profiles, _, err := p.ProfileSource(context.Background(), Frames([]Table{{Dataset: "d", Frame: df}}))
+	if err != nil || len(profiles) != 1 || profiles[0] == nil {
 		t.Fatal("single worker profiling failed")
 	}
 }

@@ -8,39 +8,39 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"kglids/internal/connector"
 	"kglids/internal/dataframe"
 	"kglids/internal/embed"
 )
 
-// The streaming half of Algorithm 2: instead of materializing a table
-// and handing whole columns to ProfileColumn, a ColumnAccumulator folds
-// connector chunks into bounded state — counters, a Welford pair, a
-// type-inference prefix, a hash-ranked value reservoir, and an
-// exact-until-threshold distinct tracker — and emits the ColumnProfile
-// at Finish. Peak memory per column is O(ReservoirSize + ExactDistinct)
-// no matter how many rows stream through.
+// Algorithm 2 as one pass: a ColumnAccumulator folds a column's chunks
+// into counters, a Welford pair, the type-inference prefix, a value
+// reservoir and a distinct-value set, and emits the ColumnProfile at
+// Finish. Every table is profiled this way: a connector stream chunk by
+// chunk, a resident frame (Frames, ProfileTable) as one chunk. For a
+// resident frame the reservoir and distinct bounds are lifted to its row
+// count, so its profile is exact whatever the configured bounds; a
+// streamed column costs O(ReservoirSize + ExactDistinct) memory however
+// many rows it has.
 //
-// Equivalence with the in-memory path is by construction, not accident:
+// While the bounds cover the column, the profile equals the whole-column
+// reference profiler in this package's tests, byte for byte:
 //
-//   - Total/Missing/Min/Max/TrueRatio are exact counters — always
-//     byte-identical.
-//   - Mean keeps the same running sum in the same row order the
-//     in-memory Series.Mean computes — always byte-identical.
+//   - Total/Missing/Min/Max/TrueRatio are exact counters.
+//   - Mean is the same running sum in the same row order.
 //   - Type inference examines the same first-InferSampleSize non-null
-//     prefix Infer samples — always identical.
-//   - The reservoir keeps the values with the smallest
-//     embed.SampleHash — exactly the selection rule of CoLR's sampler —
-//     so embeddings are byte-identical until a column's sample size
-//     exceeds the reservoir (non-null count > ~10x ReservoirSize at the
-//     default 10% fraction), after which the embedding is computed from
-//     the hash-order prefix of the true sample.
-//   - Std is recomputed two-pass from retained numeric values while
-//     they fit the reservoir budget (byte-identical), falling back to
-//     Welford's M2 beyond it (agrees to ~1e-9 relative).
-//   - Distinct is an exact set until ExactDistinct values, then a
-//     k-minimum-values estimate (k=1024, ~3% standard error).
+//     prefix Infer samples.
+//   - The reservoir holds every non-null value in row order, so the
+//     embedding comes from the same EncodeColumn call. Past its bound it
+//     keeps the values with the smallest embed.SampleHash, the selection
+//     rule of CoLR's sampler, and the embedding is computed from the
+//     hash-order prefix of the true sample.
+//   - Std is the same two-pass sum over the retained numeric values;
+//     past the reservoir bound, Welford's M2 (agrees to ~1e-9 relative).
+//   - Distinct is an exact set; past ExactDistinct a k-minimum-values
+//     sketch, seeded from the set, estimates (k=1024, ~3% standard error).
 
 const (
 	// DefaultReservoirSize is the per-column bounded sample. At CoLR's
@@ -72,28 +72,41 @@ func (p *Profiler) exactDistinct() int {
 type ColumnAccumulator struct {
 	p                       *Profiler
 	dataset, table, column  string
+	rows                    int // known row count of a resident frame; 0 when streamed
 	total, missing, nonNull int
 	prefix                  []dataframe.Cell // first InferSampleSize non-null cells
 	numCount                int
 	numSum, numMin, numMax  float64
-	numBuf                  []float64 // exact-std buffer until reservoirSize
+	numBuf                  []float64 // exact-std buffer until the reservoir bound
 	numOverflow             bool
 	welfordMean, welfordM2  float64
 	trues                   int
-	exact                   map[string]struct{} // exact distinct until exactDistinct
-	distinctOverflow        bool
-	kmv                     kmvSketch
+	exact                   map[string]struct{} // exact distinct until exactBound; nil after
+	exactBound              int
+	kmv                     kmvSketch // distinct estimator once exact overflowed
 	res                     sampleReservoir
 }
 
-// NewColumnAccumulator starts streaming one column.
+// NewColumnAccumulator starts streaming one column of unknown length.
 func (p *Profiler) NewColumnAccumulator(dataset, table, column string) *ColumnAccumulator {
-	return &ColumnAccumulator{
-		p: p, dataset: dataset, table: table, column: column,
-		exact: make(map[string]struct{}),
-		kmv:   kmvSketch{k: kmvK, in: make(map[uint64]struct{}, kmvK)},
-		res:   sampleReservoir{cap: p.reservoirSize()},
+	return p.newColumnAccumulator(dataset, table, column, 0)
+}
+
+// newColumnAccumulator starts one column. rows > 0 is the row count of a
+// resident frame: the bounds are lifted to it, so nothing is sketched,
+// and the buffers start at the size the column needs.
+func (p *Profiler) newColumnAccumulator(dataset, table, column string, rows int) *ColumnAccumulator {
+	a := &ColumnAccumulator{
+		p: p, dataset: dataset, table: table, column: column, rows: rows,
+		exact:      make(map[string]struct{}),
+		exactBound: max(p.exactDistinct(), rows),
+		res:        sampleReservoir{cap: max(p.reservoirSize(), rows)},
 	}
+	if rows > 0 {
+		a.prefix = make([]dataframe.Cell, 0, min(rows, InferSampleSize))
+		a.res.vals = make([]string, 0, rows)
+	}
+	return a
 }
 
 // Add folds one chunk of cells, in row order.
@@ -113,6 +126,9 @@ func (a *ColumnAccumulator) Add(cells []dataframe.Cell) {
 			v := c.F
 			if a.numCount == 0 {
 				a.numMin, a.numMax = v, v
+				if a.rows > 0 {
+					a.numBuf = make([]float64, 0, a.rows)
+				}
 			} else {
 				if v < a.numMin {
 					a.numMin = v
@@ -130,7 +146,7 @@ func (a *ColumnAccumulator) Add(cells []dataframe.Cell) {
 			a.welfordMean += d / float64(a.numCount)
 			a.welfordM2 += d * (v - a.welfordMean)
 			if !a.numOverflow {
-				if len(a.numBuf) < a.p.reservoirSize() {
+				if len(a.numBuf) < a.res.cap {
 					a.numBuf = append(a.numBuf, v)
 				} else {
 					a.numOverflow = true
@@ -138,14 +154,14 @@ func (a *ColumnAccumulator) Add(cells []dataframe.Cell) {
 				}
 			}
 		}
-		if !a.distinctOverflow {
+		if a.exact != nil {
 			a.exact[c.S] = struct{}{}
-			if len(a.exact) > a.p.exactDistinct() {
-				a.distinctOverflow = true
-				a.exact = nil
+			if len(a.exact) > a.exactBound {
+				a.kmv, a.exact = newKMV(a.exact), nil
 			}
+		} else {
+			a.kmv.add(c.S)
 		}
-		a.kmv.add(c.S)
 		a.res.add(c.S, i)
 	}
 }
@@ -181,8 +197,8 @@ func (a *ColumnAccumulator) Finish() *ColumnProfile {
 	return cp
 }
 
-// std matches Series.Std bit-for-bit while the numeric values fit the
-// buffer (same two-pass, same order); Welford beyond.
+// std is the reference two-pass value (same sum, same order) while the
+// numeric values fit the buffer; Welford beyond.
 func (a *ColumnAccumulator) std() float64 {
 	if !a.numOverflow {
 		m := a.numSum / float64(a.numCount)
@@ -197,41 +213,32 @@ func (a *ColumnAccumulator) std() float64 {
 }
 
 func (a *ColumnAccumulator) distinct() int {
-	if !a.distinctOverflow {
+	if a.exact != nil {
 		return len(a.exact)
 	}
 	return a.kmv.estimate()
 }
 
-// embed encodes the reservoir. While the reservoir held every non-null
-// value, the values are restored to row order and pushed through the
-// normal EncodeColumn path — identical to the in-memory profile. On
-// overflow the reservoir's contents, ordered by (hash, position) as the
-// sampler orders, are the leading portion of the exact sample; they are
-// truncated to the true sample size (or the whole reservoir if smaller)
-// and encoded pre-sampled.
+// embed encodes the reservoir. While it holds every non-null value, in
+// row order, that is the EncodeColumn call of the whole column. On
+// overflow its contents, ordered by (hash, position) as the sampler
+// orders, are the leading portion of the exact sample; they are truncated
+// to the true sample size (or the whole reservoir if smaller) and encoded
+// pre-sampled.
 func (a *ColumnAccumulator) embed(fgt embed.Type) embed.Vector {
-	items := a.res.items
-	if !a.res.overflow {
-		slices.SortFunc(items, func(x, y resItem) int { return cmp.Compare(x.idx, y.idx) })
-		vals := make([]string, len(items))
-		for i, it := range items {
-			vals[i] = it.val
-		}
-		return a.p.CoLR.EncodeColumn(vals, fgt)
+	if a.res.items == nil {
+		return a.p.CoLR.EncodeColumn(a.res.vals, fgt)
 	}
+	items := a.res.items
 	slices.SortFunc(items, func(x, y resItem) int {
 		if c := cmp.Compare(x.hash, y.hash); c != 0 {
 			return c
 		}
 		return cmp.Compare(x.idx, y.idx)
 	})
-	n := a.p.CoLR.SampleSize(a.nonNull)
-	if n > len(items) {
-		n = len(items)
-	}
+	n := min(a.p.CoLR.SampleSize(a.nonNull), len(items))
 	vals := make([]string, n)
-	for i := 0; i < n; i++ {
+	for i := range vals {
 		vals[i] = items[i].val
 	}
 	return a.p.CoLR.EncodeSampled(vals, fgt)
@@ -245,13 +252,15 @@ type resItem struct {
 	val  string
 }
 
-// sampleReservoir keeps the cap values with the smallest
-// embed.SampleHash, via a max-heap so the current worst is evictable in
-// O(log cap).
+// sampleReservoir holds a column's non-null values in row order up to
+// cap. The value that would exceed cap turns it into a max-heap by
+// embed.SampleHash of the cap values with the smallest hashes, so the
+// current worst is evictable in O(log cap); values are only hashed from
+// then on.
 type sampleReservoir struct {
-	cap      int
-	items    []resItem // max-heap by hash
-	overflow bool
+	cap   int
+	vals  []string  // row order, until overflow
+	items []resItem // max-heap by hash, after overflow
 }
 
 func (r *sampleReservoir) Len() int           { return len(r.items) }
@@ -264,15 +273,22 @@ func (r *sampleReservoir) Pop() any {
 	return last
 }
 
+// add keeps val, the column's idx-th non-null value.
 func (r *sampleReservoir) add(val string, idx int) {
-	it := resItem{hash: embed.SampleHash(val, idx), idx: idx, val: val}
-	if len(r.items) < r.cap {
-		heap.Push(r, it)
-		return
+	if r.items == nil {
+		if len(r.vals) < r.cap {
+			r.vals = append(r.vals, val)
+			return
+		}
+		r.items = make([]resItem, len(r.vals))
+		for i, v := range r.vals {
+			r.items[i] = resItem{hash: embed.SampleHash(v, i), idx: i, val: v}
+		}
+		r.vals = nil
+		heap.Init(r)
 	}
-	r.overflow = true
-	if it.hash < r.items[0].hash {
-		r.items[0] = it
+	if h := embed.SampleHash(val, idx); h < r.items[0].hash {
+		r.items[0] = resItem{hash: h, idx: idx, val: val}
 		heap.Fix(r, 0)
 	}
 }
@@ -280,85 +296,61 @@ func (r *sampleReservoir) add(val string, idx int) {
 // --- KMV distinct estimator -------------------------------------------------
 
 // kmvSketch estimates distinct counts from the k smallest distinct value
-// hashes: if the k-th smallest of D uniform hashes sits at fraction f of
-// the hash space, D ≈ (k-1)/f. Fed from the first value so the estimate
-// is ready the moment the exact set overflows.
-type kmvSketch struct {
-	k     int
-	heap_ []uint64            // max-heap of the k smallest hashes
-	in    map[uint64]struct{} // members of heap_, for dedup
+// hashes, kept in ascending order: if the k-th smallest of D uniform
+// hashes sits at fraction f of the hash space, D ≈ (k-1)/f. Those k hashes
+// do not depend on the order values arrive in, so a sketch seeded from the
+// exact set at its overflow holds what one fed from the first value would.
+type kmvSketch []uint64
+
+// newKMV returns the sketch of the distinct values in seen.
+func newKMV(seen map[string]struct{}) kmvSketch {
+	hs := make([]uint64, 0, len(seen))
+	for v := range seen {
+		hs = append(hs, embed.Hash64(v))
+	}
+	slices.Sort(hs)
+	hs = slices.Compact(hs)
+	return slices.Clone(hs[:min(len(hs), kmvK)])
 }
 
 func (s *kmvSketch) add(v string) {
-	hv := embed.Hash64(v)
-	if _, dup := s.in[hv]; dup {
+	h := embed.Hash64(v)
+	if len(*s) == kmvK && h >= (*s)[kmvK-1] {
 		return
 	}
-	if len(s.heap_) < s.k {
-		s.in[hv] = struct{}{}
-		s.heap_ = append(s.heap_, hv)
-		s.up(len(s.heap_) - 1)
-		return
-	}
-	if hv >= s.heap_[0] {
-		return
-	}
-	delete(s.in, s.heap_[0])
-	s.in[hv] = struct{}{}
-	s.heap_[0] = hv
-	s.down(0)
-}
-
-func (s *kmvSketch) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s.heap_[parent] >= s.heap_[i] {
-			return
-		}
-		s.heap_[parent], s.heap_[i] = s.heap_[i], s.heap_[parent]
-		i = parent
+	if i, dup := slices.BinarySearch(*s, h); !dup {
+		*s = slices.Insert(*s, i, h)
+		*s = (*s)[:min(len(*s), kmvK)]
 	}
 }
 
-func (s *kmvSketch) down(i int) {
-	n := len(s.heap_)
-	for {
-		l, r, big := 2*i+1, 2*i+2, i
-		if l < n && s.heap_[l] > s.heap_[big] {
-			big = l
-		}
-		if r < n && s.heap_[r] > s.heap_[big] {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		s.heap_[i], s.heap_[big] = s.heap_[big], s.heap_[i]
-		i = big
+func (s kmvSketch) estimate() int {
+	if len(s) < kmvK {
+		return len(s)
 	}
-}
-
-func (s *kmvSketch) estimate() int {
-	if len(s.heap_) < s.k {
-		return len(s.heap_)
-	}
-	frac := float64(s.heap_[0]) / math.Exp2(64)
+	frac := float64(s[kmvK-1]) / math.Exp2(64)
 	if frac <= 0 {
-		return len(s.heap_)
+		return len(s)
 	}
-	return int(math.Round(float64(s.k-1) / frac))
+	return int(math.Round(float64(kmvK-1) / frac))
 }
 
 // --- table- and source-level streaming --------------------------------------
 
 // ProfileTableStream drains one connector table reader into per-column
-// accumulators and returns the column profiles in column order. The
-// reader is not closed; the caller owns it.
+// accumulators, finishes the columns in parallel, and returns the column
+// profiles in column order. The reader is not closed; the caller owns it.
+// A resident frame's reader (see Frames) tells the accumulators its row
+// count.
 func (p *Profiler) ProfileTableStream(ctx context.Context, dataset, table string, r connector.TableReader) ([]*ColumnProfile, error) {
+	rows := 0
+	if fr, ok := r.(*frameReader); ok {
+		rows = fr.df.NumRows()
+	}
 	cols := r.Columns()
 	accs := make([]*ColumnAccumulator, len(cols))
 	for i, name := range cols {
-		accs[i] = p.NewColumnAccumulator(dataset, table, name)
+		accs[i] = p.newColumnAccumulator(dataset, table, name, rows)
 	}
 	for {
 		chunk, err := r.Next(ctx)
@@ -375,20 +367,39 @@ func (p *Profiler) ProfileTableStream(ctx context.Context, dataset, table string
 		}
 	}
 	out := make([]*ColumnProfile, len(accs))
-	for i, acc := range accs {
-		out[i] = acc.Finish()
-	}
+	p.each(len(accs), func(i int) { out[i] = accs[i].Finish() })
 	return out, nil
 }
 
+// each calls f(0), ..., f(n-1) on up to Workers goroutines (at least one).
+func (p *Profiler) each(n int, f func(i int)) {
+	workers := min(max(p.Workers, 1), n)
+	if workers <= 1 {
+		for i := range n {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // ProfileSource enumerates src and streams every table through the
-// worker pool — the streaming analogue of ProfileAll, with per-table
-// instead of per-column parallelism (a table's chunks must be read
-// sequentially). Profiles come back in deterministic (table, column)
-// order. Tables that fail to open or stream are skipped and reported in
-// the returned map by table ID — matching the lake walker's
-// skip-unreadable-files behavior — while a failed enumeration or a
-// canceled context fails the whole call.
+// worker pool, one table per worker at a time (a table's chunks must be
+// read sequentially; its columns finish in parallel). Profiles come back
+// in deterministic (table, column) order. Tables that fail to open or
+// stream are skipped and reported in the returned map by table ID, while
+// a failed enumeration or a canceled context fails the whole call.
 func (p *Profiler) ProfileSource(ctx context.Context, src connector.Source) ([]*ColumnProfile, map[string]error, error) {
 	refs, err := src.Tables(ctx)
 	if err != nil {
@@ -397,34 +408,16 @@ func (p *Profiler) ProfileSource(ctx context.Context, src connector.Source) ([]*
 	results := make([][]*ColumnProfile, len(refs))
 	tableErrs := map[string]error{}
 	var errMu sync.Mutex
-	workers := p.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				ref := refs[i]
-				ps, err := p.profileRef(ctx, src, ref)
-				if err != nil {
-					errMu.Lock()
-					tableErrs[ref.ID()] = err
-					errMu.Unlock()
-					continue
-				}
-				results[i] = ps
-			}
-		}()
-	}
-	for i := range refs {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
+	p.each(len(refs), func(i int) {
+		ps, err := p.profileRef(ctx, src, refs[i])
+		if err != nil {
+			errMu.Lock()
+			tableErrs[refs[i].ID()] = err
+			errMu.Unlock()
+			return
+		}
+		results[i] = ps
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -444,10 +437,9 @@ func (p *Profiler) profileRef(ctx context.Context, src connector.Source, ref con
 	return p.ProfileTableStream(ctx, ref.Dataset, ref.Table, r)
 }
 
-// MaterializeSource drains a source into in-memory tables — the
-// pre-connector behavior, kept for the materialized bench baseline and
-// the streaming-equivalence tests. Everything is held at once; only use
-// it on lakes that fit in memory.
+// MaterializeSource drains a source into in-memory tables, for tests that
+// compare a streamed source with the same tables held as frames.
+// Everything is held at once; only use it on lakes that fit in memory.
 func MaterializeSource(ctx context.Context, src connector.Source) ([]Table, error) {
 	refs, err := src.Tables(ctx)
 	if err != nil {

@@ -4,11 +4,16 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"kglids/internal/connector"
+	"kglids/internal/dataframe"
 	"kglids/internal/embed"
 )
 
@@ -92,7 +97,7 @@ func TestStreamingMatchesInMemoryExactly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inMemory := p.ProfileAll(frames)
+			inMemory := referenceProfiles(p, frames)
 			t.Run(fmt.Sprintf("%s/chunk%d", src.Scheme(), chunkRows), func(t *testing.T) {
 				mustSameProfiles(t, streamed, inMemory)
 			})
@@ -229,4 +234,100 @@ func TestProfileSourceCancellation(t *testing.T) {
 	if _, _, err := p.ProfileSource(ctx, src); err == nil {
 		t.Fatal("canceled ProfileSource returned no error")
 	}
+}
+
+// fuzzCell decodes one cell of any kind from two bytes: k picks the kind
+// (6 and 7 repeat the column's dominant kind, so columns of one type
+// occur), v the value.
+func fuzzCell(dominant, k, v byte) dataframe.Cell {
+	kind := k % 8
+	if kind >= 6 {
+		kind = dominant % 6
+	}
+	switch kind {
+	case 0:
+		return dataframe.NullCell()
+	case 1:
+		if v&2 != 0 {
+			return dataframe.BoolCell(v&1 == 1)
+		}
+		return dataframe.NumberCell(float64(v & 1))
+	case 2:
+		return dataframe.ParseCell(strconv.Itoa(int(v)*37 - 2000))
+	case 3:
+		return dataframe.ParseCell(strconv.FormatFloat(float64(v)/7-10, 'f', 3, 64))
+	case 4:
+		return dataframe.ParseCell(fmt.Sprintf("20%02d-%02d-%02d", v%30, v%12+1, v%28+1))
+	default:
+		words := []string{"Montreal", "James", "the cat sat on a mat", "x1", "Canada", "id-7", "Mary Smith", "it was very good"}
+		return dataframe.TextCell(words[v%8] + strings.Repeat("z", int(v>>6)))
+	}
+}
+
+// FuzzAccumulatorMatchesReference streams a column of random cells, cut
+// into random chunks, through a ColumnAccumulator with random bounds and,
+// when minSample > 0, a CoLR sample floor that small. While the bounds
+// cover the column, the profile must be the reference whole-column
+// profile as byte-identical JSON; past them, the fields that stay exact by
+// construction must still be exact, and so must the embedding while the
+// reservoir holds the whole CoLR sample, and the distinct count while it
+// is below the sketch's k. The resident path (ProfileTable)
+// must equal the reference whatever the bounds.
+func FuzzAccumulatorMatchesReference(f *testing.F) {
+	f.Add([]byte{2, 2, 1, 2, 9, 2, 200, 0, 0, 2, 77}, int64(1), uint8(0), uint8(0))
+	f.Add([]byte{5, 5, 1, 5, 2, 0, 0, 6, 3, 6, 4, 6, 5}, int64(2), uint8(2), uint8(0))
+	f.Add([]byte{1, 1, 0, 1, 1, 1, 3, 6, 2, 0, 0, 6, 1}, int64(3), uint8(1), uint8(0))
+	f.Add([]byte{4, 4, 10, 4, 11, 6, 12, 6, 13, 3, 1}, int64(4), uint8(3), uint8(0))
+	f.Add([]byte{3, 3, 10, 3, 11, 3, 12, 7, 13, 7, 14, 7, 15, 2, 1}, int64(5), uint8(4), uint8(0))
+	f.Add([]byte{2, 2, 1, 2, 9, 2, 200, 0, 0, 2, 77, 5, 3, 3, 3, 4, 4, 2, 8, 2, 9, 5, 5}, int64(6), uint8(3), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, chunkSeed int64, bound, minSample uint8) {
+		if len(data) == 0 {
+			return
+		}
+		s := &dataframe.Series{Name: "c"}
+		for i := 1; i+1 < len(data); i += 2 {
+			s.Cells = append(s.Cells, fuzzCell(data[0], data[i], data[i+1]))
+		}
+		p := New()
+		p.ReservoirSize, p.ExactDistinct = int(bound), int(bound)
+		if minSample > 0 {
+			p.CoLR.MinSample = int(minSample)
+		}
+		want := referenceProfileColumn(p, "d", "t", s)
+		wantDoc, _ := want.JSON()
+
+		acc := p.NewColumnAccumulator("d", "t", "c")
+		rng := rand.New(rand.NewSource(chunkSeed))
+		for rest := s.Cells; len(rest) > 0; {
+			n := min(len(rest), 1+rng.Intn(8))
+			acc.Add(rest[:n])
+			rest = rest[n:]
+		}
+		got := acc.Finish()
+		gotDoc, _ := got.JSON()
+		nonNull, numeric := len(s.Cells)-s.NullCount(), 0
+		for _, c := range s.Cells {
+			if c.Kind == dataframe.Number || c.Kind == dataframe.Boolean {
+				numeric++
+			}
+		}
+		covered := bound == 0 || (nonNull <= int(bound) && s.Distinct() <= int(bound) && numeric <= int(bound))
+		switch {
+		case covered && string(gotDoc) != string(wantDoc):
+			t.Fatalf("streamed profile diverges within its bounds:\n  streamed:  %s\n  reference: %s", gotDoc, wantDoc)
+		case got.Type != want.Type || got.Stats.Total != want.Stats.Total || got.Stats.Missing != want.Stats.Missing ||
+			got.Stats.Min != want.Stats.Min || got.Stats.Max != want.Stats.Max ||
+			got.Stats.Mean != want.Stats.Mean || got.Stats.TrueRatio != want.Stats.TrueRatio:
+			t.Fatalf("exact field diverges past the bounds: %+v vs %+v", got.Stats, want.Stats)
+		case want.Stats.Distinct < kmvK && got.Stats.Distinct != want.Stats.Distinct:
+			t.Fatalf("distinct %d, want %d: below k the sketch holds every hash", got.Stats.Distinct, want.Stats.Distinct)
+		case p.CoLR.SampleSize(nonNull) <= int(bound) && !slices.Equal(got.Embed, want.Embed):
+			t.Fatalf("embedding diverges while the reservoir holds the whole sample:\n  streamed:  %v\n  reference: %v", got.Embed, want.Embed)
+		}
+
+		resident, _ := profileSeries(p, "d", "t", s).JSON()
+		if string(resident) != string(wantDoc) {
+			t.Fatalf("resident profile diverges:\n  resident:  %s\n  reference: %s", resident, wantDoc)
+		}
+	})
 }

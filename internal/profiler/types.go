@@ -50,67 +50,69 @@ func (ti *TypeInferencer) Infer(s *dataframe.Series) embed.Type {
 // InferCells classifies a column given its cells (or, equivalently, any
 // prefix containing the first InferSampleSize non-null cells).
 func (ti *TypeInferencer) InferCells(cells []dataframe.Cell) embed.Type {
-	const maxSample = InferSampleSize
-	var vals []string
-	var numericKind struct{ ints, floats, bools, total int }
-	for _, c := range cells {
+	// The sample is the first InferSampleSize non-null cells: those of
+	// cells[:end].
+	n, ints, floats, bools, end := 0, 0, 0, 0, len(cells)
+	for i, c := range cells {
 		if c.IsNull() {
 			continue
 		}
-		if len(vals) >= maxSample {
+		if n == InferSampleSize {
+			end = i
 			break
 		}
-		vals = append(vals, c.S)
-		numericKind.total++
+		n++
 		switch c.Kind {
 		case dataframe.Boolean:
-			numericKind.bools++
+			bools++
 		case dataframe.Number:
 			if c.F == float64(int64(c.F)) && !strings.ContainsAny(c.S, ".eE") {
-				numericKind.ints++
+				ints++
 			} else {
-				numericKind.floats++
+				floats++
 			}
 		}
 	}
-	if len(vals) == 0 {
+	if n == 0 {
 		return embed.TypeString
 	}
-	total := float64(numericKind.total)
-	if float64(numericKind.bools)/total >= ti.threshold {
+	sample, total := cells[:end], float64(n)
+	if float64(bools)/total >= ti.threshold {
 		return embed.TypeBoolean
 	}
 	// Columns of 0/1 integers are booleans too.
-	if float64(numericKind.ints+numericKind.bools)/total >= ti.threshold && isZeroOne(vals) {
+	if float64(ints+bools)/total >= ti.threshold && isZeroOne(sample) {
 		return embed.TypeBoolean
 	}
-	if float64(numericKind.ints)/total >= ti.threshold && numericKind.floats == 0 {
+	if float64(ints)/total >= ti.threshold && floats == 0 {
 		return embed.TypeInt
 	}
-	if float64(numericKind.ints+numericKind.floats)/total >= ti.threshold {
+	if float64(ints+floats)/total >= ti.threshold {
 		return embed.TypeFloat
 	}
 	dates, entities, natural := 0, 0, 0
-	for _, v := range vals {
-		if _, ok := embed.ParseDate(v); ok {
+	for _, c := range sample {
+		if c.IsNull() {
+			continue
+		}
+		if _, ok := embed.ParseDate(c.S); ok {
 			dates++
 			continue
 		}
-		if _, ok := ti.ner.Recognize(v); ok {
+		if _, ok := ti.ner.Recognize(c.S); ok {
 			entities++
 			continue
 		}
-		if ti.isNaturalLanguage(v) {
+		if ti.isNaturalLanguage(c.S) {
 			natural++
 		}
 	}
-	n := float64(len(vals))
 	switch {
-	case float64(dates)/n >= ti.threshold:
+	case float64(dates)/total >= ti.threshold:
 		return embed.TypeDate
-	case float64(entities)/n >= ti.threshold:
+	case float64(entities)/total >= ti.threshold:
 		return embed.TypeNamedEntity
-	case float64(natural)/n >= 0.5:
+	case float64(natural)/total >= 0.5:
 		return embed.TypeNaturalLanguage
 	default:
 		return embed.TypeString
@@ -150,8 +152,13 @@ func isAlphaWord(s string) bool {
 	return len(s) > 0
 }
 
-func isZeroOne(vals []string) bool {
-	for _, v := range vals {
+// isZeroOne reports whether every non-null cell reads as 0 or 1.
+func isZeroOne(cells []dataframe.Cell) bool {
+	for _, c := range cells {
+		if c.IsNull() {
+			continue
+		}
+		v := c.S
 		f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
 		if err != nil {
 			lv := strings.ToLower(strings.TrimSpace(v))

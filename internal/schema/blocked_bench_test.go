@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -25,7 +26,7 @@ func benchProfiles(tb testing.TB) []*profiler.ColumnProfile {
 		for _, df := range lake.Tables {
 			tables = append(tables, profiler.Table{Dataset: lake.Dataset[df.Name], Frame: df})
 		}
-		wideProfiles.profiles = p.ProfileAll(tables)
+		wideProfiles.profiles, _, _ = p.ProfileSource(context.Background(), profiler.Frames(tables))
 	})
 	if len(wideProfiles.profiles) < 5000 {
 		tb.Fatalf("benchmark lake has %d columns, want >= 5000", len(wideProfiles.profiles))

@@ -279,7 +279,7 @@ func TableGraph(tableID string) rdf.Term { return TableIRI(tableID) }
 
 // MetadataQuads renders the metadata subgraphs of the profiled columns
 // (Algorithm 3 lines 3-5), one named graph per table. Profiles of the same
-// table must be contiguous, as ProfileAll emits them.
+// table must be contiguous, as the profiler emits them.
 func MetadataQuads(profiles []*profiler.ColumnProfile) []rdf.Quad {
 	tablesSeen := map[string]bool{}
 	var quads []rdf.Quad

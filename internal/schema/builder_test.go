@@ -82,6 +82,13 @@ func TestSimilarityEdges(t *testing.T) {
 	}
 }
 
+// profileColumn profiles s as the one column of table.
+func profileColumn(p *profiler.Profiler, dataset, table string, s *dataframe.Series) *profiler.ColumnProfile {
+	df := dataframe.New(table)
+	df.AddColumn(s)
+	return p.ProfileTable(dataset, df)[0]
+}
+
 func TestBooleanTrueRatioEdge(t *testing.T) {
 	b := NewBuilder()
 	p := profiler.New()
@@ -90,7 +97,7 @@ func TestBooleanTrueRatioEdge(t *testing.T) {
 		for _, v := range vals {
 			s.Cells = append(s.Cells, dataframe.ParseCell(v))
 		}
-		return p.ProfileColumn(ds, tbl, s)
+		return profileColumn(p, ds, tbl, s)
 	}
 	a := mk("d1", "t1.csv", "active", "1", "1", "1", "0") // ratio 0.75
 	c := mk("d2", "t2.csv", "flag", "1", "1", "0", "1")   // ratio 0.75
@@ -222,7 +229,7 @@ func TestSimilarityEdgesScaling(t *testing.T) {
 		for v := 0; v < 20; v++ {
 			s.Cells = append(s.Cells, dataframe.NumberCell(float64(v*i)))
 		}
-		profiles = append(profiles, p.ProfileColumn("d", fmt.Sprintf("t%d.csv", i), s))
+		profiles = append(profiles, profileColumn(p, "d", fmt.Sprintf("t%d.csv", i), s))
 	}
 	b := NewBuilder()
 	edges := b.SimilarityEdges(profiles)

@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -208,7 +209,10 @@ func TestBlockedEquivalenceWideLake(t *testing.T) {
 	for _, df := range lake.Tables {
 		tables = append(tables, profiler.Table{Dataset: lake.Dataset[df.Name], Frame: df})
 	}
-	profiles := p.ProfileAll(tables)
+	profiles, _, err := p.ProfileSource(context.Background(), profiler.Frames(tables))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	b := NewBuilder()
 	b.BlockSize = 32

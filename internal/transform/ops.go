@@ -187,8 +187,8 @@ func Train(scalerExamples []ScalerExample, unaryExamples []UnaryExample) *Recomm
 func TableEmbedding(p *profiler.Profiler, df *dataframe.DataFrame) embed.Vector {
 	byType := map[embed.Type][]embed.Vector{}
 	for i := 0; i < df.NumCols(); i++ {
-		cp := p.ProfileColumn(df.Name, df.Name, df.ColumnAt(i))
-		byType[cp.Type] = append(byType[cp.Type], cp.Embed)
+		t, emb := p.EmbedColumn(df.ColumnAt(i))
+		byType[t] = append(byType[t], emb)
 	}
 	return embed.TableEmbedding(byType)
 }
@@ -226,8 +226,8 @@ func (r *Recommender) RecommendUnary(df *dataframe.DataFrame, target string) []U
 		if col.Name == target || !col.IsNumeric() {
 			continue
 		}
-		cp := r.profiler.ProfileColumn(df.Name, df.Name, col)
-		probs := r.unaryModel.PredictVector(cp.Embed)
+		_, emb := r.profiler.EmbedColumn(col)
+		probs := r.unaryModel.PredictVector(emb)
 		best := gnn.Argmax(probs)
 		out = append(out, UnaryRecommendation{Column: col.Name, Op: Unaries[best], Score: probs[best]})
 	}

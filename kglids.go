@@ -95,12 +95,14 @@ type Options struct {
 	// BootstrapSource/AddSource. 0 uses the connector default. Tuning
 	// only — profiles are unaffected.
 	ChunkRows int
-	// ReservoirSize bounds the per-column value sample retained by the
-	// streaming profiler for embeddings and exact std. 0 uses the default.
+	// ReservoirSize bounds the per-column value sample the profiler
+	// retains for embeddings and exact std. 0 uses the default. It bounds
+	// streamed tables only (BootstrapSource/AddSource): in-memory tables
+	// are always profiled exactly.
 	ReservoirSize int
-	// ExactDistinct bounds the exact distinct-value set per column on the
-	// streaming path; beyond it a KMV sketch estimates. 0 uses the
-	// default.
+	// ExactDistinct bounds the exact distinct-value set per column; beyond
+	// it a KMV sketch estimates. 0 uses the default. Streamed tables only,
+	// as ReservoirSize.
 	ExactDistinct int
 }
 

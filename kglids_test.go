@@ -157,9 +157,9 @@ func trainedPlatform(t testing.TB) *Platform {
 			Embedding: transform.TableEmbedding(p, task.Frame),
 			Op:        transform.Scalers[i%len(transform.Scalers)],
 		})
-		cp := p.ProfileColumn("t", "t", task.Frame.ColumnAt(0))
+		_, emb := p.EmbedColumn(task.Frame.ColumnAt(0))
 		uexamples = append(uexamples, transform.UnaryExample{
-			Embedding: cp.Embed,
+			Embedding: emb,
 			Op:        transform.Unaries[i%len(transform.Unaries)],
 		})
 	}
