@@ -132,10 +132,6 @@ func (d *KGLiDSDiscoverer) Preprocess(b *lakegen.Benchmark) {
 	}
 }
 
-// Platform exposes the bootstrapped platform for callers that need more
-// than the Discoverer surface (e.g. perf probes over the same lake).
-func (d *KGLiDSDiscoverer) Platform() *core.Platform { return d.plat }
-
 func (d *KGLiDSDiscoverer) Unionable(query string, k int) []string {
 	iri, ok := d.tableIRI[query]
 	if !ok {

@@ -103,8 +103,6 @@ type TableReader interface {
 // Source is one opened connector instance: it enumerates the tables the
 // URI designates and opens them for streaming.
 type Source interface {
-	// Scheme returns the registry scheme the source was opened under.
-	Scheme() string
 	// Tables enumerates the source's tables in deterministic order.
 	Tables(ctx context.Context) ([]TableRef, error)
 	// Open starts streaming one enumerated table.

@@ -107,9 +107,6 @@ func TestDirSourceNamingAndFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Scheme() != "dir" {
-		t.Fatalf("scheme %q", src.Scheme())
-	}
 	refs, err := src.Tables(context.Background())
 	if err != nil {
 		t.Fatal(err)

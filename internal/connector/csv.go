@@ -90,11 +90,6 @@ func newCSVChunkReader(scheme, name string, rc io.ReadCloser, comma rune, chunkR
 
 func (r *csvChunkReader) Columns() []string { return r.cols }
 
-// SkippedRows returns the number of ragged or malformed records dropped
-// so far. Exposed beyond the metric so CLIs and ingest jobs can report
-// per-table drop counts.
-func (r *csvChunkReader) SkippedRows() uint64 { return r.skipped }
-
 func (r *csvChunkReader) Next(ctx context.Context) (*Chunk, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -35,8 +35,6 @@ func init() {
 	})
 }
 
-func (s *dirSource) Scheme() string { return "dir" }
-
 func (s *dirSource) Tables(ctx context.Context) ([]TableRef, error) {
 	var refs []TableRef
 	err := filepath.Walk(s.root, func(path string, info os.FileInfo, err error) error {

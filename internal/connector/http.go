@@ -42,8 +42,6 @@ func init() {
 	}
 }
 
-func (s *httpSource) Scheme() string { return s.scheme }
-
 func (s *httpSource) retries() int {
 	if s.opts.HTTPRetries > 0 {
 		return s.opts.HTTPRetries

@@ -19,8 +19,8 @@ import (
 // front — the column set is the union of keys across all records — so
 // opening a table makes two passes over the file: pass one scans for
 // keys (bounded memory: only the key set is held), pass two streams
-// chunks. Key order matches dataframe.ReadJSON: first-seen across
-// records, keys sorted within a record.
+// chunks. Column order is first-seen across records, keys sorted within
+// a record.
 type jsonlSource struct {
 	root string
 	opts Options
@@ -42,8 +42,6 @@ func init() {
 		return &jsonlSource{root: root, opts: opts}, nil
 	})
 }
-
-func (s *jsonlSource) Scheme() string { return "jsonl" }
 
 func (s *jsonlSource) Tables(ctx context.Context) ([]TableRef, error) {
 	var refs []TableRef
@@ -162,9 +160,6 @@ type jsonlReader struct {
 
 func (r *jsonlReader) Columns() []string { return r.cols }
 
-// SkippedRows returns the number of malformed lines dropped in pass two.
-func (r *jsonlReader) SkippedRows() uint64 { return r.skipped }
-
 func (r *jsonlReader) Next(ctx context.Context) (*Chunk, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -209,8 +204,9 @@ func (r *jsonlReader) Next(ctx context.Context) (*Chunk, error) {
 	return &Chunk{Cols: cols}, nil
 }
 
-// jsonCell converts one decoded JSON value the way dataframe.ReadJSON
-// does, so a JSONL table profiles identically to its JSON-array twin.
+// jsonCell converts one decoded JSON value into a cell: numbers and
+// booleans keep their kind, strings are parsed like CSV fields, and
+// nested values are kept as their JSON text.
 func jsonCell(v any) dataframe.Cell {
 	switch x := v.(type) {
 	case nil:

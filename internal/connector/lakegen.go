@@ -64,8 +64,6 @@ func queryInt(u *URI, key string, def int) (int, error) {
 	return n, nil
 }
 
-func (s *lakegenSource) Scheme() string { return "lakegen" }
-
 func (s *lakegenSource) Tables(ctx context.Context) ([]TableRef, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -77,10 +77,7 @@ type SourceReport struct {
 }
 
 // AddSource streams every table of a connector URI into the live
-// platform, in parallel across the configured worker count. It is the
-// synchronous convenience over AddSourceTable; the ingest job manager
-// offers the same route asynchronously with fingerprint skipping
-// (ingest.Manager.SubmitSource).
+// platform, in parallel across the configured worker count.
 func (p *Platform) AddSource(ctx context.Context, uri string) (*SourceReport, error) {
 	src, err := p.OpenSource(uri)
 	if err != nil {

@@ -235,24 +235,6 @@ func (s *Series) Distinct() int {
 	return len(seen)
 }
 
-// TrueRatio returns the fraction of non-null cells that are boolean true.
-func (s *Series) TrueRatio() float64 {
-	total, trues := 0, 0
-	for _, c := range s.Cells {
-		if c.IsNull() {
-			continue
-		}
-		total++
-		if c.Kind == Boolean && c.F == 1 {
-			trues++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(trues) / float64(total)
-}
-
 // Clone deep-copies the series.
 func (s *Series) Clone() *Series {
 	cells := make([]Cell, len(s.Cells))
@@ -323,35 +305,6 @@ func (df *DataFrame) HasColumn(name string) bool {
 	return ok
 }
 
-// Drop returns a copy of the frame without the named columns.
-func (df *DataFrame) Drop(names ...string) *DataFrame {
-	dropSet := map[string]bool{}
-	for _, n := range names {
-		dropSet[n] = true
-	}
-	out := New(df.Name)
-	for _, c := range df.cols {
-		if !dropSet[c.Name] {
-			out.AddColumn(c.Clone())
-		}
-	}
-	return out
-}
-
-// Select returns a copy of the frame with only the named columns, in the
-// given order.
-func (df *DataFrame) Select(names ...string) *DataFrame {
-	out := New(df.Name)
-	for _, n := range names {
-		c := df.Column(n)
-		if c == nil {
-			panic(fmt.Sprintf("dataframe: unknown column %q", n))
-		}
-		out.AddColumn(c.Clone())
-	}
-	return out
-}
-
 // Clone deep-copies the frame.
 func (df *DataFrame) Clone() *DataFrame {
 	out := New(df.Name)
@@ -396,15 +349,6 @@ func (df *DataFrame) NullCount() int {
 		n += c.NullCount()
 	}
 	return n
-}
-
-// Row returns the cells of row i in column order.
-func (df *DataFrame) Row(i int) []Cell {
-	out := make([]Cell, len(df.cols))
-	for j, c := range df.cols {
-		out[j] = c.Cells[i]
-	}
-	return out
 }
 
 // Head returns the first n rows as a new frame.

@@ -2,11 +2,9 @@ package dataframe
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 )
 
@@ -54,16 +52,6 @@ func ReadCSV(name string, r io.Reader) (*DataFrame, error) {
 	return df, nil
 }
 
-// ReadCSVFile reads a CSV file; the frame name is the base filename.
-func ReadCSVFile(path string) (*DataFrame, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadCSV(filepath.Base(path), f)
-}
-
 // WriteCSV serializes the frame with a header row.
 func (df *DataFrame) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
@@ -91,63 +79,4 @@ func (df *DataFrame) WriteCSVFile(path string) error {
 	}
 	defer f.Close()
 	return df.WriteCSV(f)
-}
-
-// ReadJSON parses a JSON array of flat objects into a frame. Keys become
-// columns; missing keys become nulls.
-func ReadJSON(name string, r io.Reader) (*DataFrame, error) {
-	var records []map[string]any
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&records); err != nil {
-		return nil, fmt.Errorf("dataframe: decoding JSON: %w", err)
-	}
-	// Collect columns in first-seen order.
-	var order []string
-	seen := map[string]bool{}
-	for _, rec := range records {
-		keys := make([]string, 0, len(rec))
-		for k := range rec {
-			keys = append(keys, k)
-		}
-		// Sort keys within one record for determinism.
-		sortStrings(keys)
-		for _, k := range keys {
-			if !seen[k] {
-				seen[k] = true
-				order = append(order, k)
-			}
-		}
-	}
-	df := New(name)
-	for _, k := range order {
-		s := &Series{Name: k}
-		for _, rec := range records {
-			v, ok := rec[k]
-			if !ok || v == nil {
-				s.Cells = append(s.Cells, NullCell())
-				continue
-			}
-			switch x := v.(type) {
-			case float64:
-				s.Cells = append(s.Cells, NumberCell(x))
-			case bool:
-				s.Cells = append(s.Cells, BoolCell(x))
-			case string:
-				s.Cells = append(s.Cells, ParseCell(x))
-			default:
-				b, _ := json.Marshal(x)
-				s.Cells = append(s.Cells, TextCell(string(b)))
-			}
-		}
-		df.AddColumn(s)
-	}
-	return df, nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -27,10 +28,6 @@ func TestVectorOps(t *testing.T) {
 	}
 	if got := Cosine(b, Vector{0, 0}); got != 0 {
 		t.Errorf("zero-vector cosine = %v", got)
-	}
-	c := Concat(Vector{1}, Vector{2, 3})
-	if len(c) != 3 || c[2] != 3 {
-		t.Errorf("Concat = %v", c)
 	}
 }
 
@@ -357,4 +354,18 @@ func TestEmbeddingIsNormalized(t *testing.T) {
 			t.Errorf("type %s: norm = %v", typ, n)
 		}
 	}
+}
+
+// Similarity returns the label-embedding cosine similarity of two column
+// names, 1 when they normalize to the same label: the score the schema
+// builder thresholds by α in Algorithm 3.
+func (m *WordModel) Similarity(a, b string) float64 {
+	if normalizeLabel(a) == normalizeLabel(b) {
+		return 1.0
+	}
+	return Cosine(m.EmbedLabel(a), m.EmbedLabel(b))
+}
+
+func normalizeLabel(s string) string {
+	return strings.Join(TokenizeLabel(s), " ")
 }

@@ -80,19 +80,6 @@ func Cosine(a, b Vector) float64 {
 	return a.Dot(b) / (na * nb)
 }
 
-// Concat returns the concatenation of vectors.
-func Concat(vs ...Vector) Vector {
-	n := 0
-	for _, v := range vs {
-		n += len(v)
-	}
-	out := make(Vector, 0, n)
-	for _, v := range vs {
-		out = append(out, v...)
-	}
-	return out
-}
-
 // Features are hashed with 64-bit FNV-1a, written out here so that a key
 // is hashed in pieces, without building it as a string or allocating a
 // hasher. A key is a prefix ("tri:", "val:", ...) and a suffix; hashing

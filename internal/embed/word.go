@@ -135,26 +135,6 @@ func (m *WordModel) EmbedLabel(label string) Vector {
 	return v
 }
 
-// Similarity returns the label-embedding cosine similarity of two column
-// names, the score thresholded by α in Algorithm 3.
-func (m *WordModel) Similarity(a, b string) float64 {
-	if normalizeLabel(a) == normalizeLabel(b) {
-		return 1.0
-	}
-	return Cosine(m.EmbedLabel(a), m.EmbedLabel(b))
-}
-
-// InVocabulary reports whether the lowercase word is in the synonym
-// lexicon. The profiler uses this to detect natural-language text columns.
-func (m *WordModel) InVocabulary(word string) bool {
-	_, ok := m.synsetOf[strings.ToLower(word)]
-	return ok
-}
-
-func normalizeLabel(s string) string {
-	return strings.Join(TokenizeLabel(s), " ")
-}
-
 // TokenizeLabel splits an identifier-like label into lowercase word tokens:
 // separators are non-alphanumerics, camelCase boundaries, and digit runs.
 func TokenizeLabel(s string) []string {

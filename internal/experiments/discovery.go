@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -122,35 +121,6 @@ func KSweep(name string) []int {
 	}
 }
 
-// prAt computes average precision/recall at each k over the query tables.
-func prAt(b *lakegen.Benchmark, ks []int, retrieve func(query string, k int) []string) (map[int]float64, map[int]float64) {
-	precision := map[int]float64{}
-	recall := map[int]float64{}
-	for _, k := range ks {
-		var pSum, rSum float64
-		for _, q := range b.QueryTables {
-			truth := map[string]bool{}
-			for _, o := range b.GroundTruth[q] {
-				truth[o] = true
-			}
-			hits := 0
-			results := retrieve(q, k)
-			for _, r := range results {
-				if truth[r] {
-					hits++
-				}
-			}
-			pSum += float64(hits) / float64(k)
-			if len(truth) > 0 {
-				rSum += float64(hits) / float64(len(truth))
-			}
-		}
-		precision[k] = pSum / float64(len(b.QueryTables))
-		recall[k] = rSum / float64(len(b.QueryTables))
-	}
-	return precision, recall
-}
-
 // RunDiscoveryBenchmark runs the three systems on one benchmark replica,
 // producing a Table 2 row group and Figure 5 curves. Every system is
 // preprocessed and queried through the shared baselines.Discoverer
@@ -173,7 +143,10 @@ func runDiscoverer(benchName string, b *lakegen.Benchmark, ks []int, d baselines
 	pre := time.Since(start)
 	run := DiscoverySystemRun{Benchmark: benchName, System: d.Name(), Preprocess: pre}
 	start = time.Now()
-	run.PrecisionAtK, run.RecallAtK = prAt(b, ks, d.Unionable)
+	run.PrecisionAtK, run.RecallAtK = map[int]float64{}, map[int]float64{}
+	for _, k := range ks {
+		run.PrecisionAtK[k], run.RecallAtK[k], _, _ = scoreTopK(b.QueryTables, b.GroundTruth, k, d.Unionable)
+	}
 	run.AvgQuery = time.Since(start) / time.Duration(len(ks)*len(b.QueryTables))
 	return run
 }
@@ -310,9 +283,4 @@ func memDelta(fn func()) int64 {
 	fn()
 	runtime.ReadMemStats(&after)
 	return int64(after.TotalAlloc - before.TotalAlloc)
-}
-
-// sortRunsByBenchmark orders runs deterministically.
-func sortRunsByBenchmark(runs []DiscoverySystemRun) {
-	sort.SliceStable(runs, func(i, j int) bool { return runs[i].Benchmark < runs[j].Benchmark })
 }

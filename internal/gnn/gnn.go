@@ -21,9 +21,6 @@ type Graph struct {
 	Labels   []int
 }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return len(g.Features) }
-
 // AddEdge links nodes u and v in both directions.
 func (g *Graph) AddEdge(u, v int) {
 	g.Adj[u] = append(g.Adj[u], v)
@@ -282,12 +279,6 @@ func applyGrad(w, g [][]float64, scale float64) {
 	}
 }
 
-// PredictNode returns class probabilities for node v of g.
-func (m *Model) PredictNode(g *Graph, v int) []float64 {
-	_, probs := m.forward(g.Features[v], neighborMean(g, v))
-	return probs
-}
-
 // PredictVector classifies an out-of-graph feature vector (the inference
 // path of Section 4.1: an unseen dataset's embedding, no neighbours yet).
 func (m *Model) PredictVector(x []float64) []float64 {
@@ -307,19 +298,4 @@ func Argmax(probs []float64) int {
 		}
 	}
 	return best
-}
-
-// AccuracyOn evaluates node-classification accuracy over the labeled nodes
-// in idx.
-func (m *Model) AccuracyOn(g *Graph, idx []int) float64 {
-	if len(idx) == 0 {
-		return 0
-	}
-	correct := 0
-	for _, v := range idx {
-		if Argmax(m.PredictNode(g, v)) == g.Labels[v] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(idx))
 }

@@ -160,3 +160,27 @@ func TestPredictVectorDimCheck(t *testing.T) {
 	}()
 	m.PredictVector(make([]float64, 4))
 }
+
+// NumNodes returns the node count.
+func (g *Graph) NumNodes() int { return len(g.Features) }
+
+// PredictNode returns class probabilities for node v of g.
+func (m *Model) PredictNode(g *Graph, v int) []float64 {
+	_, probs := m.forward(g.Features[v], neighborMean(g, v))
+	return probs
+}
+
+// AccuracyOn evaluates node-classification accuracy over the labeled nodes
+// in idx.
+func (m *Model) AccuracyOn(g *Graph, idx []int) float64 {
+	if len(idx) == 0 {
+		return 0
+	}
+	correct := 0
+	for _, v := range idx {
+		if Argmax(m.PredictNode(g, v)) == g.Labels[v] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(idx))
+}

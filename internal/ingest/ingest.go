@@ -17,7 +17,6 @@
 package ingest
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -25,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"kglids/internal/connector"
 	"kglids/internal/core"
 	"kglids/internal/dataframe"
 )
@@ -48,9 +46,6 @@ type Kind string
 const (
 	KindAdd    Kind = "add"
 	KindRemove Kind = "remove"
-	// KindSource jobs stream one table from a connector source (see
-	// SubmitSource); the table never materializes in memory.
-	KindSource Kind = "source"
 )
 
 // Job is the externally visible record of one submission. All fields are
@@ -82,11 +77,7 @@ type Job struct {
 type job struct {
 	Job
 	tables []core.Table // payload of add jobs
-	// src and ref are the payload of source jobs: the opened connector
-	// and the one table this job streams.
-	src  connector.Source
-	ref  connector.TableRef
-	done chan struct{}
+	done   chan struct{}
 }
 
 // Errors returned by Submit/SubmitRemoval.
@@ -173,45 +164,6 @@ func (m *Manager) Submit(tables []core.Table) (int, error) {
 	})
 }
 
-// SubmitSource opens a connector URI, enumerates its tables, and
-// enqueues one streaming job per table — per-table granularity means a
-// lake-sized source ingests at full worker parallelism, each worker's
-// memory bounded by one table's chunk and reservoir state, and a single
-// broken table fails alone instead of failing the source. Tables whose
-// connector-reported fingerprint matches the last ingested version are
-// skipped without being opened. Open and enumeration errors are
-// synchronous; per-table errors surface on the jobs. Returns the job ID
-// per table, in enumeration order.
-func (m *Manager) SubmitSource(uri string) ([]int, error) {
-	if uri == "" {
-		return nil, errors.New("ingest: empty source URI")
-	}
-	src, err := m.plat.OpenSource(uri)
-	if err != nil {
-		return nil, err
-	}
-	refs, err := src.Tables(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	if len(refs) == 0 {
-		return nil, fmt.Errorf("ingest: source %s has no tables", uri)
-	}
-	ids := make([]int, 0, len(refs))
-	for _, ref := range refs {
-		id, err := m.enqueue(&job{
-			Job: Job{Kind: KindSource, Tables: []string{ref.ID()}},
-			src: src,
-			ref: ref,
-		})
-		if err != nil {
-			return ids, fmt.Errorf("ingest: source %s: table %s: %w", uri, ref.ID(), err)
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
-}
-
 // SubmitRemoval enqueues a job deleting a table by "dataset/table" ID.
 func (m *Manager) SubmitRemoval(tableID string) (int, error) {
 	if tableID == "" {
@@ -291,8 +243,6 @@ func (m *Manager) run(j *job) {
 		err = m.runAdd(j)
 	case KindRemove:
 		err = m.runRemove(j)
-	case KindSource:
-		err = m.runSource(j)
 	default:
 		err = fmt.Errorf("ingest: unknown job kind %q", j.Kind)
 	}
@@ -325,18 +275,16 @@ func (m *Manager) run(j *job) {
 	close(j.done)
 }
 
-// unchanged is the fingerprint gate every add and source job passes each
-// table through. A table whose fingerprint equals the last ingested one
-// and that is still resident is recorded as Skipped and reports true; a
-// zero fingerprint means the connector cannot cheaply hash the table, and
-// such tables are always re-ingested, never stale-skipped. Otherwise the
+// unchanged is the fingerprint gate an add job passes each table through.
+// A table whose fingerprint equals the last ingested one and that is
+// still resident is recorded as Skipped and reports true. Otherwise the
 // caller ingests the table and hands resident — whether that replaces a
 // resident version — on to ingested.
 func (m *Manager) unchanged(j *job, id string, fp uint64) (skip, resident bool) {
 	resident = m.plat.HasTable(id)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if prev, known := m.fingerprints[id]; known && fp != 0 && prev == fp && resident {
+	if prev, known := m.fingerprints[id]; known && prev == fp && resident {
 		j.Skipped = append(j.Skipped, id)
 		return true, resident
 	}
@@ -387,22 +335,6 @@ func (m *Manager) runAdd(j *job) error {
 	// Drop the payload: finished jobs should not pin table frames in
 	// memory for as long as the job record is retained.
 	j.tables = nil
-	return nil
-}
-
-// runSource streams one connector table into the platform, unless the
-// connector-reported fingerprint says it is unchanged.
-func (m *Manager) runSource(j *job) error {
-	id, fp := j.ref.ID(), j.ref.Fingerprint
-	skip, resident := m.unchanged(j, id, fp)
-	if skip {
-		return nil
-	}
-	if err := m.plat.AddSourceTable(context.Background(), j.src, j.ref); err != nil {
-		return err
-	}
-	m.ingested(j, id, fp, resident)
-	j.src = nil
 	return nil
 }
 
@@ -540,34 +472,4 @@ func Fingerprint(t core.Table) uint64 {
 		}
 	}
 	return h.Sum64()
-}
-
-// Stats summarizes the manager for monitoring.
-type Stats struct {
-	Queued  int `json:"queued"`
-	Running int `json:"running"`
-	Done    int `json:"done"`
-	Failed  int `json:"failed"`
-	Tracked int `json:"tracked_tables"`
-}
-
-// Stats counts jobs by state and fingerprinted tables.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var s Stats
-	for _, j := range m.jobs {
-		switch j.State {
-		case Queued:
-			s.Queued++
-		case Running:
-			s.Running++
-		case Done:
-			s.Done++
-		case Failed:
-			s.Failed++
-		}
-	}
-	s.Tracked = len(m.fingerprints)
-	return s
 }

@@ -3,8 +3,6 @@ package lakegen
 import (
 	"fmt"
 	"math/rand"
-
-	"kglids/internal/dataframe"
 )
 
 // WideStream is the generator behind the lakegen:// connector: the same
@@ -12,11 +10,8 @@ import (
 // labels and value domains, slots rotating through the fine-grained
 // types), but seeded per table, so any single table can be produced
 // without generating the lake before it. That independence is what lets
-// the connector stream a lake far larger than memory and lets the
-// equivalence tests materialize the identical data for the in-memory
-// baseline. Cells are drawn in row-major order (rows outer, slots
-// inner); Materialize follows the same order, so streamed and
-// materialized tables are byte-identical.
+// the connector stream a lake far larger than memory. Cells are drawn in
+// row-major order (rows outer, slots inner).
 type WideStream struct {
 	Tables int
 	Cols   int
@@ -51,41 +46,4 @@ func (w WideStream) TableRNG(t int) *rand.Rand {
 // canonical table.
 func (w WideStream) Value(rng *rand.Rand, t, slot int) string {
 	return wideValue(rng, t/7, slot)
-}
-
-// Materialize builds the whole lake in memory — the baseline the
-// streaming path is benchmarked and equivalence-tested against. Only
-// call this for lakes that fit in memory; the connector exists so
-// production paths never have to.
-func (w WideStream) Materialize() *Benchmark {
-	b := &Benchmark{
-		Name:    fmt.Sprintf("WideStream-%dx%dx%d", w.Tables, w.Cols, w.Rows),
-		Dataset: map[string]string{},
-	}
-	for t := 0; t < w.Tables; t++ {
-		df := dataframe.New(w.TableName(t))
-		series := make([]*dataframe.Series, w.Cols)
-		for slot, label := range w.Columns(t) {
-			series[slot] = &dataframe.Series{Name: label}
-		}
-		rng := w.TableRNG(t)
-		for r := 0; r < w.Rows; r++ {
-			for slot := 0; slot < w.Cols; slot++ {
-				series[slot].Cells = append(series[slot].Cells, dataframe.ParseCell(w.Value(rng, t, slot)))
-			}
-		}
-		for _, s := range series {
-			df.AddColumn(s)
-		}
-		b.Tables = append(b.Tables, df)
-		b.Dataset[df.Name] = w.DatasetName(t)
-	}
-	return b
-}
-
-// CellCount returns the total number of cells the stream will produce —
-// the lake-size figure the connectors bench compares against the chunk
-// budget.
-func (w WideStream) CellCount() int64 {
-	return int64(w.Tables) * int64(w.Cols) * int64(w.Rows)
 }

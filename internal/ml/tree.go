@@ -8,7 +8,6 @@
 package ml
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 )
@@ -248,15 +247,4 @@ func (t *DecisionTree) predictRow(row []float64) float64 {
 		}
 	}
 	return n.class
-}
-
-// Depth returns the tree depth (diagnostics).
-func (t *DecisionTree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *treeNode) int {
-	if n == nil || n.leaf {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	return 1 + int(math.Max(float64(l), float64(r)))
 }

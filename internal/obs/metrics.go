@@ -46,9 +46,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adds n (which may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -102,9 +99,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -228,12 +222,6 @@ type CounterVec struct{ *vec[Counter] }
 // given label values, in label-name order.
 func (v *CounterVec) WithLabelValues(labels ...string) *Counter { return v.with(labels...) }
 
-// GaugeVec is a family of gauges sharing a name and label names.
-type GaugeVec struct{ *vec[Gauge] }
-
-// WithLabelValues returns the child gauge for the given label values.
-func (v *GaugeVec) WithLabelValues(labels ...string) *Gauge { return v.with(labels...) }
-
 // HistogramVec is a family of histograms sharing a name, label names,
 // and bucket bounds.
 type HistogramVec struct{ *vec[Histogram] }
@@ -275,7 +263,6 @@ type family struct {
 	floatGauge *FloatGauge
 	histogram  *Histogram
 	counterVec *CounterVec
-	gaugeVec   *GaugeVec
 	histVec    *HistogramVec
 }
 
@@ -340,21 +327,6 @@ func (r *Registry) NewFloatGauge(name, help string) *FloatGauge {
 	g := &FloatGauge{}
 	r.register(&family{name: name, help: help, kind: kindGauge, floatGauge: g})
 	return g
-}
-
-// NewGaugeVec registers a gauge family with the given label names.
-func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	v := &GaugeVec{newVec(len(labelNames), func() *Gauge { return &Gauge{} })}
-	r.register(&family{name: name, help: help, kind: kindGauge, labelNames: labelNames, gaugeVec: v})
-	return v
-}
-
-// NewHistogram registers and returns an unlabeled histogram with the
-// given bucket upper bounds (+Inf is implicit).
-func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	h := newHistogram(buckets)
-	r.register(&family{name: name, help: help, kind: kindHistogram, histogram: h})
-	return h
 }
 
 // NewHistogramVec registers a histogram family sharing bucket bounds

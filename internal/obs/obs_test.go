@@ -188,7 +188,7 @@ func TestConcurrentScrape(t *testing.T) {
 				default:
 				}
 				c.Inc()
-				g.Add(1)
+				g.Inc()
 				h.Observe(float64(n%100) / 1000)
 				cv.WithLabelValues(keys[n%3]).Inc()
 				hv.WithLabelValues(keys[(n+i)%3]).Observe(0.01)
@@ -231,4 +231,12 @@ func TestDebugMuxSurface(t *testing.T) {
 	if rec.Code != 200 {
 		t.Errorf("pprof index with flag: status %d", rec.Code)
 	}
+}
+
+// NewHistogram registers and returns an unlabeled histogram with the
+// given bucket upper bounds (+Inf is implicit).
+func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
+	h := newHistogram(buckets)
+	r.register(&family{name: name, help: help, kind: kindHistogram, histogram: h})
+	return h
 }

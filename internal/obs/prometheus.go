@@ -33,10 +33,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			f.counterVec.each(func(vals []string, c *Counter) {
 				writeSample(bw, f.name, f.labelNames, vals, "", formatUint(c.Value()))
 			})
-		case f.gaugeVec != nil:
-			f.gaugeVec.each(func(vals []string, g *Gauge) {
-				writeSample(bw, f.name, f.labelNames, vals, "", formatInt(g.Value()))
-			})
 		case f.histVec != nil:
 			f.histVec.each(func(vals []string, h *Histogram) {
 				writeHistogram(bw, f.name, f.labelNames, vals, h)

@@ -47,23 +47,6 @@ func (d *Docs) LookupMethod(typ, method string) (*FuncDoc, bool) {
 	return f, ok
 }
 
-// Libraries returns the set of top-level libraries documented.
-func (d *Docs) Libraries() []string {
-	seen := map[string]bool{}
-	var out []string
-	for q := range d.funcs {
-		lib := q
-		if i := strings.IndexByte(q, '.'); i >= 0 {
-			lib = q[:i]
-		}
-		if !seen[lib] {
-			seen[lib] = true
-			out = append(out, lib)
-		}
-	}
-	return out
-}
-
 // entry is the compact literal form the corpus is written in.
 type entry struct {
 	q   string // qualified name

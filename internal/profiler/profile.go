@@ -105,8 +105,6 @@ func Frames(tables []Table) connector.Source { return frameSource(tables) }
 
 type frameSource []Table
 
-func (frameSource) Scheme() string { return "frames" }
-
 func (s frameSource) Tables(context.Context) ([]connector.TableRef, error) {
 	refs := make([]connector.TableRef, len(s))
 	for i, t := range s {

@@ -2,7 +2,6 @@ package profiler
 
 import (
 	"cmp"
-	"container/heap"
 	"context"
 	"io"
 	"math"
@@ -263,14 +262,18 @@ type sampleReservoir struct {
 	items []resItem // max-heap by hash, after overflow
 }
 
-func (r *sampleReservoir) Len() int           { return len(r.items) }
-func (r *sampleReservoir) Less(i, j int) bool { return r.items[i].hash > r.items[j].hash }
-func (r *sampleReservoir) Swap(i, j int)      { r.items[i], r.items[j] = r.items[j], r.items[i] }
-func (r *sampleReservoir) Push(x any)         { r.items = append(r.items, x.(resItem)) }
-func (r *sampleReservoir) Pop() any {
-	last := r.items[len(r.items)-1]
-	r.items = r.items[:len(r.items)-1]
-	return last
+// down sifts items[i] below any child with a larger hash.
+func (r *sampleReservoir) down(i int) {
+	h := r.items
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && h[c+1].hash > h[c].hash {
+			c++
+		}
+		if h[c].hash <= h[i].hash {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+	}
 }
 
 // add keeps val, the column's idx-th non-null value.
@@ -285,11 +288,13 @@ func (r *sampleReservoir) add(val string, idx int) {
 			r.items[i] = resItem{hash: embed.SampleHash(v, i), idx: i, val: v}
 		}
 		r.vals = nil
-		heap.Init(r)
+		for i := len(r.items)/2 - 1; i >= 0; i-- {
+			r.down(i)
+		}
 	}
 	if h := embed.SampleHash(val, idx); h < r.items[0].hash {
 		r.items[0] = resItem{hash: h, idx: idx, val: val}
-		heap.Fix(r, 0)
+		r.down(0)
 	}
 }
 

@@ -98,7 +98,8 @@ func TestStreamingMatchesInMemoryExactly(t *testing.T) {
 				t.Fatal(err)
 			}
 			inMemory := referenceProfiles(p, frames)
-			t.Run(fmt.Sprintf("%s/chunk%d", src.Scheme(), chunkRows), func(t *testing.T) {
+			scheme, _, _ := strings.Cut(uri, "://")
+			t.Run(fmt.Sprintf("%s/chunk%d", scheme, chunkRows), func(t *testing.T) {
 				mustSameProfiles(t, streamed, inMemory)
 			})
 		}

@@ -72,12 +72,6 @@ func Bool(v bool) Term {
 // QuotedTriple returns an RDF-star quoted-triple term wrapping t.
 func QuotedTriple(t Triple) Term { return Term{Kind: KindQuoted, Quoted: &t} }
 
-// IsIRI reports whether the term is an IRI.
-func (t Term) IsIRI() bool { return t.Kind == KindIRI }
-
-// IsLiteral reports whether the term is a literal.
-func (t Term) IsLiteral() bool { return t.Kind == KindLiteral }
-
 // AsFloat parses a numeric literal. It returns false for non-numeric terms.
 func (t Term) AsFloat() (float64, bool) {
 	if t.Kind != KindLiteral {

@@ -15,12 +15,6 @@ func TestTermConstructors(t *testing.T) {
 	if got := Resource("ds1").Value; got != ResourceNS+"ds1" {
 		t.Errorf("Resource = %q", got)
 	}
-	if !String("hi").IsLiteral() {
-		t.Error("String literal not literal")
-	}
-	if IRI("a").IsLiteral() {
-		t.Error("IRI reported as literal")
-	}
 }
 
 func TestNumericLiterals(t *testing.T) {

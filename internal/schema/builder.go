@@ -150,15 +150,6 @@ func (b *Builder) SimilarityEdgesExhaustive(profiles []*profiler.ColumnProfile) 
 	return b.similarityEdgesExhaustive(profiles, 0)
 }
 
-// SimilarityEdgesDeltaExhaustive is the reference implementation of the
-// delta comparison, the oracle for delta-path equivalence tests.
-func (b *Builder) SimilarityEdgesDeltaExhaustive(existing, added []*profiler.ColumnProfile) []Edge {
-	combined := make([]*profiler.ColumnProfile, 0, len(existing)+len(added))
-	combined = append(combined, existing...)
-	combined = append(combined, added...)
-	return b.similarityEdgesExhaustive(combined, len(existing))
-}
-
 // similarityEdgesExhaustive compares all same-type cross-table pairs
 // (i, j) with i < j and j >= minNew; minNew 0 means every pair. The pair
 // slice it builds is the O(n²) memory cliff the blocked pipeline removes.

@@ -234,3 +234,12 @@ func TestBlockedEquivalenceWideLake(t *testing.T) {
 			stats.PeakPairBuffer, exhaustStats.PeakPairBuffer)
 	}
 }
+
+// SimilarityEdgesDeltaExhaustive is the reference implementation of the
+// delta comparison, the oracle for delta-path equivalence tests.
+func (b *Builder) SimilarityEdgesDeltaExhaustive(existing, added []*profiler.ColumnProfile) []Edge {
+	combined := make([]*profiler.ColumnProfile, 0, len(existing)+len(added))
+	combined = append(combined, existing...)
+	combined = append(combined, added...)
+	return b.similarityEdgesExhaustive(combined, len(existing))
+}

@@ -257,3 +257,6 @@ func TestMetricCatalogMatchesRegistry(t *testing.T) {
 		}
 	}
 }
+
+// routeLabel normalizes a request path to its route pattern.
+func routeLabel(path string) string { return statsFor(path).label }

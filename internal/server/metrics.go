@@ -7,7 +7,7 @@ import (
 )
 
 // HTTP-layer metrics, registered once at package init into the
-// process-wide registry. Route labels come from routeLabel, which maps
+// process-wide registry. Route labels come from statsFor, which maps
 // request paths onto the finite route table so cardinality stays bounded
 // no matter what clients send.
 var (
@@ -104,6 +104,3 @@ func statsFor(path string) *routeStats {
 	}
 	return routeStatsByLabel[label]
 }
-
-// routeLabel normalizes a request path to its route pattern.
-func routeLabel(path string) string { return statsFor(path).label }

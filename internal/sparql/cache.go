@@ -114,15 +114,6 @@ func (c *queryCache) put(key string, gen uint64, res *Result) {
 	}
 }
 
-func (c *queryCache) resize(capacity int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cap = capacity
-	for c.ll.Len() > c.cap {
-		c.evict(c.ll.Back())
-	}
-}
-
 func (c *queryCache) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -440,3 +440,15 @@ func TestConcurrentRegexQueries(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// SetCacheCapacity resizes the query-result cache; 0 disables caching.
+func (e *Engine) SetCacheCapacity(n int) { e.cache.resize(n) }
+
+func (c *queryCache) resize(capacity int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cap = capacity
+	for c.ll.Len() > c.cap {
+		c.evict(c.ll.Back())
+	}
+}

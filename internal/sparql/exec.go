@@ -58,9 +58,6 @@ func NewEngine(st *store.Store) *Engine {
 	return &Engine{st: st, cache: newQueryCache(DefaultCacheCapacity)}
 }
 
-// SetCacheCapacity resizes the query-result cache; 0 disables caching.
-func (e *Engine) SetCacheCapacity(n int) { e.cache.resize(n) }
-
 // SetSlowQuery sets the slow-query log threshold; 0 disables it.
 // Queries at or over the threshold emit one structured warning with the
 // query text, total duration, outcome, and parse/compile/plan/execute/

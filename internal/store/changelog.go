@@ -118,14 +118,6 @@ func (cl *Changelog) Head() uint64 {
 	return cl.head
 }
 
-// Floor returns the compaction floor: the highest sequence number that is
-// no longer retained. Valid cursors are Floor()..Head().
-func (cl *Changelog) Floor() uint64 {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.floor
-}
-
 // SeedFloor positions an empty log so the next record gets sequence
 // pos+1 — the restart path: a primary reloading a snapshot that persisted
 // changelog position pos continues the sequence numbering its followers

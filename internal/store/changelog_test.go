@@ -170,3 +170,11 @@ func TestChangelogSeedFloor(t *testing.T) {
 		t.Fatalf("SeedFloor after records moved head to %d", cl.Head())
 	}
 }
+
+// Floor returns the compaction floor: the highest sequence number that is
+// no longer retained. Valid cursors are Floor()..Head().
+func (cl *Changelog) Floor() uint64 {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	return cl.floor
+}

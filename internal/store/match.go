@@ -137,21 +137,6 @@ func (st *Store) CountMatch(s, p, o, g rdf.Term) int {
 	return n
 }
 
-// Subjects returns the distinct subjects of triples matching (p, o) in g.
-func (st *Store) Subjects(p, o, g rdf.Term) []rdf.Term {
-	seen := map[string]struct{}{}
-	var out []rdf.Term
-	st.MatchFunc(Wildcard, p, o, g, func(t rdf.Triple) bool {
-		k := t.Subject.Key()
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
-			out = append(out, t.Subject)
-		}
-		return true
-	})
-	return out
-}
-
 // Objects returns the distinct objects of triples matching (s, p) in g.
 func (st *Store) Objects(s, p, g rdf.Term) []rdf.Term {
 	seen := map[string]struct{}{}

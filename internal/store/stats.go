@@ -65,14 +65,6 @@ func (st *Store) statMerge(delta map[TermID]PredicateStats) {
 	}
 }
 
-// PredStats returns the union-index cardinality stats for a predicate. A
-// zero value means the predicate is absent.
-func (st *Store) PredStats(p TermID) PredicateStats {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.predStatsLocked(p)
-}
-
 func (st *Store) predStatsLocked(p TermID) PredicateStats {
 	if ps := st.pstat[p]; ps != nil {
 		return *ps
@@ -151,14 +143,6 @@ func (st *Store) countIDsLocked(s, p, o, g TermID) int {
 		}
 		return st.graphs[g]
 	}
-}
-
-// CountIDs estimates the number of triples matching an encoded pattern
-// (see countIDsLocked).
-func (st *Store) CountIDs(s, p, o, g TermID) int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.countIDsLocked(s, p, o, g)
 }
 
 func containsSortedID(s []TermID, v TermID) bool {

@@ -167,3 +167,19 @@ func TestViewPinsGeneration(t *testing.T) {
 		t.Fatal("generation did not advance after mutation")
 	}
 }
+
+// PredStats returns the union-index cardinality stats for a predicate. A
+// zero value means the predicate is absent.
+func (st *Store) PredStats(p TermID) PredicateStats {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.predStatsLocked(p)
+}
+
+// CountIDs estimates the number of triples matching an encoded pattern
+// (see countIDsLocked).
+func (st *Store) CountIDs(s, p, o, g TermID) int {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.countIDsLocked(s, p, o, g)
+}

@@ -208,3 +208,18 @@ func TestConcurrentAdd(t *testing.T) {
 		t.Errorf("Len = %d, want %d", st.Len(), 8*200)
 	}
 }
+
+// Subjects returns the distinct subjects of triples matching (p, o) in g.
+func (st *Store) Subjects(p, o, g rdf.Term) []rdf.Term {
+	seen := map[string]struct{}{}
+	var out []rdf.Term
+	st.MatchFunc(Wildcard, p, o, g, func(t rdf.Triple) bool {
+		k := t.Subject.Key()
+		if _, dup := seen[k]; !dup {
+			seen[k] = struct{}{}
+			out = append(out, t.Subject)
+		}
+		return true
+	})
+	return out
+}

@@ -5,7 +5,6 @@
 package vectorindex
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -155,23 +154,9 @@ func (e *Exact) Len() int {
 	return len(e.ids)
 }
 
-// Get returns the stored (normalized) vector for id.
-func (e *Exact) Get(id string) (embed.Vector, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	i, ok := e.pos[id]
-	if !ok {
-		return nil, false
-	}
-	return e.vecs[i], true
-}
-
 // IDs returns all indexed IDs in insertion order.
 func (e *Exact) IDs() []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return append([]string(nil), e.ids...)
 }
-
-// String renders a result for debugging.
-func (r Result) String() string { return fmt.Sprintf("%s(%.3f)", r.ID, r.Score) }

@@ -138,3 +138,14 @@ func TestHNSWDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// Get returns the stored (normalized) vector for id.
+func (e *Exact) Get(id string) (embed.Vector, bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	i, ok := e.pos[id]
+	if !ok {
+		return nil, false
+	}
+	return e.vecs[i], true
+}

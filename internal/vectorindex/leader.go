@@ -127,9 +127,6 @@ func NewLeaderIndex(vecs []embed.Vector, targetCluster int, attachAngle float64)
 	return ix
 }
 
-// Clusters returns the number of leader clusters.
-func (ix *LeaderIndex) Clusters() int { return len(ix.leaders) }
-
 // Candidates invokes fn with the position of every indexed vector whose
 // angle to q might be at most maxAngle. The superset guarantee: any vector
 // v with angle(q, v) <= maxAngle is reported. Vectors outside the radius

@@ -121,3 +121,6 @@ func TestPruneAngle(t *testing.T) {
 		t.Errorf("cos(PruneAngle(0.85)) = %v", math.Cos(a))
 	}
 }
+
+// Clusters returns the number of leader clusters.
+func (ix *LeaderIndex) Clusters() int { return len(ix.leaders) }
