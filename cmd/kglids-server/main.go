@@ -78,8 +78,9 @@ import (
 func main() {
 	lakeDir := flag.String("lake", "", "data lake directory of <dataset>/<table>.csv or .tsv files (shorthand for -source dir://DIR)")
 	source := flag.String("source", "", "connector URI to bootstrap by streaming (dir://, jsonl://, http://, lakegen://)")
-	chunkRows := flag.Int("chunk-rows", 0, "streaming connectors: rows per chunk (0 = default)")
-	reservoir := flag.Int("reservoir", 0, "streaming profiler: per-column sample reservoir size (0 = default)")
+	var opts kglids.Options
+	flag.IntVar(&opts.ChunkRows, "chunk-rows", 0, "streaming connectors: rows per chunk (0 = default)")
+	flag.IntVar(&opts.ReservoirSize, "reservoir", 0, "streaming profiler: per-column sample reservoir size (0 = default)")
 	snapshotPath := flag.String("snapshot", "", "snapshot file to load instead of bootstrapping")
 	saveSnapshot := flag.String("save-snapshot", "", "write the ready platform to this snapshot file")
 	addr := flag.String("addr", ":8080", "listen address")
@@ -135,12 +136,7 @@ func main() {
 		// tails the primary's changelog from the snapshot's position.
 		plat, err = replicaPlatform(logger, primary, *snapshotPath)
 	} else {
-		plat, err = ready(logger, bootSources{
-			source:       *source,
-			snapshotPath: *snapshotPath,
-			chunkRows:    *chunkRows,
-			reservoir:    *reservoir,
-		})
+		plat, err = ready(logger, *snapshotPath, *source, opts)
 	}
 	if err != nil {
 		logger.Error("startup failed", "err", err)
@@ -187,7 +183,6 @@ func main() {
 		Ingest:         manager,
 		Logger:         logger,
 		AccessLog:      *accessLog,
-		ReadOnly:       *replicaMode,
 	}
 
 	// In replica mode, tail the primary's changelog in the background for
@@ -362,38 +357,27 @@ func replicaPlatform(logger *slog.Logger, primary *client.Client, snapshotPath s
 	return plat, nil
 }
 
-// bootSources carries the platform-source flags into ready.
-type bootSources struct {
-	source       string
-	snapshotPath string
-	chunkRows    int
-	reservoir    int
-}
-
-// ready produces a serving-ready platform, preferring the snapshot fast
-// path when both sources are given.
-func ready(logger *slog.Logger, b bootSources) (*kglids.Platform, error) {
-	if b.snapshotPath != "" {
-		if b.source != "" {
-			logger.Info("multiple platform sources given; loading snapshot", "path", b.snapshotPath)
+// ready produces a serving-ready platform: it loads snapshotPath when
+// given, even beside a source, and otherwise bootstraps by streaming the
+// source URI under opts.
+func ready(logger *slog.Logger, snapshotPath, source string, opts kglids.Options) (*kglids.Platform, error) {
+	if snapshotPath != "" {
+		if source != "" {
+			logger.Info("multiple platform sources given; loading snapshot", "path", snapshotPath)
 		}
 		start := time.Now()
-		plat, err := kglids.Open(b.snapshotPath)
+		plat, err := kglids.Open(snapshotPath)
 		if err != nil {
 			return nil, err
 		}
-		logger.Info("snapshot loaded (no re-profiling)", "path", b.snapshotPath,
+		logger.Info("snapshot loaded (no re-profiling)", "path", snapshotPath,
 			"duration", time.Since(start).Round(time.Millisecond).String())
 		return plat, nil
 	}
 
-	opts := kglids.Options{
-		ChunkRows:     b.chunkRows,
-		ReservoirSize: b.reservoir,
-	}
-	logger.Info("bootstrapping from connector", "uri", b.source)
+	logger.Info("bootstrapping from connector", "uri", source)
 	start := time.Now()
-	plat, failed, err := kglids.BootstrapSource(context.Background(), opts, b.source)
+	plat, failed, err := kglids.BootstrapSource(context.Background(), opts, source)
 	if err != nil {
 		return nil, err
 	}

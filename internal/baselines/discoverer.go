@@ -105,7 +105,7 @@ type KGLiDSDiscoverer struct {
 
 // NewKGLiDS returns the platform under its default configuration.
 func NewKGLiDS() *KGLiDSDiscoverer {
-	return NewKGLiDSWith("KGLiDS", core.DefaultConfig())
+	return NewKGLiDSWith("KGLiDS", core.Config{})
 }
 
 // NewKGLiDSWith returns the platform under an explicit configuration and

@@ -57,14 +57,6 @@ type TableRef struct {
 	// Locator is the source-specific address of the table (file path,
 	// URL, generator coordinate), for logs and errors.
 	Locator string
-	// Fingerprint is a cheap connector-reported content hash: file
-	// size+mtime for filesystem sources, HTTP validators (ETag,
-	// Last-Modified, Content-Length) for remote ones, the generator spec
-	// for lakegen. Identical content reports identical fingerprints, so
-	// the ingest manager can skip an unchanged table without reading it.
-	// Zero means the connector cannot cheaply fingerprint the table; such
-	// tables are always (re-)ingested.
-	Fingerprint uint64
 }
 
 // ID returns the platform table ID "dataset/table".

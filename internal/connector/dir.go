@@ -2,9 +2,7 @@ package connector
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,10 +48,9 @@ func (s *dirSource) Tables(ctx context.Context) ([]TableRef, error) {
 			return nil
 		}
 		refs = append(refs, TableRef{
-			Dataset:     filepath.Base(filepath.Dir(path)),
-			Table:       filepath.Base(path),
-			Locator:     path,
-			Fingerprint: fileFingerprint(path, info),
+			Dataset: filepath.Base(filepath.Dir(path)),
+			Table:   filepath.Base(path),
+			Locator: path,
 		})
 		return nil
 	})
@@ -83,22 +80,4 @@ func (s *dirSource) Open(ctx context.Context, ref TableRef) (TableReader, error)
 		return nil, err
 	}
 	return r, nil
-}
-
-// fileFingerprint hashes the identity a filesystem can report without
-// reading content: path, size, and mtime. Rewriting a file with the same
-// bytes may change the fingerprint (mtime moves) — that costs one
-// redundant re-profile, never a stale skip.
-func fileFingerprint(path string, info os.FileInfo) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(path))
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(info.Size()))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(info.ModTime().UnixNano()))
-	h.Write(buf[:])
-	fp := h.Sum64()
-	if fp == 0 {
-		fp = 1 // zero is reserved for "unknown"
-	}
-	return fp
 }

@@ -3,7 +3,6 @@ package connector
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"path"
 	"strings"
@@ -13,11 +12,8 @@ import (
 // httpSource streams one remote CSV/TSV over HTTP(S) — a single-table
 // source (the URI names one file, not a listing). Transient failures
 // (transport errors, 5xx, 429) are retried with exponential backoff; 4xx
-// other than 429 fail immediately. The table fingerprint comes from the
-// server's validators (ETag, Last-Modified, Content-Length) probed with a
-// HEAD request, so the ingest manager can skip an unchanged remote file
-// without downloading it; a server that answers HEAD badly just yields
-// fingerprint 0 ("unknown, always ingest").
+// other than 429 fail immediately. Enumeration sends no request: the one
+// table is named from the URI.
 type httpSource struct {
 	scheme string // "http" or "https"
 	rawURL string
@@ -61,10 +57,10 @@ func retryable(status int) bool {
 	return status >= 500 || status == http.StatusTooManyRequests
 }
 
-// doWithRetry issues the request, retrying transport errors and
+// getWithRetry issues the GET, retrying transport errors and
 // retryable statuses with exponential backoff. The caller owns the
 // returned response body.
-func (s *httpSource) doWithRetry(ctx context.Context, method string) (*http.Response, error) {
+func (s *httpSource) getWithRetry(ctx context.Context) (*http.Response, error) {
 	var lastErr error
 	delay := s.backoff()
 	for attempt := 0; attempt <= s.retries(); attempt++ {
@@ -76,7 +72,7 @@ func (s *httpSource) doWithRetry(ctx context.Context, method string) (*http.Resp
 			}
 			delay *= 2
 		}
-		req, err := http.NewRequestWithContext(ctx, method, s.rawURL, nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.rawURL, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +85,7 @@ func (s *httpSource) doWithRetry(ctx context.Context, method string) (*http.Resp
 			return resp, nil
 		}
 		resp.Body.Close()
-		lastErr = fmt.Errorf("connector: %s %s: %s", method, s.rawURL, resp.Status)
+		lastErr = fmt.Errorf("connector: GET %s: %s", s.rawURL, resp.Status)
 		if !retryable(resp.StatusCode) {
 			return nil, lastErr
 		}
@@ -105,25 +101,11 @@ func (s *httpSource) Tables(ctx context.Context) ([]TableRef, error) {
 	if table == "." || table == "/" || table == "" {
 		table = "table.csv"
 	}
-	ref := TableRef{Dataset: host, Table: table, Locator: s.rawURL}
-	// Fingerprint from HEAD validators; a failed HEAD is not an error —
-	// the table simply cannot be skipped.
-	if resp, err := s.doWithRetry(ctx, http.MethodHead); err == nil {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%s|%s|%s|%d", s.rawURL,
-			resp.Header.Get("ETag"), resp.Header.Get("Last-Modified"), resp.ContentLength)
-		resp.Body.Close()
-		if fp := h.Sum64(); fp != 0 {
-			ref.Fingerprint = fp
-		} else {
-			ref.Fingerprint = 1
-		}
-	}
-	return []TableRef{ref}, nil
+	return []TableRef{{Dataset: host, Table: table, Locator: s.rawURL}}, nil
 }
 
 func (s *httpSource) Open(ctx context.Context, ref TableRef) (TableReader, error) {
-	resp, err := s.doWithRetry(ctx, http.MethodGet)
+	resp, err := s.getWithRetry(ctx)
 	if err != nil {
 		mErrors.WithLabelValues(s.scheme, "open").Inc()
 		return nil, err

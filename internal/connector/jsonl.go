@@ -58,10 +58,9 @@ func (s *jsonlSource) Tables(ctx context.Context) ([]TableRef, error) {
 			return nil
 		}
 		refs = append(refs, TableRef{
-			Dataset:     filepath.Base(filepath.Dir(path)),
-			Table:       filepath.Base(path),
-			Locator:     path,
-			Fingerprint: fileFingerprint(path, info),
+			Dataset: filepath.Base(filepath.Dir(path)),
+			Table:   filepath.Base(path),
+			Locator: path,
 		})
 		return nil
 	})

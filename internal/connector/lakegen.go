@@ -3,7 +3,6 @@ package connector
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"strconv"
 
@@ -70,17 +69,10 @@ func (s *lakegenSource) Tables(ctx context.Context) ([]TableRef, error) {
 	}
 	refs := make([]TableRef, s.spec.Tables)
 	for t := range refs {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%s|%d", s.raw, t)
-		fp := h.Sum64()
-		if fp == 0 {
-			fp = 1
-		}
 		refs[t] = TableRef{
-			Dataset:     s.spec.DatasetName(t),
-			Table:       s.spec.TableName(t),
-			Locator:     fmt.Sprintf("%s#%d", s.raw, t),
-			Fingerprint: fp,
+			Dataset: s.spec.DatasetName(t),
+			Table:   s.spec.TableName(t),
+			Locator: fmt.Sprintf("%s#%d", s.raw, t),
 		}
 	}
 	return refs, nil

@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -30,26 +31,19 @@ import (
 // Table pairs a dataset name with one of its tables.
 type Table = profiler.Table
 
-// Config controls bootstrapping.
-type Config struct {
-	Thresholds schema.Thresholds
-	// SkipLabelSimilarity disables label edges (Figure 6 ablation).
-	SkipLabelSimilarity bool
-	// CoLR overrides the default embedding configuration (ablations).
-	CoLR    *embed.CoLR
+// Options are the public bootstrap knobs, declared once: kglids.Options is
+// this type. A zero field means its default.
+type Options struct {
+	// Alpha, Beta and Theta are Algorithm 3's label-similarity, boolean
+	// true-ratio and content-similarity thresholds
+	// (0 = schema.DefaultThresholds()).
+	Alpha, Beta, Theta float64
+	// Workers bounds the parallelism of profiling, similarity edges,
+	// pipeline graphs and AddSource (0 = runtime.NumCPU()).
 	Workers int
-	// EdgeBlockSize bounds the exhaustive fallback of the blocked
-	// similarity-edge pipeline: same-fine-grained-type column blocks up to
-	// this size are compared pair-by-pair, larger ones go through the
-	// candidate pre-filter. 0 means schema.DefaultEdgeBlockSize. Tuning
-	// only — the edge set is identical for any value.
-	EdgeBlockSize int
-	// EdgeCandidates is the target candidates per column in the pre-
-	// filtered path (average pre-filter cluster size). 0 means
-	// schema.DefaultEdgeCandidates. Tuning only.
-	EdgeCandidates int
-	// ChunkRows is the connector chunk size for source-based ingestion
-	// (BootstrapSource/AddSource). 0 means connector.DefaultChunkRows.
+	// ChunkRows is the row-chunk size of the streaming connectors used by
+	// BootstrapSource/AddSource (0 = connector.DefaultChunkRows). Tuning
+	// only: profiles are unaffected.
 	ChunkRows int
 	// ReservoirSize bounds the profiler's per-column value sample
 	// (0 = profiler.DefaultReservoirSize). It bounds streamed tables only
@@ -62,10 +56,21 @@ type Config struct {
 	ExactDistinct int
 }
 
-// DefaultConfig returns the default platform configuration.
-func DefaultConfig() Config {
-	return Config{Thresholds: schema.DefaultThresholds()}
+// Config controls bootstrapping: the public Options plus the Figure 6
+// ablation switches.
+type Config struct {
+	Options
+	// SkipLabelSimilarity disables label edges (Figure 6 ablation).
+	SkipLabelSimilarity bool
+	// CoLR overrides the default embedding configuration (ablations).
+	CoLR *embed.CoLR
 }
+
+// edgeBlockSize and edgeCandidates override the schema builder's blocking
+// (0 keeps schema.DefaultEdgeBlockSize/DefaultEdgeCandidates). The edge
+// set is identical for any value; core's tests set them to force the
+// pre-filtered path on lakes too small to reach it.
+var edgeBlockSize, edgeCandidates int
 
 // Platform is a bootstrapped KGLiDS instance: the LiDS graph, the
 // embedding stores, the profiles, and the discovery engine.
@@ -145,8 +150,24 @@ func bootstrap(ctx context.Context, cfg Config, src connector.Source) (*Platform
 // newPlatform returns a complete, empty, query-ready platform over st, the
 // one state every platform starts from: Bootstrap and BootstrapSource
 // commit their profiles onto it, and Restore applies its decoded state to
-// it.
+// it. It is the one place that resolves zero thresholds and a zero worker
+// count to their defaults, so Config reports the values the platform runs
+// at; the streaming bounds pass through, as the connector and the profiler
+// read zero as their own defaults.
 func newPlatform(cfg Config, st *store.Store) *Platform {
+	th := schema.DefaultThresholds()
+	if cfg.Alpha <= 0 {
+		cfg.Alpha = th.Alpha
+	}
+	if cfg.Beta <= 0 {
+		cfg.Beta = th.Beta
+	}
+	if cfg.Theta <= 0 {
+		cfg.Theta = th.Theta
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.NumCPU()
+	}
 	p := &Platform{
 		Store:           st,
 		Linker:          schema.NewLinker(nil),
@@ -161,12 +182,11 @@ func newPlatform(cfg Config, st *store.Store) *Platform {
 	if cfg.CoLR != nil {
 		p.profiler.CoLR = cfg.CoLR
 	}
-	if cfg.Workers > 0 {
-		p.profiler.Workers = cfg.Workers
-	}
+	p.profiler.Workers = cfg.Workers
 	p.profiler.ReservoirSize = cfg.ReservoirSize
 	p.profiler.ExactDistinct = cfg.ExactDistinct
-	p.graphs = p.newGraphBuilder()
+	p.graphs = pipeline.NewGraphBuilder(p.Linker)
+	p.graphs.Workers = cfg.Workers
 	p.adj = newAdjacency(&p.mu)
 	p.Discovery = discovery.New(p.Store, p.adj)
 	return p
@@ -201,16 +221,6 @@ func sortedIDs(embs map[string]embed.Vector) []string {
 	return ids
 }
 
-// newGraphBuilder returns the pipeline graph builder over the platform's
-// linker, at the configured worker count.
-func (p *Platform) newGraphBuilder() *pipeline.GraphBuilder {
-	g := pipeline.NewGraphBuilder(p.Linker)
-	if p.cfg.Workers > 0 {
-		g.Workers = p.cfg.Workers
-	}
-	return g
-}
-
 // HNSW parameters for the table ANN index (m=16, ef=64 are the customary
 // defaults; see NewHNSW).
 const (
@@ -224,14 +234,11 @@ const (
 // label-embedding cache.
 func (p *Platform) newBuilder() *schema.Builder {
 	b := schema.NewBuilder()
-	b.Thresholds = p.cfg.Thresholds
+	b.Thresholds = schema.Thresholds{Alpha: p.cfg.Alpha, Beta: p.cfg.Beta, Theta: p.cfg.Theta}
 	b.SkipLabels = p.cfg.SkipLabelSimilarity
-	b.BlockSize = p.cfg.EdgeBlockSize
-	b.Candidates = p.cfg.EdgeCandidates
+	b.BlockSize, b.Candidates = edgeBlockSize, edgeCandidates
 	b.Labels = p.labels
-	if p.cfg.Workers > 0 {
-		b.Workers = p.cfg.Workers
-	}
+	b.Workers = p.cfg.Workers
 	return b
 }
 
@@ -482,8 +489,8 @@ func (p *Platform) TableEmbeddingsView() map[string]embed.Vector {
 	return out
 }
 
-// Config returns the platform's bootstrap configuration (the thresholds
-// incremental ingestion reuses).
+// Config returns the platform's bootstrap configuration with every default
+// resolved (the thresholds incremental ingestion reuses).
 func (p *Platform) Config() Config { return p.cfg }
 
 // IngestLock blocks live mutations until IngestUnlock, giving callers

@@ -37,7 +37,7 @@ func bootstrapSmall(t *testing.T) (*Platform, *lakegen.Benchmark) {
 	for _, df := range b.Tables {
 		tables = append(tables, Table{Dataset: b.Dataset[df.Name], Frame: df})
 	}
-	return Bootstrap(DefaultConfig(), tables), b
+	return Bootstrap(Config{}, tables), b
 }
 
 func TestBootstrapBuildsGraph(t *testing.T) {
@@ -201,9 +201,9 @@ func TestAddTablesBlockedDeltaEquivalence(t *testing.T) {
 	for _, df := range b.Tables {
 		tables = append(tables, Table{Dataset: b.Dataset[df.Name], Frame: df})
 	}
-	cfg := DefaultConfig()
-	cfg.EdgeBlockSize = 1
-	cfg.EdgeCandidates = 2
+	edgeBlockSize, edgeCandidates = 1, 2
+	defer func() { edgeBlockSize, edgeCandidates = 0, 0 }()
+	cfg := Config{}
 
 	fresh := Bootstrap(cfg, tables)
 	incremental := Bootstrap(cfg, tables[:3])
@@ -248,9 +248,9 @@ func TestBootstrapOneWorkerMatchesDefault(t *testing.T) {
 	df := b.Tables[0]
 	ds := pipegen.FrameDataset(b.Dataset[df.Name], df, df.Columns()[0])
 	scripts := scriptsOf(pipegen.Generate(pipegen.Options{NumPipelines: 6, Datasets: []pipegen.Dataset{ds}, Seed: 5}))
-	serialCfg := DefaultConfig()
+	serialCfg := Config{}
 	serialCfg.Workers = 1
-	serial, wide := Bootstrap(serialCfg, tables), Bootstrap(DefaultConfig(), tables)
+	serial, wide := Bootstrap(serialCfg, tables), Bootstrap(Config{}, tables)
 	serial.AddPipelines(scripts)
 	wide.AddPipelines(scripts)
 
@@ -426,7 +426,7 @@ func BenchmarkAddTables_ResidentEdges(b *testing.B) {
 			tables = append(tables, Table{Dataset: gen.Dataset[df.Name], Frame: df})
 		}
 		held, id := tables[:1], tables[0].Dataset+"/"+tables[0].Frame.Name
-		p := Bootstrap(DefaultConfig(), tables[1:])
+		p := Bootstrap(Config{}, tables[1:])
 		resident := p.Stats().SimilarityEdges
 
 		run := func(kind string, after func()) {

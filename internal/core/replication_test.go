@@ -17,7 +17,7 @@ import (
 // the quads the call added plus removed.
 func TestEveryMutationIsOneRecord(t *testing.T) {
 	ctx := context.Background()
-	plat, _, err := BootstrapSource(ctx, DefaultConfig(), srcURI)
+	plat, _, err := BootstrapSource(ctx, Config{}, srcURI)
 	if err != nil {
 		t.Fatal(err)
 	}

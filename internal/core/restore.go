@@ -40,8 +40,8 @@ type RestoredState struct {
 	Scripts []pipeline.Script
 	// Config is the bootstrap configuration recorded in the snapshot, so
 	// incremental ingestion on the restored platform scores similarity with
-	// the same thresholds as the original bootstrap. Nil falls back to
-	// DefaultConfig.
+	// the same thresholds as the original bootstrap. Nil means the
+	// zero Config: every default.
 	Config *Config
 	// QueryCache holds the SPARQL result-cache entries saved with the
 	// snapshot; they re-pin to the restored store's generation so the first
@@ -67,7 +67,7 @@ func Restore(st RestoredState) (*Platform, error) {
 	if err := checkTableSets(st); err != nil {
 		return nil, err
 	}
-	cfg := DefaultConfig()
+	var cfg Config
 	if st.Config != nil {
 		cfg = *st.Config
 	}

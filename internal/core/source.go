@@ -15,15 +15,10 @@ import (
 // profiles enter the same addProfiles as Bootstrap's and AddTables', so
 // both routes produce identical platforms for identical data.
 
-// connectorOpts derives the streaming options from the platform config.
-func (c Config) connectorOpts() connector.Options {
-	return connector.Options{ChunkRows: c.ChunkRows}
-}
-
 // OpenSource opens a connector URI with the platform's streaming
 // configuration.
 func (p *Platform) OpenSource(uri string) (connector.Source, error) {
-	return connector.OpenWith(uri, p.cfg.connectorOpts())
+	return connector.OpenWith(uri, connector.Options{ChunkRows: p.cfg.ChunkRows})
 }
 
 // BootstrapSource streams a connector source and commits its profiles onto
@@ -32,7 +27,7 @@ func (p *Platform) OpenSource(uri string) (connector.Source, error) {
 // returned map by table ID; enumeration failure or context cancellation
 // fails the call.
 func BootstrapSource(ctx context.Context, cfg Config, uri string) (*Platform, map[string]error, error) {
-	src, err := connector.OpenWith(uri, cfg.connectorOpts())
+	src, err := connector.OpenWith(uri, connector.Options{ChunkRows: cfg.ChunkRows})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -89,16 +84,9 @@ func (p *Platform) AddSource(ctx context.Context, uri string) (*SourceReport, er
 	}
 	rep := &SourceReport{Failed: map[string]error{}}
 	var mu sync.Mutex
-	workers := p.cfg.Workers
-	if workers < 1 {
-		workers = p.profiler.Workers
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	var wg sync.WaitGroup
 	ch := make(chan connector.TableRef)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < p.cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

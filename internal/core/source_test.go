@@ -12,7 +12,7 @@ import (
 const srcURI = "lakegen://wide?tables=10&cols=5&rows=120&seed=21"
 
 func TestBootstrapSourceMatchesBootstrap(t *testing.T) {
-	plat, failed, err := BootstrapSource(context.Background(), DefaultConfig(), srcURI)
+	plat, failed, err := BootstrapSource(context.Background(), Config{}, srcURI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestBootstrapSourceMatchesBootstrap(t *testing.T) {
 	for _, f := range frames {
 		tables = append(tables, Table(f))
 	}
-	inMemory := Bootstrap(DefaultConfig(), tables)
+	inMemory := Bootstrap(Config{}, tables)
 
 	if plat.Stats() != inMemory.Stats() {
 		t.Fatalf("streamed stats %+v diverge from in-memory bootstrap %+v", plat.Stats(), inMemory.Stats())
@@ -46,7 +46,7 @@ func TestAddSourceUpdatesAndConverges(t *testing.T) {
 	// Bootstrap over a subset, then stream the full lake in: existing
 	// tables update, new ones append, and the result must equal a fresh
 	// streamed bootstrap of the whole lake.
-	full, _, err := BootstrapSource(context.Background(), DefaultConfig(), srcURI)
+	full, _, err := BootstrapSource(context.Background(), Config{}, srcURI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestAddSourceUpdatesAndConverges(t *testing.T) {
 	for _, f := range frames[:4] {
 		subset = append(subset, Table(f))
 	}
-	plat := Bootstrap(DefaultConfig(), subset)
+	plat := Bootstrap(Config{}, subset)
 
 	rep, err := plat.AddSource(context.Background(), srcURI)
 	if err != nil {
@@ -81,7 +81,7 @@ func TestAddSourceUpdatesAndConverges(t *testing.T) {
 }
 
 func TestAddSourceTableValidation(t *testing.T) {
-	plat, _, err := BootstrapSource(context.Background(), DefaultConfig(), srcURI)
+	plat, _, err := BootstrapSource(context.Background(), Config{}, srcURI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestAddSourceTableValidation(t *testing.T) {
 }
 
 func TestConcurrentAddSourceWhileQuerying(t *testing.T) {
-	plat, _, err := BootstrapSource(context.Background(), DefaultConfig(),
+	plat, _, err := BootstrapSource(context.Background(), Config{},
 		"lakegen://wide?tables=4&cols=4&rows=80&seed=21")
 	if err != nil {
 		t.Fatal(err)

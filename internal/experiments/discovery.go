@@ -220,25 +220,11 @@ func RunFigure6() []DiscoverySystemRun {
 		label string
 		cfg   core.Config
 	}{
-		{"KGLiDS", core.DefaultConfig()},
-		{"Fine-Grained (No Subsampling)", func() core.Config {
-			c := core.DefaultConfig()
-			c.SkipLabelSimilarity = true
-			c.CoLR = &embed.CoLR{Subsample: false}
-			return c
-		}()},
-		{"Fine-Grained", func() core.Config {
-			c := core.DefaultConfig()
-			c.SkipLabelSimilarity = true
-			c.CoLR = embed.NewCoLR()
-			return c
-		}()},
-		{"Coarse-Grained", func() core.Config {
-			c := core.DefaultConfig()
-			c.SkipLabelSimilarity = true
-			c.CoLR = &embed.CoLR{Coarse: true, Subsample: true, SampleFraction: 0.10, MinSample: 1000}
-			return c
-		}()},
+		{"KGLiDS", core.Config{}},
+		{"Fine-Grained (No Subsampling)", core.Config{SkipLabelSimilarity: true, CoLR: &embed.CoLR{Subsample: false}}},
+		{"Fine-Grained", core.Config{SkipLabelSimilarity: true, CoLR: embed.NewCoLR()}},
+		{"Coarse-Grained", core.Config{SkipLabelSimilarity: true,
+			CoLR: &embed.CoLR{Coarse: true, Subsample: true, SampleFraction: 0.10, MinSample: 1000}}},
 	}
 	var out []DiscoverySystemRun
 	for _, c := range configs {

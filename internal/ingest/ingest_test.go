@@ -30,7 +30,7 @@ func id(t core.Table) string { return t.Dataset + "/" + t.Frame.Name }
 
 func TestJobLifecycleAddRemove(t *testing.T) {
 	tables := lakeTables(t)
-	plat := core.Bootstrap(core.DefaultConfig(), tables[:4])
+	plat := core.Bootstrap(core.Config{}, tables[:4])
 	m := New(plat, Options{Workers: 2})
 	defer m.Close()
 
@@ -65,7 +65,7 @@ func TestJobLifecycleAddRemove(t *testing.T) {
 
 func TestUnchangedResubmissionSkipped(t *testing.T) {
 	tables := lakeTables(t)
-	plat := core.Bootstrap(core.DefaultConfig(), tables[:4])
+	plat := core.Bootstrap(core.Config{}, tables[:4])
 	m := New(plat, Options{Workers: 1})
 	defer m.Close()
 
@@ -94,7 +94,7 @@ func TestUnchangedResubmissionSkipped(t *testing.T) {
 
 func TestSeedFingerprints(t *testing.T) {
 	tables := lakeTables(t)
-	plat := core.Bootstrap(core.DefaultConfig(), tables)
+	plat := core.Bootstrap(core.Config{}, tables)
 	m := New(plat, Options{})
 	defer m.Close()
 	m.SeedFingerprints(tables)
@@ -108,7 +108,7 @@ func TestSeedFingerprints(t *testing.T) {
 
 func TestFailedJobReportsError(t *testing.T) {
 	tables := lakeTables(t)
-	plat := core.Bootstrap(core.DefaultConfig(), tables[:2])
+	plat := core.Bootstrap(core.Config{}, tables[:2])
 	m := New(plat, Options{})
 	defer m.Close()
 
@@ -124,7 +124,7 @@ func TestFailedJobReportsError(t *testing.T) {
 
 func TestSubmitValidationAndClose(t *testing.T) {
 	tables := lakeTables(t)
-	plat := core.Bootstrap(core.DefaultConfig(), tables[:2])
+	plat := core.Bootstrap(core.Config{}, tables[:2])
 	m := New(plat, Options{})
 	if _, err := m.Submit(nil); err == nil {
 		t.Error("empty submission should error")
@@ -149,7 +149,7 @@ func TestSubmitValidationAndClose(t *testing.T) {
 
 func TestQueueFull(t *testing.T) {
 	tables := lakeTables(t)
-	plat := core.Bootstrap(core.DefaultConfig(), tables[:2])
+	plat := core.Bootstrap(core.Config{}, tables[:2])
 	// One worker, queue of one: the worker picks up the first job quickly,
 	// so saturate with enough submissions that at least one must fail.
 	m := New(plat, Options{Workers: 1, QueueSize: 1})
@@ -192,7 +192,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 func TestConcurrentIngestWhileQuerying(t *testing.T) {
 	tables := lakeTables(t)
 	n := len(tables)
-	plat := core.Bootstrap(core.DefaultConfig(), tables[:n-3])
+	plat := core.Bootstrap(core.Config{}, tables[:n-3])
 	m := New(plat, Options{Workers: 2})
 	defer m.Close()
 

@@ -56,7 +56,7 @@ func TestResidentFrameIsNeverSketched(t *testing.T) {
 	}
 	mustEqual("ProfileTable", p.ProfileTable("d", df))
 
-	cfg := core.DefaultConfig()
+	cfg := core.Config{}
 	cfg.ReservoirSize, cfg.ExactDistinct = 16, 16
 	plat := core.Bootstrap(cfg, nil)
 	if _, err := plat.AddTables([]core.Table{{Dataset: "d", Frame: df}}); err != nil {

@@ -191,7 +191,7 @@ func TestReplicaRejectsWrites(t *testing.T) {
 	plat := tinyPlatform(t)
 	mgr := ingest.New(plat.Core(), ingest.Options{Workers: 1, QueueSize: 4})
 	defer mgr.Close()
-	h := New(plat, Options{Ingest: mgr, ReadOnly: true, Replica: fixedReplica{gen: 7, lag: 0.25}})
+	h := New(plat, Options{Ingest: mgr, Replica: fixedReplica{gen: 7, lag: 0.25}})
 
 	body := `{"tables":[{"dataset":"d","name":"t.csv","columns":[{"name":"c","values":["1"]}]}]}`
 	for _, tc := range []struct {
@@ -234,7 +234,7 @@ func TestHealthzReportsReplicaRole(t *testing.T) {
 		want client.Health
 	}{
 		{"primary", Options{}, client.Health{Status: "ok", Role: "primary"}},
-		{"replica", Options{ReadOnly: true, Replica: fixedReplica{gen: 42, lag: 1.5}},
+		{"replica", Options{Replica: fixedReplica{gen: 42, lag: 1.5}},
 			client.Health{Status: "ok", Role: "replica", AppliedGeneration: 42, LagSeconds: 1.5}},
 	} {
 		h := New(plat, c.opts)

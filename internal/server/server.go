@@ -79,13 +79,11 @@ type Options struct {
 	Logger *slog.Logger
 	// AccessLog enables the per-request structured access-log line.
 	AccessLog bool
-	// ReadOnly rejects every mutation (POST /api/v1/ingest, DELETE
-	// /api/v1/tables/{id}) with 405 — the replica serving mode, where
-	// writes must go to the primary. Read and job endpoints are
-	// unaffected.
-	ReadOnly bool
-	// Replica, when non-nil, reports the follower's replication state on
-	// the health endpoints. Nil means this server is a primary.
+	// Replica, when non-nil, makes this server a read-only follower: it
+	// reports the replication state on the health endpoints and rejects
+	// every mutation (POST /api/v1/ingest, DELETE /api/v1/tables/{id})
+	// with 405, since writes must go to the primary. Read and job
+	// endpoints are unaffected. Nil means this server is a primary.
 	Replica ReplicaStatus
 }
 
@@ -103,10 +101,9 @@ type errorEnvelope struct {
 
 // server carries the shared state of all endpoint groups.
 type server struct {
-	plat     *kglids.Platform
-	ingest   *ingest.Manager
-	readOnly bool
-	replica  ReplicaStatus
+	plat    *kglids.Platform
+	ingest  *ingest.Manager
+	replica ReplicaStatus
 }
 
 // New returns the kglids HTTP API over a shared platform: the /api/v1
@@ -123,7 +120,7 @@ func New(plat *kglids.Platform, opts Options) http.Handler {
 	if cfg.logger == nil {
 		cfg.logger = slog.Default()
 	}
-	s := &server{plat: plat, ingest: opts.Ingest, readOnly: opts.ReadOnly, replica: opts.Replica}
+	s := &server{plat: plat, ingest: opts.Ingest, replica: opts.Replica}
 	mux := http.NewServeMux()
 	s.registerV1(mux)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -156,7 +153,7 @@ func (s *server) manager() (*ingest.Manager, error) {
 // handleIngest decodes a POST /api/v1/ingest body and submits it as an
 // add job.
 func (s *server) handleIngest(r *http.Request) (any, error) {
-	if s.readOnly {
+	if s.replica != nil {
 		return nil, errReadOnly
 	}
 	m, err := s.manager()
@@ -179,7 +176,7 @@ func (s *server) handleIngest(r *http.Request) (any, error) {
 // percent-decodes the wildcard, so escaped slashes, spaces, and percent
 // signs in table IDs round-trip.
 func (s *server) handleDeleteTable(r *http.Request) (any, error) {
-	if s.readOnly {
+	if s.replica != nil {
 		return nil, errReadOnly
 	}
 	m, err := s.manager()

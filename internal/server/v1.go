@@ -318,10 +318,13 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// handleSnapshot streams the platform's binary snapshot — the follower
+// handleSnapshot writes the platform's binary snapshot — the follower
 // bootstrap path. The write pauses ingestion for the encode (like any
-// snapshot save), so the streamed state is always job-consistent and its
-// REPL section carries the changelog cursor to resume from.
+// snapshot save), so the state is always job-consistent and its REPL
+// section carries the changelog cursor to resume from. It does not stream:
+// withTimeout assembles the whole body in memory before the first byte is
+// sent, and a save that outlasts the request timeout answers 504. The
+// ROADMAP snapshot-save item takes the route out of that buffer.
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -339,9 +342,6 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // instance's replication role.
 func (s *server) handleHealth(*http.Request) (any, error) {
 	h := client.Health{Status: "ok", Generation: s.plat.Generation(), Role: "primary"}
-	if s.readOnly {
-		h.Role = "replica"
-	}
 	if s.replica != nil {
 		h.Role = "replica"
 		h.AppliedGeneration, h.LagSeconds = s.replica.ReplicaHealth()

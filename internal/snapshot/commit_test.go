@@ -2,12 +2,14 @@ package snapshot
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"kglids/internal/core"
 	"kglids/internal/lakegen"
+	"kglids/internal/schema"
 )
 
 func save(t *testing.T, p *core.Platform) []byte {
@@ -31,8 +33,8 @@ func TestBootstrapIsFirstCommit(t *testing.T) {
 	for _, df := range lake.Tables {
 		tables = append(tables, core.Table{Dataset: lake.Dataset[df.Name], Frame: df})
 	}
-	cfg := core.DefaultConfig()
-	cfg.Thresholds.Theta = 0.70
+	cfg := core.Config{}
+	cfg.Theta = 0.70
 	whole := core.Bootstrap(cfg, tables)
 	added := core.Bootstrap(cfg, nil)
 	if _, err := added.AddTables(tables); err != nil {
@@ -43,6 +45,41 @@ func TestBootstrapIsFirstCommit(t *testing.T) {
 	}
 	if !bytes.Equal(save(t, whole), save(t, added)) {
 		t.Fatal("Bootstrap(tables) and Bootstrap(nil) + AddTables(tables) saved different bytes")
+	}
+}
+
+// TestZeroConfigIsDefault: a zero Config field means its default, so the
+// zero Config and one spelling α/β/θ and Workers out at their defaults
+// save the same bytes, and a platform restored from them reports the
+// resolved values.
+func TestZeroConfigIsDefault(t *testing.T) {
+	lake := lakegen.Generate(lakegen.Spec{
+		Name: "zero", Families: 4, TablesPerFamily: 3, NoiseTables: 3,
+		RowsPerTable: 60, Seed: 93,
+	})
+	var tables []core.Table
+	for _, df := range lake.Tables {
+		tables = append(tables, core.Table{Dataset: lake.Dataset[df.Name], Frame: df})
+	}
+	th := schema.DefaultThresholds()
+	zero := core.Bootstrap(core.Config{}, tables)
+	spelled := core.Bootstrap(core.Config{Options: core.Options{
+		Alpha: th.Alpha, Beta: th.Beta, Theta: th.Theta, Workers: runtime.NumCPU(),
+	}}, tables)
+	if zero.Stats().SimilarityEdges == 0 {
+		t.Fatal("the lake has no similarity edges to compare")
+	}
+	b := save(t, zero)
+	if !bytes.Equal(b, save(t, spelled)) {
+		t.Fatal("the zero Config and the spelled-out defaults saved different bytes")
+	}
+	restored, err := Read(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := restored.Config()
+	if got.Alpha != th.Alpha || got.Beta != th.Beta || got.Theta != th.Theta || got.Workers != runtime.NumCPU() {
+		t.Fatalf("restored config %+v, want thresholds %+v and %d workers", got.Options, th, runtime.NumCPU())
 	}
 }
 

@@ -342,9 +342,9 @@ func encodePayload(p *core.Platform, generation, logPos uint64) []byte {
 	}
 	section(secConfig, func(w *writer) {
 		cfg := p.Config()
-		w.f64(cfg.Thresholds.Alpha)
-		w.f64(cfg.Thresholds.Beta)
-		w.f64(cfg.Thresholds.Theta)
+		w.f64(cfg.Alpha)
+		w.f64(cfg.Beta)
+		w.f64(cfg.Theta)
 		skip := byte(0)
 		if cfg.SkipLabelSimilarity {
 			skip = 1
@@ -567,10 +567,10 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 			}
 		case secConfig:
 			decode = func(r *reader) {
-				cfg := core.DefaultConfig()
-				cfg.Thresholds.Alpha = r.f64()
-				cfg.Thresholds.Beta = r.f64()
-				cfg.Thresholds.Theta = r.f64()
+				var cfg core.Config
+				cfg.Alpha = r.f64()
+				cfg.Beta = r.f64()
+				cfg.Theta = r.f64()
 				cfg.SkipLabelSimilarity = r.u8() == 1
 				if r.err == nil {
 					st.Config = &cfg

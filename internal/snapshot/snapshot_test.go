@@ -33,8 +33,8 @@ func fixture(t testing.TB) (*core.Platform, *lakegen.Benchmark) {
 	for _, df := range lake.Tables {
 		tables = append(tables, core.Table{Dataset: lake.Dataset[df.Name], Frame: df})
 	}
-	cfg := core.DefaultConfig()
-	cfg.Thresholds.Theta = 0.70
+	cfg := core.Config{}
+	cfg.Theta = 0.70
 	plat := core.Bootstrap(cfg, tables)
 	var datasets []pipegen.Dataset
 	for _, df := range lake.Tables[:2] {
@@ -329,7 +329,7 @@ func payloadSeeds(t testing.TB) [][]byte {
 		}
 		tables = append(tables, core.Table{Dataset: "health", Frame: df})
 	}
-	plat := core.Bootstrap(core.DefaultConfig(), tables)
+	plat := core.Bootstrap(core.Config{}, tables)
 	plat.AddPipelines([]pipeline.Script{{ID: "p1", Source: "import pandas as pd\ndf = pd.read_csv('patients.csv')\n"}})
 	if _, err := plat.Query(`SELECT ?t WHERE { ?t a kglids:Table . }`); err != nil {
 		t.Fatal(err)

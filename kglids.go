@@ -73,58 +73,11 @@ type (
 	Stats = core.Stats
 	// SourceReport summarizes a streaming AddSource call.
 	SourceReport = core.SourceReport
+	// Options configures bootstrapping: Algorithm 3's α/β/θ, the worker
+	// count and the streaming profiler's bounds. A zero field means its
+	// default.
+	Options = core.Options
 )
-
-// Options configures bootstrapping (see core.Config).
-type Options struct {
-	// Thresholds are Algorithm 3's α/β/θ; zero value uses the defaults.
-	Alpha, Beta, Theta float64
-	// Workers bounds parallelism (0 = NumCPU).
-	Workers int
-	// EdgeBlockSize bounds the exhaustive fallback of the blocked
-	// similarity-edge pipeline: same-fine-grained-type column blocks up to
-	// this size are compared pair-by-pair, larger ones go through the
-	// candidate pre-filter. 0 uses the default. Tuning only — the edge
-	// set is identical for any value.
-	EdgeBlockSize int
-	// EdgeCandidates is the target candidates per column in the pre-
-	// filtered path (the pre-filter's average cluster size at scale).
-	// 0 uses the default. Tuning only.
-	EdgeCandidates int
-	// ChunkRows is the row-chunk size of the streaming connectors used by
-	// BootstrapSource/AddSource. 0 uses the connector default. Tuning
-	// only — profiles are unaffected.
-	ChunkRows int
-	// ReservoirSize bounds the per-column value sample the profiler
-	// retains for embeddings and exact std. 0 uses the default. It bounds
-	// streamed tables only (BootstrapSource/AddSource): in-memory tables
-	// are always profiled exactly.
-	ReservoirSize int
-	// ExactDistinct bounds the exact distinct-value set per column; beyond
-	// it a KMV sketch estimates. 0 uses the default. Streamed tables only,
-	// as ReservoirSize.
-	ExactDistinct int
-}
-
-func (opts Options) config() core.Config {
-	cfg := core.DefaultConfig()
-	if opts.Alpha > 0 {
-		cfg.Thresholds.Alpha = opts.Alpha
-	}
-	if opts.Beta > 0 {
-		cfg.Thresholds.Beta = opts.Beta
-	}
-	if opts.Theta > 0 {
-		cfg.Thresholds.Theta = opts.Theta
-	}
-	cfg.Workers = opts.Workers
-	cfg.EdgeBlockSize = opts.EdgeBlockSize
-	cfg.EdgeCandidates = opts.EdgeCandidates
-	cfg.ChunkRows = opts.ChunkRows
-	cfg.ReservoirSize = opts.ReservoirSize
-	cfg.ExactDistinct = opts.ExactDistinct
-	return cfg
-}
 
 // Platform is a bootstrapped KGLiDS instance. It is safe for concurrent
 // use: discovery queries may run while pipelines are added or the on-demand
@@ -143,7 +96,7 @@ type Platform struct {
 // Bootstrap profiles the lake, builds the LiDS dataset graph, and returns
 // a platform ready for discovery queries.
 func Bootstrap(opts Options, tables []Table) *Platform {
-	return &Platform{core: core.Bootstrap(opts.config(), tables)}
+	return &Platform{core: core.Bootstrap(core.Config{Options: opts}, tables)}
 }
 
 // BootstrapSource bootstraps a platform by streaming a connector URI
@@ -152,7 +105,7 @@ func Bootstrap(opts Options, tables []Table) *Platform {
 // stream are skipped and reported by ID in the returned map; the
 // resulting platform is equivalent to Bootstrap over the same data.
 func BootstrapSource(ctx context.Context, opts Options, uri string) (*Platform, map[string]error, error) {
-	c, failed, err := core.BootstrapSource(ctx, opts.config(), uri)
+	c, failed, err := core.BootstrapSource(ctx, core.Config{Options: opts}, uri)
 	if err != nil {
 		return nil, failed, err
 	}
