@@ -105,12 +105,6 @@ type Source interface {
 type Options struct {
 	// ChunkRows is the number of rows per chunk (DefaultChunkRows if 0).
 	ChunkRows int
-	// HTTPRetries is the retry budget of the http connector per request
-	// (default 3 retries after the first attempt).
-	HTTPRetries int
-	// HTTPBackoffMS is the base backoff in milliseconds between HTTP
-	// retries, doubled per attempt (default 250). Tests shrink it.
-	HTTPBackoffMS int
 }
 
 func (o Options) chunkRows() int {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"kglids/internal/dataframe"
 )
@@ -248,6 +249,14 @@ func TestJSONLSource(t *testing.T) {
 	}
 }
 
+// fastRetries gives the http connector 3 retries 1 ms apart for the
+// length of the test.
+func fastRetries(t *testing.T) {
+	retries, backoff := httpRetries, httpBackoff
+	httpRetries, httpBackoff = 3, time.Millisecond
+	t.Cleanup(func() { httpRetries, httpBackoff = retries, backoff })
+}
+
 func TestHTTPRetryThenSuccess(t *testing.T) {
 	var gets atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
@@ -259,7 +268,8 @@ func TestHTTPRetryThenSuccess(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	src, err := OpenWith(ts.URL+"/lake/trips.csv", Options{HTTPRetries: 3, HTTPBackoffMS: 1})
+	fastRetries(t)
+	src, err := OpenWith(ts.URL+"/lake/trips.csv", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +303,8 @@ func TestHTTPNonRetryableFailsFast(t *testing.T) {
 		http.NotFound(w, req)
 	}))
 	defer ts.Close()
-	src, err := OpenWith(ts.URL+"/gone.csv", Options{HTTPRetries: 3, HTTPBackoffMS: 1})
+	fastRetries(t)
+	src, err := OpenWith(ts.URL+"/gone.csv", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,19 +38,13 @@ func init() {
 	}
 }
 
-func (s *httpSource) retries() int {
-	if s.opts.HTTPRetries > 0 {
-		return s.opts.HTTPRetries
-	}
-	return 3
-}
-
-func (s *httpSource) backoff() time.Duration {
-	if s.opts.HTTPBackoffMS > 0 {
-		return time.Duration(s.opts.HTTPBackoffMS) * time.Millisecond
-	}
-	return 250 * time.Millisecond
-}
+// httpRetries is the http connector's retry budget per request, after the
+// first attempt, and httpBackoff the wait before the first retry, doubled
+// per attempt. Tests shrink the backoff.
+var (
+	httpRetries = 3
+	httpBackoff = 250 * time.Millisecond
+)
 
 // retryable reports whether a response status is worth another attempt.
 func retryable(status int) bool {
@@ -62,8 +56,8 @@ func retryable(status int) bool {
 // returned response body.
 func (s *httpSource) getWithRetry(ctx context.Context) (*http.Response, error) {
 	var lastErr error
-	delay := s.backoff()
-	for attempt := 0; attempt <= s.retries(); attempt++ {
+	delay := httpBackoff
+	for attempt := 0; attempt <= httpRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
@@ -90,7 +84,7 @@ func (s *httpSource) getWithRetry(ctx context.Context) (*http.Response, error) {
 			return nil, lastErr
 		}
 	}
-	return nil, fmt.Errorf("connector: giving up after %d attempts: %w", s.retries()+1, lastErr)
+	return nil, fmt.Errorf("connector: giving up after %d attempts: %w", httpRetries+1, lastErr)
 }
 
 func (s *httpSource) Tables(ctx context.Context) ([]TableRef, error) {

@@ -64,6 +64,9 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// Unwrap lets http.ResponseController reach the connection's writer.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // withObservability is the outermost middleware: it stamps every
 // response with an X-Request-ID (a client-supplied one is echoed,
 // otherwise one is generated), opens a request trace carried down the
@@ -247,6 +250,9 @@ func (w *gzipWriter) Write(p []byte) (int, error) {
 	}
 	return w.ResponseWriter.Write(p)
 }
+
+// Unwrap lets http.ResponseController reach the connection's writer.
+func (w *gzipWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // close flushes the compressed stream and returns its writer to the pool;
 // the writer is reset before its next use, so no state crosses responses.

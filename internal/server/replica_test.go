@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"kglids"
 	"kglids/client"
@@ -121,6 +123,61 @@ func TestSnapshotEndpoint(t *testing.T) {
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST snapshot = %d, want 405", w.Code)
+	}
+}
+
+// slowReader hands its reader's bytes on a little at a time, pausing
+// before each read, as a client on a slow link does.
+type slowReader struct {
+	r     io.Reader
+	pause time.Duration
+}
+
+func (s slowReader) Read(b []byte) (int, error) {
+	time.Sleep(s.pause)
+	return s.r.Read(b[:min(len(b), 512)])
+}
+
+// TestSnapshotStreamOutlastsRequestTimeout: the snapshot route is held
+// neither to the request timeout nor to the server's write timeout. A save
+// that starts only after both have passed (an ingest job holds the lock it
+// captures under), read by a client more slowly than they allow, still
+// arrives whole: the bytes of the platform's save, which decode completely.
+func TestSnapshotStreamOutlastsRequestTimeout(t *testing.T) {
+	plat := changelogPlatform(t)
+	var want bytes.Buffer
+	if err := plat.SaveTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 20 * time.Millisecond
+	ts := httptest.NewUnstartedServer(New(plat, Options{RequestTimeout: timeout}))
+	ts.Config.WriteTimeout = timeout // as kglids-server sets one
+	ts.Start()
+	defer ts.Close()
+
+	plat.Core().IngestLock()
+	time.AfterFunc(3*timeout, plat.Core().IngestUnlock)
+	resp, err := http.Get(ts.URL + "/api/v1/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot = %d, want 200", resp.StatusCode)
+	}
+	start := time.Now()
+	got, err := io.ReadAll(slowReader{r: resp.Body, pause: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < 2*timeout {
+		t.Fatalf("the client read the snapshot in %v, not more slowly than the %v timeout", took, timeout)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("streamed %d bytes differ from the %d-byte save", len(got), want.Len())
+	}
+	if _, err := kglids.Read(bytes.NewReader(got)); err != nil {
+		t.Fatalf("streamed snapshot does not decode: %v", err)
 	}
 }
 

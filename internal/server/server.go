@@ -127,7 +127,17 @@ func New(plat *kglids.Platform, opts Options) http.Handler {
 		writeError(w, http.StatusNotFound, "unknown endpoint "+r.URL.Path)
 	})
 
-	var h http.Handler = withTimeout(cfg, timeout, mux)
+	// The snapshot stream is the one route outside withTimeout's buffer: it
+	// goes to the connection as it is written, under a write deadline of
+	// its own (handleSnapshot).
+	timed := withTimeout(cfg, timeout, mux)
+	var h http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == snapshotPath {
+			s.handleSnapshot(w, r)
+			return
+		}
+		timed.ServeHTTP(w, r)
+	})
 	h = withGzip(cfg, h)
 	h = withObservability(cfg, h)
 	return h

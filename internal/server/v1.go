@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"kglids"
 	"kglids/client"
@@ -200,10 +201,10 @@ func (s *server) registerV1(mux *http.ServeMux) {
 		http.MethodDelete: {status: http.StatusAccepted, fn: s.handleDeleteTable},
 	})
 
-	// Replication surface: followers tail the mutation changelog and
-	// bootstrap from the binary snapshot stream.
+	// Replication surface: followers tail the mutation changelog here, and
+	// bootstrap from the snapshot stream, which New routes to
+	// handleSnapshot ahead of this mux.
 	get("/api/v1/changelog", false, s.handleChangelog)
-	mux.HandleFunc("/api/v1/snapshot", s.handleSnapshot)
 }
 
 // defaultChangelogLimit and maxChangelogLimit bound a changelog page.
@@ -318,18 +319,32 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// handleSnapshot writes the platform's binary snapshot — the follower
-// bootstrap path. The write pauses ingestion for the encode (like any
-// snapshot save), so the state is always job-consistent and its REPL
-// section carries the changelog cursor to resume from. It does not stream:
-// withTimeout assembles the whole body in memory before the first byte is
-// sent, and a save that outlasts the request timeout answers 504. The
-// ROADMAP snapshot-save item takes the route out of that buffer.
+// snapshotPath is the route of the snapshot stream.
+const snapshotPath = "/api/v1/snapshot"
+
+// snapshotWriteTimeout bounds how long one snapshot stream may take to
+// reach its client. The stream grows with the lake, so it is held neither
+// to the request timeout nor to the server's write timeout.
+const snapshotWriteTimeout = 10 * time.Minute
+
+// handleSnapshot streams the platform's binary snapshot — the follower
+// bootstrap path. The save pauses ingestion only to capture the platform,
+// so the state is always job-consistent and its REPL section carries the
+// changelog cursor to resume from. The bytes go to the connection as the
+// save writes them, not through withTimeout's buffer, under a write
+// deadline of their own; a client slower than the request timeout still
+// receives the whole snapshot.
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		writeError(w, http.StatusMethodNotAllowed, "method not allowed; use GET")
 		return
+	}
+	// A writer with no connection under it (a test recorder) has no
+	// deadline to set.
+	err := http.NewResponseController(w).SetWriteDeadline(time.Now().Add(snapshotWriteTimeout))
+	if err != nil && !errors.Is(err, http.ErrNotSupported) {
+		slog.Warn("server: snapshot write deadline", "err", err)
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := s.plat.SaveTo(w); err != nil {

@@ -30,19 +30,18 @@ type Change struct {
 // runs to megabytes, and a buffer grown by doubling would allocate each
 // body about three times over.
 func EncodeChange(rec store.ChangeRecord) ([]byte, error) {
-	var w writer
 	switch body := rec.Body.(type) {
 	case *core.PlatformDelta:
 		if rec.Kind == store.ChangeTables {
-			w.buf.Grow(deltaSize(body))
+			w := writer{buf: make([]byte, 0, deltaSize(body))}
 			encodeDelta(&w, body)
-			return w.buf.Bytes(), nil
+			return w.buf, nil
 		}
 	case []pipeline.Script:
 		if rec.Kind == store.ChangePipelines {
-			w.buf.Grow(scriptsSize(body))
+			w := writer{buf: make([]byte, 0, scriptsSize(body))}
 			encodeScripts(&w, body)
-			return w.buf.Bytes(), nil
+			return w.buf, nil
 		}
 	}
 	return nil, fmt.Errorf("snapshot: changelog record %d is a %q record carrying %T", rec.Seq, rec.Kind, rec.Body)
@@ -89,15 +88,45 @@ func DecodeChange(kind string, payload []byte) (*Change, error) {
 	return c, nil
 }
 
-// encodeDelta mirrors the snapshot PROF/EDGE/TEMB section shapes for the
-// incremental slice a single mutation produced, after the removed IDs.
+// encodeDelta writes the removed table IDs and then the profiles, edges
+// and table embeddings a single mutation produced, each as the snapshot's
+// PROF, EDGE and TEMB sections hold them.
 func encodeDelta(w *writer, d *core.PlatformDelta) {
 	w.uint(len(d.Removed))
 	for _, id := range d.Removed {
 		w.str(id)
 	}
-	w.uint(len(d.Profiles))
-	for _, cp := range d.Profiles {
+	encodeProfiles(w, d.Profiles)
+	encodeEdges(w, d.Edges)
+	encodeTableEmbeddings(w, d.TableEmbeddings)
+}
+
+// deltaSize is the length of encodeDelta's output.
+func deltaSize(d *core.PlatformDelta) int {
+	n := uvarintSize(uint64(len(d.Removed)))
+	for _, id := range d.Removed {
+		n += strSize(id)
+	}
+	return n + profilesSize(d.Profiles) + edgesSize(d.Edges) + tableEmbeddingsSize(d.TableEmbeddings)
+}
+
+func decodeDelta(r *reader) *core.PlatformDelta {
+	d := &core.PlatformDelta{}
+	n := r.countOf(minRemovedBytes)
+	for i := 0; i < n && r.err == nil; i++ {
+		d.Removed = append(d.Removed, r.str())
+	}
+	d.Profiles = decodeProfiles(r)
+	d.Edges = decodeEdges(r)
+	d.TableEmbeddings = decodeTableEmbeddings(r)
+	return d
+}
+
+// encodeProfiles writes column profiles as the snapshot's PROF section
+// holds them and as a table record ships them.
+func encodeProfiles(w *writer, profiles []*profiler.ColumnProfile) {
+	w.uint(len(profiles))
+	for _, cp := range profiles {
 		w.str(cp.Dataset)
 		w.str(cp.Table)
 		w.str(cp.Column)
@@ -112,56 +141,22 @@ func encodeDelta(w *writer, d *core.PlatformDelta) {
 		w.f64(cp.Stats.TrueRatio)
 		w.vec(cp.Embed)
 	}
-	w.uint(len(d.Edges))
-	for _, e := range d.Edges {
-		w.str(e.A)
-		w.str(e.B)
-		w.str(e.Kind)
-		w.f64(e.Score)
-	}
-	ids := make([]string, 0, len(d.TableEmbeddings))
-	for id := range d.TableEmbeddings {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	w.uint(len(ids))
-	for _, id := range ids {
-		w.str(id)
-		w.vec(d.TableEmbeddings[id])
-	}
 }
 
-// deltaSize is the length of encodeDelta's output.
-func deltaSize(d *core.PlatformDelta) int {
-	n := uvarintSize(uint64(len(d.Removed)))
-	for _, id := range d.Removed {
-		n += strSize(id)
-	}
-	n += uvarintSize(uint64(len(d.Profiles)))
-	for _, cp := range d.Profiles {
+// profilesSize is the length of encodeProfiles's output.
+func profilesSize(profiles []*profiler.ColumnProfile) int {
+	n := uvarintSize(uint64(len(profiles)))
+	for _, cp := range profiles {
 		n += strSize(cp.Dataset) + strSize(cp.Table) + strSize(cp.Column) + strSize(string(cp.Type)) +
 			uvarintSize(uint64(cp.Stats.Total)) + uvarintSize(uint64(cp.Stats.Missing)) +
 			uvarintSize(uint64(cp.Stats.Distinct)) + 5*8 + vecSize(cp.Embed)
 	}
-	n += uvarintSize(uint64(len(d.Edges)))
-	for _, e := range d.Edges {
-		n += strSize(e.A) + strSize(e.B) + strSize(e.Kind) + 8
-	}
-	n += uvarintSize(uint64(len(d.TableEmbeddings)))
-	for id, v := range d.TableEmbeddings {
-		n += strSize(id) + vecSize(v)
-	}
 	return n
 }
 
-func decodeDelta(r *reader) *core.PlatformDelta {
-	d := &core.PlatformDelta{}
-	n := r.countOf(minRemovedBytes)
-	for i := 0; i < n && r.err == nil; i++ {
-		d.Removed = append(d.Removed, r.str())
-	}
-	n = r.countOf(minProfileBytes)
-	d.Profiles = make([]*profiler.ColumnProfile, 0, n)
+func decodeProfiles(r *reader) []*profiler.ColumnProfile {
+	n := r.countOf(minProfileBytes)
+	profiles := make([]*profiler.ColumnProfile, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		cp := &profiler.ColumnProfile{
 			Dataset: r.str(),
@@ -178,22 +173,75 @@ func decodeDelta(r *reader) *core.PlatformDelta {
 		cp.Stats.Std = r.f64()
 		cp.Stats.TrueRatio = r.f64()
 		cp.Embed = r.vec()
-		d.Profiles = append(d.Profiles, cp)
+		profiles = append(profiles, cp)
 	}
-	n = r.countOf(minEdgeBytes)
-	d.Edges = make([]schema.Edge, 0, n)
+	return profiles
+}
+
+// encodeEdges writes similarity edges as the snapshot's EDGE section holds
+// them and as a table record ships them.
+func encodeEdges(w *writer, edges []schema.Edge) {
+	w.uint(len(edges))
+	for _, e := range edges {
+		w.str(e.A)
+		w.str(e.B)
+		w.str(e.Kind)
+		w.f64(e.Score)
+	}
+}
+
+// edgesSize is the length of encodeEdges's output.
+func edgesSize(edges []schema.Edge) int {
+	n := uvarintSize(uint64(len(edges)))
+	for _, e := range edges {
+		n += strSize(e.A) + strSize(e.B) + strSize(e.Kind) + 8
+	}
+	return n
+}
+
+func decodeEdges(r *reader) []schema.Edge {
+	n := r.countOf(minEdgeBytes)
+	edges := make([]schema.Edge, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		d.Edges = append(d.Edges, schema.Edge{
+		edges = append(edges, schema.Edge{
 			A: r.str(), B: r.str(), Kind: r.str(), Score: r.f64(),
 		})
 	}
-	n = r.countOf(minEmbeddingBytes)
-	d.TableEmbeddings = make(map[string]embed.Vector, n)
+	return edges
+}
+
+// encodeTableEmbeddings writes table embeddings in ID order, as the
+// snapshot's TEMB section holds them and as a table record ships them.
+func encodeTableEmbeddings(w *writer, tembs map[string]embed.Vector) {
+	ids := make([]string, 0, len(tembs))
+	for id := range tembs {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	w.uint(len(ids))
+	for _, id := range ids {
+		w.str(id)
+		w.vec(tembs[id])
+	}
+}
+
+// tableEmbeddingsSize is the length of encodeTableEmbeddings's output.
+func tableEmbeddingsSize(tembs map[string]embed.Vector) int {
+	n := uvarintSize(uint64(len(tembs)))
+	for id, v := range tembs {
+		n += strSize(id) + vecSize(v)
+	}
+	return n
+}
+
+func decodeTableEmbeddings(r *reader) map[string]embed.Vector {
+	n := r.countOf(minEmbeddingBytes)
+	tembs := make(map[string]embed.Vector, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		id := r.str()
-		d.TableEmbeddings[id] = r.vec()
+		tembs[id] = r.vec()
 	}
-	return d
+	return tembs
 }
 
 // encodeScripts writes pipeline scripts as the snapshot's script section

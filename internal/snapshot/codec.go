@@ -1,48 +1,42 @@
 package snapshot
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"kglids/internal/embed"
 	"kglids/internal/rdf"
 	"kglids/internal/store"
 )
 
-// writer accumulates the snapshot payload. All integers are unsigned
+// writer appends the snapshot encoding to buf. All integers are unsigned
 // varints unless noted; floats are IEEE-754 bits, little-endian; strings
-// and vectors are length-prefixed.
+// and vectors are length-prefixed. A writer whose buf was made at the
+// exact encoded size never grows it.
 type writer struct {
-	buf bytes.Buffer
-	tmp [binary.MaxVarintLen64]byte
+	buf []byte
 }
 
-func (w *writer) u8(v byte) { w.buf.WriteByte(v) }
-func (w *writer) uvarint(v uint64) {
-	n := binary.PutUvarint(w.tmp[:], v)
-	w.buf.Write(w.tmp[:n])
-}
-func (w *writer) varint(v int64) {
-	n := binary.PutVarint(w.tmp[:], v)
-	w.buf.Write(w.tmp[:n])
-}
-func (w *writer) uint(v int) { w.uvarint(uint64(v)) }
+func (w *writer) u8(v byte)        { w.buf = append(w.buf, v) }
+func (w *writer) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+func (w *writer) varint(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
+func (w *writer) uint(v int)       { w.uvarint(uint64(v)) }
+func (w *writer) f64(v float64)    { w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v)) }
 func (w *writer) str(s string) {
 	w.uvarint(uint64(len(s)))
-	w.buf.WriteString(s)
+	w.buf = append(w.buf, s...)
 }
-func (w *writer) f64(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	w.buf.Write(b[:])
-}
+
+// vec writes a vector's floats in one pass over a slice grown once.
 func (w *writer) vec(v embed.Vector) {
 	w.uvarint(uint64(len(v)))
-	for _, f := range v {
-		w.f64(f)
+	n := len(w.buf)
+	w.buf = slices.Grow(w.buf, 8*len(v))[:n+8*len(v)]
+	for i, f := range v {
+		binary.LittleEndian.PutUint64(w.buf[n+8*i:], math.Float64bits(f))
 	}
 }
 
@@ -63,26 +57,32 @@ func (w *writer) term(t rdf.Term) {
 	}
 }
 
-// dict encodes the DICT section from Dictionary.Terms: the terms in ID
+// dict encodes the DICT section from Dictionary.Pages: the terms in ID
 // order, each a kind byte and its value (and datatype, for a literal),
 // except that a quoted triple is written as the IDs of its components,
 // which are earlier terms.
-func (w *writer) dict(terms []rdf.Term, quoted []store.TripleIDs) {
-	w.uint(len(terms))
-	for i := range terms {
-		t := &terms[i]
-		w.u8(byte(t.Kind))
-		switch t.Kind {
-		case rdf.KindLiteral:
-			w.str(t.Value)
-			w.str(t.Datatype)
-		case rdf.KindQuoted:
-			w.uvarint(uint64(quoted[0].S))
-			w.uvarint(uint64(quoted[0].P))
-			w.uvarint(uint64(quoted[0].O))
-			quoted = quoted[1:]
-		default: // IRI, blank node
-			w.str(t.Value)
+func (w *writer) dict(pages [][]rdf.Term, quoted []store.TripleIDs) {
+	n := 0
+	for _, page := range pages {
+		n += len(page)
+	}
+	w.uint(n)
+	for _, page := range pages {
+		for i := range page {
+			t := &page[i]
+			w.u8(byte(t.Kind))
+			switch t.Kind {
+			case rdf.KindLiteral:
+				w.str(t.Value)
+				w.str(t.Datatype)
+			case rdf.KindQuoted:
+				w.uvarint(uint64(quoted[0].S))
+				w.uvarint(uint64(quoted[0].P))
+				w.uvarint(uint64(quoted[0].O))
+				quoted = quoted[1:]
+			default: // IRI, blank node
+				w.str(t.Value)
+			}
 		}
 	}
 }
@@ -93,6 +93,37 @@ func uvarintSize(v uint64) int   { return (bits.Len64(v|1) + 6) / 7 }
 func varintSize(v int64) int     { return uvarintSize(uint64(v<<1 ^ v>>63)) }
 func strSize(s string) int       { return uvarintSize(uint64(len(s))) + len(s) }
 func vecSize(v embed.Vector) int { return uvarintSize(uint64(len(v))) + 8*len(v) }
+
+func termSize(t rdf.Term) int {
+	switch t.Kind {
+	case rdf.KindLiteral:
+		return 1 + strSize(t.Value) + strSize(t.Datatype)
+	case rdf.KindQuoted:
+		return 1 + termSize(t.Quoted.Subject) + termSize(t.Quoted.Predicate) + termSize(t.Quoted.Object)
+	default:
+		return 1 + strSize(t.Value)
+	}
+}
+
+func dictSize(pages [][]rdf.Term, quoted []store.TripleIDs) int {
+	n, size := 0, 0
+	for _, page := range pages {
+		n += len(page)
+		for i := range page {
+			t := &page[i]
+			switch t.Kind {
+			case rdf.KindLiteral:
+				size += 1 + strSize(t.Value) + strSize(t.Datatype)
+			case rdf.KindQuoted:
+				size += 1 + uvarintSize(uint64(quoted[0].S)) + uvarintSize(uint64(quoted[0].P)) + uvarintSize(uint64(quoted[0].O))
+				quoted = quoted[1:]
+			default:
+				size += 1 + strSize(t.Value)
+			}
+		}
+	}
+	return uvarintSize(uint64(n)) + size
+}
 
 // reader decodes a payload. The first malformed read latches err; all
 // subsequent reads return zero values, so decoders can run to completion
@@ -220,10 +251,11 @@ func (r *reader) vec() embed.Vector {
 // cannot hand the store a term too deep to print or compare.
 const maxQuotedDepth = 16
 
-// dict decodes the DICT section into what Dictionary.Terms returned to
-// writer.dict. A quoted triple's back-references must name earlier terms,
-// and it is built from those terms as decoded, so it shares their strings;
-// literal datatypes are interned too. A restored dictionary so holds one
+// dict decodes the DICT section into the terms, in one slice, and the
+// quoted-triple components Dictionary.Pages gave writer.dict. A quoted
+// triple's back-references must name earlier terms, and it is built from
+// those terms as decoded, so it shares their strings; literal datatypes
+// are interned too. A restored dictionary so holds one
 // string per IRI and per datatype, as one filled by interning does.
 func (r *reader) dict() ([]rdf.Term, []store.TripleIDs) {
 	n := r.countOf(minTermBytes)

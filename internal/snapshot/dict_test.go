@@ -30,12 +30,12 @@ func backRefPayload(refs ...[3]uint64) []byte {
 	}
 	var out writer
 	out.u8(secDict)
-	out.uint(dict.buf.Len())
-	out.buf.Write(dict.buf.Bytes())
+	out.uint(len(dict.buf))
+	out.buf = append(out.buf, dict.buf...)
 	out.u8(secQuads)
 	out.uint(1)
 	out.uint(0)
-	return out.buf.Bytes()
+	return out.buf
 }
 
 // backRefSeeds are DICT sections for FuzzDecodePayload: a forward and a

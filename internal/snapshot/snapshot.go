@@ -12,6 +12,10 @@
 // entries are saved and re-pinned to the restored store's generation, so a
 // restarted server answers hot discovery queries warm.
 //
+// A save pauses live ingestion only while it captures the platform's
+// state, not while it encodes it: the sections are encoded afterwards, in
+// parallel, and written without assembling the payload in memory.
+//
 // # File format (version 3)
 //
 //	offset  size  field
@@ -20,6 +24,10 @@
 //	6       4     CRC-32 (IEEE) of the payload
 //	10      8     payload length, little-endian uint64
 //	18      ...   payload: sequence of sections
+//
+// The writer chains the CRC over the framed sections in file order, so the
+// header's CRC and length are those of the whole payload, which is never
+// held in one buffer.
 //
 // Each section is a tag byte, an unsigned-varint byte length, and the
 // section payload. Unknown tags are skipped, so old readers tolerate new
@@ -64,12 +72,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
 	"kglids/internal/core"
 	"kglids/internal/embed"
+	"kglids/internal/pipeline"
 	"kglids/internal/profiler"
 	"kglids/internal/rdf"
 	"kglids/internal/schema"
@@ -118,10 +126,14 @@ var (
 	ErrTruncated = errors.New("snapshot: truncated file")
 )
 
-// Write serializes the platform to w in snapshot format. Live ingestion is
-// paused (via the platform's ingest lock) while the payload is encoded, so
-// a snapshot taken on a serving platform is always job-consistent: it
-// never captures a half-applied mutation.
+// Write serializes the platform to w in snapshot format in three steps.
+// The capture copies what the sections are encoded from while live
+// ingestion is paused (via the platform's ingest lock), so a snapshot
+// taken on a serving platform is always job-consistent: it never captures
+// a half-applied mutation. The encode runs after the lock is released,
+// one goroutine per section, each into a buffer of its exact size. The
+// write chains the header's CRC over the framed sections and sends the
+// header and the sections to w as they are, without assembling a payload.
 func Write(w io.Writer, p *core.Platform) (err error) {
 	start := time.Now()
 	defer func() {
@@ -131,35 +143,306 @@ func Write(w io.Writer, p *core.Platform) (err error) {
 		}
 		mSnapshotSeconds.WithLabelValues("save", outcome).Observe(time.Since(start).Seconds())
 	}()
-	var logPos uint64
-	payload := func() []byte {
-		p.IngestLock()
-		defer p.IngestUnlock() // release even if encoding panics
-		// Generation and changelog position are captured once, under the
-		// ingest lock, so the REPL section is consistent with the quads and
-		// the post-write compaction floor matches what was persisted.
-		logPos = p.ChangelogPosition()
-		return encodePayload(p, p.Store.Generation(), logPos)
-	}()
-	mSnapshotBytes.Set(int64(len(payload)))
+	st := capture(p)
+	secs := st.sections()
+	frames := make([][]byte, len(secs))
+	errs := make([]error, len(secs))
+	done := make([]chan struct{}, len(secs))
+	for i := range secs {
+		done[i] = make(chan struct{})
+		go func() {
+			defer close(done[i])
+			frames[i], errs[i] = secs[i].frame()
+		}()
+	}
+	// The CRC follows the sections in file order, each as soon as it is
+	// encoded, while the later ones still are. Every encoder is waited
+	// for, a failed one too.
+	var crc uint32
+	size := 0
+	for i := range secs {
+		<-done[i]
+		if err == nil {
+			err = errs[i]
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, frames[i])
+		size += len(frames[i])
+	}
+	if err != nil {
+		return err
+	}
+	mSnapshotBytes.Set(int64(size))
 	var hdr [headerLen]byte
 	copy(hdr[0:4], magic[:])
 	binary.LittleEndian.PutUint16(hdr[4:6], Version)
-	binary.LittleEndian.PutUint32(hdr[6:10], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint64(hdr[10:18], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[6:10], crc)
+	binary.LittleEndian.PutUint64(hdr[10:18], uint64(size))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("snapshot: write header: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("snapshot: write payload: %w", err)
+	for i, frame := range frames {
+		if _, err := w.Write(frame); err != nil {
+			return fmt.Errorf("snapshot: write payload: %w", err)
+		}
+		frames[i] = nil // written: the collector may take it
 	}
 	// The snapshot now covers everything through logPos: followers below it
 	// re-seed from this (or a newer) snapshot, so the changelog can drop
 	// records at or below it.
 	if cl := p.Store.Changelog(); cl != nil {
-		cl.CompactTo(logPos)
+		cl.CompactTo(st.logPos)
 	}
 	return nil
+}
+
+// state is what a save reads of the platform. Each part is a copy, or is
+// never mutated once the platform publishes it, so the sections are
+// encoded from it without a lock.
+type state struct {
+	pages      [][]rdf.Term // the dictionary's, shared
+	quoted     []store.TripleIDs
+	quads      []store.EncodedQuad
+	profiles   []*profiler.ColumnProfile
+	edges      []schema.Edge
+	tembs      map[string]embed.Vector
+	order      []string
+	ann        *vectorindex.Graph
+	cfg        core.Config
+	scripts    []pipeline.Script
+	cache      []sparql.CacheEntry
+	generation uint64
+	logPos     uint64
+}
+
+// capture reads the platform's state under the ingest lock, the only time
+// a save pauses ingestion; kglids_snapshot_seconds{op="capture"} records
+// how long that is. The quads, the longest part, are collected on a
+// goroutine of their own while the rest is read.
+func capture(p *core.Platform) *state {
+	start := time.Now()
+	p.IngestLock()
+	defer p.IngestUnlock() // release even if a read panics
+	quads := make(chan []store.EncodedQuad, 1)
+	go func() { quads <- p.Store.EncodedQuads() }()
+	st := &state{
+		profiles: p.ProfilesView(),
+		edges:    p.EdgesView(),
+		tembs:    p.TableEmbeddingsView(),
+		order:    p.TableIndex.IDs(),
+		cfg:      p.Config(),
+		scripts:  p.Scripts(),
+		cache:    p.Discovery.CacheExport(),
+		// Generation and changelog position are read once, under the
+		// ingest lock, so the REPL section is consistent with the quads
+		// and the post-write compaction floor matches what was persisted.
+		generation: p.Store.Generation(),
+		logPos:     p.ChangelogPosition(),
+	}
+	st.pages, st.quoted = p.Store.Dict().Pages()
+	if p.TableANN != nil {
+		g := p.TableANN.Export()
+		st.ann = &g
+	}
+	st.quads = <-quads
+	mSnapshotSeconds.WithLabelValues("capture", "ok").Observe(time.Since(start).Seconds())
+	return st
+}
+
+// section is one tagged section of the payload: the exact length of its
+// body and the encoder that writes it.
+type section struct {
+	tag    byte
+	size   func() int
+	encode func(w *writer)
+}
+
+// sections lists the payload's sections in file order.
+func (st *state) sections() []section {
+	secs := []section{
+		{secDict, func() int { return dictSize(st.pages, st.quoted) },
+			func(w *writer) { w.dict(st.pages, st.quoted) }},
+		{secQuads, func() int { return quadsSize(st.quads) },
+			func(w *writer) { encodeQuads(w, st.quads) }},
+		{secProf, func() int { return profilesSize(st.profiles) },
+			func(w *writer) { encodeProfiles(w, st.profiles) }},
+		{secTEmb, func() int { return tableEmbeddingsSize(st.tembs) },
+			func(w *writer) { encodeTableEmbeddings(w, st.tembs) }},
+		{secTOrder, func() int { return stringsSize(st.order) },
+			func(w *writer) { encodeStrings(w, st.order) }},
+		{secEdges, func() int { return edgesSize(st.edges) },
+			func(w *writer) { encodeEdges(w, st.edges) }},
+	}
+	if st.ann != nil {
+		secs = append(secs, section{secANN, func() int { return annSize(st.ann) },
+			func(w *writer) { encodeANN(w, st.ann) }})
+	}
+	return append(secs,
+		section{secConfig, func() int { return configSize },
+			func(w *writer) { encodeConfig(w, st.cfg) }},
+		section{secScripts, func() int { return scriptsSize(st.scripts) },
+			func(w *writer) { encodeScripts(w, st.scripts) }},
+		section{secQueryCache, func() int { return queryCacheSize(st.cache) },
+			func(w *writer) { encodeQueryCache(w, st.cache) }},
+		section{secRepl, func() int { return uvarintSize(st.generation) + uvarintSize(st.logPos) },
+			func(w *writer) {
+				w.uvarint(st.generation)
+				w.uvarint(st.logPos)
+			}},
+	)
+}
+
+// frame encodes the section with its tag and length into one buffer of
+// exactly the framed size. A body that does not come out at its computed
+// size fails the save rather than write a length that does not hold.
+func (s section) frame() ([]byte, error) {
+	n := s.size()
+	head := 1 + uvarintSize(uint64(n))
+	w := writer{buf: make([]byte, 0, head+n)}
+	w.u8(s.tag)
+	w.uvarint(uint64(n))
+	s.encode(&w)
+	if got := len(w.buf) - head; got != n {
+		return nil, fmt.Errorf("snapshot: section %d encoded to %d bytes, sized at %d", s.tag, got, n)
+	}
+	return w.buf, nil
+}
+
+// encodeQuads writes the quads in the (G, S, P, O) order
+// Store.EncodedQuads returns them in, so identical platforms produce
+// byte-identical snapshots.
+func encodeQuads(w *writer, quads []store.EncodedQuad) {
+	w.uint(len(quads))
+	for _, q := range quads {
+		w.uvarint(uint64(q.S))
+		w.uvarint(uint64(q.P))
+		w.uvarint(uint64(q.O))
+		w.uvarint(uint64(q.G))
+	}
+}
+
+// quadsSize is the length of encodeQuads's output.
+func quadsSize(quads []store.EncodedQuad) int {
+	n := uvarintSize(uint64(len(quads)))
+	for _, q := range quads {
+		n += uvarintSize(uint64(q.S)) + uvarintSize(uint64(q.P)) + uvarintSize(uint64(q.O)) + uvarintSize(uint64(q.G))
+	}
+	return n
+}
+
+// encodeStrings writes a count and the strings, as the TORD section holds
+// the table order.
+func encodeStrings(w *writer, ss []string) {
+	w.uint(len(ss))
+	for _, s := range ss {
+		w.str(s)
+	}
+}
+
+// stringsSize is the length of encodeStrings's output.
+func stringsSize(ss []string) int {
+	n := uvarintSize(uint64(len(ss)))
+	for _, s := range ss {
+		n += strSize(s)
+	}
+	return n
+}
+
+func encodeANN(w *writer, g *vectorindex.Graph) {
+	w.uint(g.M)
+	w.uint(g.EfConstruction)
+	w.uint(g.EfSearch)
+	w.varint(int64(g.Entry))
+	w.uint(g.MaxLevel)
+	w.uint(len(g.Nodes))
+	for _, n := range g.Nodes {
+		w.str(n.ID)
+		w.vec(n.Vec)
+		w.uint(len(n.Links))
+		for _, level := range n.Links {
+			w.uint(len(level))
+			for _, nb := range level {
+				w.uvarint(uint64(nb))
+			}
+		}
+	}
+}
+
+// annSize is the length of encodeANN's output.
+func annSize(g *vectorindex.Graph) int {
+	n := uvarintSize(uint64(g.M)) + uvarintSize(uint64(g.EfConstruction)) + uvarintSize(uint64(g.EfSearch)) +
+		varintSize(int64(g.Entry)) + uvarintSize(uint64(g.MaxLevel)) + uvarintSize(uint64(len(g.Nodes)))
+	for _, node := range g.Nodes {
+		n += strSize(node.ID) + vecSize(node.Vec) + uvarintSize(uint64(len(node.Links)))
+		for _, level := range node.Links {
+			n += uvarintSize(uint64(len(level)))
+			for _, nb := range level {
+				n += uvarintSize(uint64(nb))
+			}
+		}
+	}
+	return n
+}
+
+// configSize is the length of encodeConfig's output: three floats and a
+// flag byte.
+const configSize = 3*8 + 1
+
+func encodeConfig(w *writer, cfg core.Config) {
+	w.f64(cfg.Alpha)
+	w.f64(cfg.Beta)
+	w.f64(cfg.Theta)
+	skip := byte(0)
+	if cfg.SkipLabelSimilarity {
+		skip = 1
+	}
+	w.u8(skip)
+}
+
+// encodeQueryCache writes the cached results. Rows encode in Vars order
+// with a presence flag per cell, so identical caches produce
+// byte-identical snapshots despite Binding being a map.
+func encodeQueryCache(w *writer, entries []sparql.CacheEntry) {
+	w.uint(len(entries))
+	for _, e := range entries {
+		w.str(e.Query)
+		w.uint(len(e.Res.Vars))
+		for _, v := range e.Res.Vars {
+			w.str(v)
+		}
+		w.uint(len(e.Res.Rows))
+		for _, row := range e.Res.Rows {
+			for _, v := range e.Res.Vars {
+				t, ok := row[v]
+				if !ok {
+					w.u8(0)
+					continue
+				}
+				w.u8(1)
+				w.term(t)
+			}
+		}
+	}
+}
+
+// queryCacheSize is the length of encodeQueryCache's output.
+func queryCacheSize(entries []sparql.CacheEntry) int {
+	n := uvarintSize(uint64(len(entries)))
+	for _, e := range entries {
+		n += strSize(e.Query) + uvarintSize(uint64(len(e.Res.Vars)))
+		for _, v := range e.Res.Vars {
+			n += strSize(v)
+		}
+		n += uvarintSize(uint64(len(e.Res.Rows)))
+		for _, row := range e.Res.Rows {
+			for _, v := range e.Res.Vars {
+				n++
+				if t, ok := row[v]; ok {
+					n += termSize(t)
+				}
+			}
+		}
+	}
+	return n
 }
 
 // Save writes the platform snapshot to path atomically (temp file + rename),
@@ -242,167 +525,6 @@ func Load(path string) (*core.Platform, error) {
 	return Read(f)
 }
 
-func encodePayload(p *core.Platform, generation, logPos uint64) []byte {
-	// Each section is encoded into a buffer of its own and copied once into
-	// a payload allocated at its final size.
-	type encoded struct {
-		tag  byte
-		body []byte
-	}
-	var sections []encoded
-	section := func(tag byte, body func(w *writer)) {
-		var w writer
-		body(&w)
-		sections = append(sections, encoded{tag, w.buf.Bytes()})
-	}
-
-	section(secDict, func(w *writer) { w.dict(p.Store.Dict().Terms()) })
-	section(secQuads, func(w *writer) {
-		// In (G, S, P, O) order, so identical platforms produce
-		// byte-identical snapshots.
-		quads := p.Store.EncodedQuads()
-		w.uint(len(quads))
-		for _, q := range quads {
-			w.uvarint(uint64(q.S))
-			w.uvarint(uint64(q.P))
-			w.uvarint(uint64(q.O))
-			w.uvarint(uint64(q.G))
-		}
-	})
-	profiles := p.ProfilesView()
-	edges := p.EdgesView()
-	tembs := p.TableEmbeddingsView()
-	section(secProf, func(w *writer) {
-		w.uint(len(profiles))
-		for _, cp := range profiles {
-			w.str(cp.Dataset)
-			w.str(cp.Table)
-			w.str(cp.Column)
-			w.str(string(cp.Type))
-			w.uint(cp.Stats.Total)
-			w.uint(cp.Stats.Missing)
-			w.uint(cp.Stats.Distinct)
-			w.f64(cp.Stats.Min)
-			w.f64(cp.Stats.Max)
-			w.f64(cp.Stats.Mean)
-			w.f64(cp.Stats.Std)
-			w.f64(cp.Stats.TrueRatio)
-			w.vec(cp.Embed)
-		}
-	})
-	section(secTEmb, func(w *writer) {
-		ids := make([]string, 0, len(tembs))
-		for id := range tembs {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		w.uint(len(ids))
-		for _, id := range ids {
-			w.str(id)
-			w.vec(tembs[id])
-		}
-	})
-	section(secTOrder, func(w *writer) {
-		ids := p.TableIndex.IDs()
-		w.uint(len(ids))
-		for _, id := range ids {
-			w.str(id)
-		}
-	})
-	section(secEdges, func(w *writer) {
-		w.uint(len(edges))
-		for _, e := range edges {
-			w.str(e.A)
-			w.str(e.B)
-			w.str(e.Kind)
-			w.f64(e.Score)
-		}
-	})
-	if p.TableANN != nil {
-		section(secANN, func(w *writer) {
-			g := p.TableANN.Export()
-			w.uint(g.M)
-			w.uint(g.EfConstruction)
-			w.uint(g.EfSearch)
-			w.varint(int64(g.Entry))
-			w.uint(g.MaxLevel)
-			w.uint(len(g.Nodes))
-			for _, n := range g.Nodes {
-				w.str(n.ID)
-				w.vec(n.Vec)
-				w.uint(len(n.Links))
-				for _, level := range n.Links {
-					w.uint(len(level))
-					for _, nb := range level {
-						w.uvarint(uint64(nb))
-					}
-				}
-			}
-		})
-	}
-	section(secConfig, func(w *writer) {
-		cfg := p.Config()
-		w.f64(cfg.Alpha)
-		w.f64(cfg.Beta)
-		w.f64(cfg.Theta)
-		skip := byte(0)
-		if cfg.SkipLabelSimilarity {
-			skip = 1
-		}
-		w.u8(skip)
-	})
-	section(secScripts, func(w *writer) { encodeScripts(w, p.Scripts()) })
-	section(secQueryCache, func(w *writer) {
-		entries := p.Discovery.CacheExport()
-		w.uint(len(entries))
-		for _, e := range entries {
-			w.str(e.Query)
-			w.uint(len(e.Res.Vars))
-			for _, v := range e.Res.Vars {
-				w.str(v)
-			}
-			w.uint(len(e.Res.Rows))
-			for _, row := range e.Res.Rows {
-				// Rows encode in Vars order with a presence flag per cell, so
-				// identical caches produce byte-identical snapshots despite
-				// Binding being a map.
-				for _, v := range e.Res.Vars {
-					t, ok := row[v]
-					if !ok {
-						w.u8(0)
-						continue
-					}
-					w.u8(1)
-					w.term(t)
-				}
-			}
-		}
-	})
-	section(secRepl, func(w *writer) {
-		w.uvarint(generation)
-		w.uvarint(logPos)
-	})
-
-	size := 0
-	for _, sec := range sections {
-		size += 1 + uvarintSize(uint64(len(sec.body))) + len(sec.body)
-	}
-	out := make([]byte, 0, size)
-	for _, sec := range sections {
-		out = append(out, sec.tag)
-		out = binary.AppendUvarint(out, uint64(len(sec.body)))
-		out = append(out, sec.body...)
-	}
-	return out
-}
-
-// tableEmb is one decoded TEMB entry; entries are collected per goroutine
-// and merged into the map after all decoders join.
-type tableEmb struct {
-	id  string
-	vec embed.Vector
-}
-
 // Smallest encodings of the elements the sections count, so that a count
 // makes a decoder allocate in proportion to the bytes that carry it: a
 // term is a kind byte and a length, a quad four IDs, an HNSW node a string,
@@ -459,7 +581,6 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 		dictTerms  []rdf.Term
 		dictQuoted []store.TripleIDs
 		quads      []store.EncodedQuad
-		tembs      []tableEmb
 		annErr     error
 	)
 	sawDict, sawQuads := false, false
@@ -488,36 +609,9 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 				}
 			}
 		case secProf:
-			decode = func(r *reader) {
-				n := r.countOf(minProfileBytes)
-				st.Profiles = make([]*profiler.ColumnProfile, 0, n)
-				for i := 0; i < n && r.err == nil; i++ {
-					cp := &profiler.ColumnProfile{
-						Dataset: r.str(),
-						Table:   r.str(),
-						Column:  r.str(),
-						Type:    embed.Type(r.str()),
-					}
-					cp.Stats.Total = r.uint()
-					cp.Stats.Missing = r.uint()
-					cp.Stats.Distinct = r.uint()
-					cp.Stats.Min = r.f64()
-					cp.Stats.Max = r.f64()
-					cp.Stats.Mean = r.f64()
-					cp.Stats.Std = r.f64()
-					cp.Stats.TrueRatio = r.f64()
-					cp.Embed = r.vec()
-					st.Profiles = append(st.Profiles, cp)
-				}
-			}
+			decode = func(r *reader) { st.Profiles = decodeProfiles(r) }
 		case secTEmb:
-			decode = func(r *reader) {
-				n := r.countOf(minEmbeddingBytes)
-				tembs = make([]tableEmb, 0, n)
-				for i := 0; i < n && r.err == nil; i++ {
-					tembs = append(tembs, tableEmb{id: r.str(), vec: r.vec()})
-				}
-			}
+			decode = func(r *reader) { st.TableEmbeddings = decodeTableEmbeddings(r) }
 		case secTOrder:
 			decode = func(r *reader) {
 				n := r.count()
@@ -527,15 +621,7 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 				}
 			}
 		case secEdges:
-			decode = func(r *reader) {
-				n := r.countOf(minEdgeBytes)
-				st.Edges = make([]schema.Edge, 0, n)
-				for i := 0; i < n && r.err == nil; i++ {
-					st.Edges = append(st.Edges, schema.Edge{
-						A: r.str(), B: r.str(), Kind: r.str(), Score: r.f64(),
-					})
-				}
-			}
+			decode = func(r *reader) { st.Edges = decodeEdges(r) }
 		case secANN:
 			decode = func(r *reader) {
 				g := vectorindex.Graph{
@@ -629,9 +715,6 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 	}
 	if annErr != nil {
 		return nil, annErr
-	}
-	for _, te := range tembs {
-		st.TableEmbeddings[te.id] = te.vec
 	}
 	if !sawDict || !sawQuads {
 		return nil, fmt.Errorf("snapshot: missing required %s section",

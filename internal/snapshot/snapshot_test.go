@@ -311,6 +311,23 @@ func TestSaveIsAtomic(t *testing.T) {
 	}
 }
 
+// payloadOf is the payload Write saves of p, its REPL section holding the
+// changelog position logPos.
+func payloadOf(t testing.TB, p *core.Platform, logPos uint64) []byte {
+	t.Helper()
+	st := capture(p)
+	st.logPos = logPos
+	var payload []byte
+	for _, sec := range st.sections() {
+		frame, err := sec.frame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload = append(payload, frame...)
+	}
+	return payload
+}
+
 // payloadSeeds are the payload of a small platform — two tables, one
 // pipeline, one cached query — each of its sections alone, the payload
 // with a table order that leaves a table out, and the back-reference
@@ -344,7 +361,7 @@ func payloadSeeds(t testing.TB) [][]byte {
 		plat.TableEmbeddings[id] = plat.TableEmbeddings[id][:2]
 		plat.TableANN.Add(id, plat.TableEmbeddings[id])
 	}
-	payload := encodePayload(plat, plat.Store.Generation(), 3)
+	payload := payloadOf(t, plat, 3)
 	seeds := [][]byte{payload}
 	for r := (&reader{b: payload}); r.off < len(r.b); {
 		start := r.off

@@ -361,3 +361,13 @@ func BenchmarkStore_BulkVsPerQuad(b *testing.B) {
 		})
 	}
 }
+
+// Terms is Pages with the terms copied into one slice: terms[i] is the
+// term with ID i+1.
+func (d *Dictionary) Terms() (terms []rdf.Term, quoted []TripleIDs) {
+	pages, quoted := d.Pages()
+	for _, page := range pages {
+		terms = append(terms, page...)
+	}
+	return terms, quoted
+}

@@ -204,17 +204,21 @@ func (d *Dictionary) component(c, id TermID, t *rdf.Term) bool {
 	return c != 0 && c < id && d.at(c).Equal(*t)
 }
 
-// Terms returns a copy of all interned terms in ID order — terms[i] is the
-// term with ID i+1 — and the component IDs of the quoted triples among
-// them, also in ID order: quoted[k] belongs to the k-th quoted triple in
-// terms. BulkLoad takes both back into an empty dictionary and reproduces
-// the same ID assignment, which is what the snapshot codec relies on.
-func (d *Dictionary) Terms() (terms []rdf.Term, quoted []TripleIDs) {
+// Pages returns all interned terms in ID order without copying them — the
+// dictionary's own pages, each clipped to the terms it holds, so that the
+// term with ID i+1 is the i-th across them — and the component IDs of the
+// quoted triples among them, also in ID order: quoted[k] belongs to the
+// k-th quoted triple in the pages. BulkLoad takes the terms and quoted
+// back into an empty dictionary and reproduces the same ID assignment,
+// which is what the snapshot codec relies on. A term never changes once
+// interned and a page never moves, so the pages stay valid, and hold the
+// same terms, while more are interned.
+func (d *Dictionary) Pages() (pages [][]rdf.Term, quoted []TripleIDs) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	terms = make([]rdf.Term, 0, d.n)
-	for _, page := range d.pages {
-		terms = append(terms, page...)
+	pages = make([][]rdf.Term, len(d.pages))
+	for i, page := range d.pages {
+		pages[i] = page[:len(page):len(page)]
 	}
 	// The quoted map is keyed by components. Inverting it through an array
 	// indexed by ID keeps the map's iteration order out of the result.
@@ -223,12 +227,14 @@ func (d *Dictionary) Terms() (terms []rdf.Term, quoted []TripleIDs) {
 		byID[id-1] = k
 	}
 	quoted = make([]TripleIDs, 0, len(d.quoted))
-	for i := range terms {
-		if terms[i].Kind == rdf.KindQuoted {
-			quoted = append(quoted, byID[i])
+	for i, page := range pages {
+		for j := range page {
+			if page[j].Kind == rdf.KindQuoted {
+				quoted = append(quoted, byID[i*termPage+j])
+			}
 		}
 	}
-	return terms, quoted
+	return pages, quoted
 }
 
 // Len returns the number of interned terms.
