@@ -66,7 +66,7 @@ func main() {
 				bestScaler, bestF1 = op, s
 			}
 		}
-		sexs = append(sexs, transform.ScalerExample{Embedding: transform.TableEmbedding(p, task.Frame), Op: bestScaler})
+		sexs = append(sexs, transform.ScalerExample{Embedding: p.TableEmbedding(task.Frame), Op: bestScaler})
 		_, emb := p.EmbedColumn(task.Frame.ColumnAt(0))
 		uexs = append(uexs, transform.UnaryExample{Embedding: emb, Op: transform.Unaries[i%3]})
 	}

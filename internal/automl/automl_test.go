@@ -9,7 +9,6 @@ import (
 	"kglids/internal/pipegen"
 	"kglids/internal/pipeline"
 	"kglids/internal/profiler"
-	"kglids/internal/transform"
 )
 
 func minedFixture(t *testing.T) ([]MinedUsage, map[string]embed.Vector, *lakegen.TaskDataset) {
@@ -28,7 +27,7 @@ func minedFixture(t *testing.T) ([]MinedUsage, map[string]embed.Vector, *lakegen
 	usages := MineUsages(abss)
 	p := profiler.New()
 	embs := map[string]embed.Vector{
-		task.Name: transform.TableEmbedding(p, task.Frame),
+		task.Name: p.TableEmbedding(task.Frame),
 	}
 	return usages, embs, task
 }
@@ -59,7 +58,7 @@ func TestRecommendModels(t *testing.T) {
 	usages, embs, task := minedFixture(t)
 	s := New(usages, embs, true)
 	p := profiler.New()
-	emb := transform.TableEmbedding(p, task.Frame)
+	emb := p.TableEmbedding(task.Frame)
 	recs := s.RecommendModels(emb)
 	if len(recs) == 0 {
 		t.Fatal("no model recommendations")
@@ -76,7 +75,7 @@ func TestRecommendHyperparameters(t *testing.T) {
 	usages, embs, task := minedFixture(t)
 	s := New(usages, embs, true)
 	p := profiler.New()
-	emb := transform.TableEmbedding(p, task.Frame)
+	emb := p.TableEmbedding(task.Frame)
 	recs := s.RecommendModels(emb)
 	params := s.RecommendHyperparameters(emb, recs[0].Classifier)
 	if len(params) == 0 {
@@ -92,7 +91,7 @@ func TestRecommendHyperparameters(t *testing.T) {
 func TestFitSeededVsUnseeded(t *testing.T) {
 	usages, embs, task := minedFixture(t)
 	p := profiler.New()
-	emb := transform.TableEmbedding(p, task.Frame)
+	emb := p.TableEmbedding(task.Frame)
 	budget := 300 * time.Millisecond
 
 	seeded := New(usages, embs, true)

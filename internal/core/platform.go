@@ -552,12 +552,7 @@ func (p *Platform) TableIRI(id string) (string, error) {
 // table-embedding cosine (the get_path_to_table entry point: "computing an
 // embedding of the given DataFrame, finding the most similar table").
 func (p *Platform) SimilarTablesByEmbedding(df *dataframe.DataFrame, k int) []vectorindex.Result {
-	byType := map[embed.Type][]embed.Vector{}
-	for i := 0; i < df.NumCols(); i++ {
-		t, emb := p.profiler.EmbedColumn(df.ColumnAt(i))
-		byType[t] = append(byType[t], emb)
-	}
-	return p.TableIndex.Search(embed.TableEmbedding(byType), k)
+	return p.TableIndex.Search(p.profiler.TableEmbedding(df), k)
 }
 
 // Profiler exposes the platform's profiler (shared CoLR configuration).
@@ -584,7 +579,7 @@ func (p *Platform) Stats() Stats {
 		Triples:         p.Store.Len(),
 		Nodes:           p.Store.NodeCount(),
 		Predicates:      p.Store.PredicateCount(),
-		NamedGraphs:     len(p.Store.Graphs()),
+		NamedGraphs:     p.Store.GraphCount(),
 		Columns:         len(p.Profiles),
 		Tables:          len(p.TableEmbeddings),
 		Datasets:        countDatasets(p.Profiles),

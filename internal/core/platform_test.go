@@ -100,7 +100,7 @@ func TestAddPipelinesLinksIntoGraph(t *testing.T) {
 		}
 	}
 	// Named graphs exist.
-	if got := len(p.Store.Graphs()); got < 5 {
+	if got := p.Store.GraphCount(); got < 5 {
 		t.Errorf("named graphs = %d", got)
 	}
 	// Verified reads edges point into the dataset graph.

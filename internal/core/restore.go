@@ -7,7 +7,6 @@ import (
 	"kglids/internal/pipeline"
 	"kglids/internal/profiler"
 	"kglids/internal/schema"
-	"kglids/internal/sparql"
 	"kglids/internal/store"
 	"kglids/internal/vectorindex"
 )
@@ -43,10 +42,6 @@ type RestoredState struct {
 	// the same thresholds as the original bootstrap. Nil means the
 	// zero Config: every default.
 	Config *Config
-	// QueryCache holds the SPARQL result-cache entries saved with the
-	// snapshot; they re-pin to the restored store's generation so the first
-	// repeat of a hot discovery query is a cache hit, not a re-execution.
-	QueryCache []sparql.CacheEntry
 	// Generation is the store mutation generation at save time (0 in
 	// snapshots predating the replication section). The restored store
 	// adopts it so changelog replay continues from aligned counters.
@@ -82,19 +77,13 @@ func Restore(st RestoredState) (*Platform, error) {
 	if len(st.Scripts) > 0 {
 		p.AddPipelines(st.Scripts)
 	}
-	// Adopt the primary's generation before importing the query cache
-	// (entries pin to the current generation) and after AddPipelines
-	// (whose re-adds dedupe to generation-neutral no-ops), so a follower
-	// replaying the changelog observes the same counter as the primary.
+	// Adopt the primary's generation after AddPipelines (whose re-adds
+	// dedupe to generation-neutral no-ops), so a follower replaying the
+	// changelog observes the same counter as the primary.
 	if st.Generation > 0 {
 		p.Store.SetGeneration(st.Generation)
 	}
 	p.restoredLogPos = st.ChangelogPos
-	// Seed the query cache last: AddPipelines mutates the store, and import
-	// pins each entry to the store generation current at this point.
-	if len(st.QueryCache) > 0 {
-		p.Discovery.CacheImport(st.QueryCache)
-	}
 	return p, nil
 }
 

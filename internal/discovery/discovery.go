@@ -627,7 +627,7 @@ func (e *Engine) TopUsedLibrariesForTask(k int, task string) ([]LibraryUsage, er
 	res, err := e.eng.Query(`
 		SELECT ?lib (COUNT(DISTINCT ?g) AS ?n) WHERE {
 			GRAPH ?g {
-				?p a kglids:Pipeline ; kglids:task "` + task + `" .
+				?p a kglids:Pipeline ; kglids:task ` + sparql.QuoteString(task) + ` .
 				?s kglids:callsLibrary ?lib .
 			}
 		} GROUP BY ?lib ORDER BY DESC(?n)`)
@@ -737,11 +737,3 @@ func (e *Engine) CacheStats() sparql.CacheStats { return e.eng.CacheStats() }
 // SetSlowQuery forwards the slow-query log threshold to the SPARQL
 // engine; 0 disables the slow-query log.
 func (e *Engine) SetSlowQuery(d time.Duration) { e.eng.SetSlowQuery(d) }
-
-// CacheExport returns the current-generation SPARQL result-cache entries
-// for snapshot persistence.
-func (e *Engine) CacheExport() []sparql.CacheEntry { return e.eng.CacheExport() }
-
-// CacheImport seeds the SPARQL result cache from snapshot entries,
-// re-pinning them to the restored store's generation.
-func (e *Engine) CacheImport(entries []sparql.CacheEntry) { e.eng.CacheImport(entries) }

@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"kglids/internal/dataframe"
@@ -349,6 +350,45 @@ func TestJoinPathDenseGraphBounded(t *testing.T) {
 	for i := 1; i < len(paths); i++ {
 		if len(paths[i].Tables) < len(paths[i-1].Tables) {
 			t.Fatalf("paths not length-ordered at %d", i)
+		}
+	}
+}
+
+// TestTopUsedLibrariesForTaskQuotesTask: a task holding a quote, a
+// backslash or a control character is matched literally. Each task returns
+// exactly the libraries of its own pipeline, as TopKLibraries counts them
+// over a store holding that pipeline alone.
+func TestTopUsedLibrariesForTaskQuotesTask(t *testing.T) {
+	scripts := []pipeline.Script{
+		{ID: "p1", Source: "import pandas as pd\ndf = pd.read_csv('a.csv')\n", Meta: pipeline.Metadata{Task: `say "hi"`}},
+		{ID: "p2", Source: "import numpy as np\nx = np.zeros(3)\n", Meta: pipeline.Metadata{Task: `C:\x`}},
+		{ID: "p3", Source: "from sklearn.ensemble import RandomForestClassifier\nclf = RandomForestClassifier(50)\n", Meta: pipeline.Metadata{Task: "C:x"}},
+		{ID: "p4", Source: "import matplotlib.pyplot as plt\nplt.plot([1])\n", Meta: pipeline.Metadata{Task: `nope" . } } #`}},
+		{ID: "p5", Source: "import json\ncfg = json.loads('{}')\n", Meta: pipeline.Metadata{Task: "tab\there\nand a line"}},
+	}
+	build := func(scripts ...pipeline.Script) *Engine {
+		st := store.New()
+		a, g := pipeline.NewAbstractor(), pipeline.NewGraphBuilder(nil)
+		for _, s := range scripts {
+			g.BuildGraph(st, a.Abstract(s))
+		}
+		return New(st, storeAdjacency{st})
+	}
+	all := build(scripts...)
+	for _, s := range scripts {
+		want, err := build(s).TopKLibraries(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("pipeline %s calls no library", s.ID)
+		}
+		got, err := all.TopUsedLibrariesForTask(0, s.Meta.Task)
+		if err != nil {
+			t.Fatalf("task %q: %v", s.Meta.Task, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("task %q: libraries %+v, want %+v", s.Meta.Task, got, want)
 		}
 	}
 }

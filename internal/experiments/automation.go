@@ -191,7 +191,7 @@ func trainTransformRecommender(numTraining int) *transform.Recommender {
 			}
 		}
 		scalerExamples = append(scalerExamples, transform.ScalerExample{
-			Embedding: transform.TableEmbedding(p, task.Frame),
+			Embedding: p.TableEmbedding(task.Frame),
 			Op:        bestScaler,
 		})
 		// Unary labels per column: apply each op to the whole frame and

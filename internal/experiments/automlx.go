@@ -12,7 +12,6 @@ import (
 	"kglids/internal/ml"
 	"kglids/internal/pipeline"
 	"kglids/internal/profiler"
-	"kglids/internal/transform"
 )
 
 // AutoMLRow is one dataset of the Figure 9 comparison.
@@ -51,7 +50,7 @@ func RunFigure9(corpusSize int) AutoMLComparison {
 	p := profiler.New()
 	dsEmb := map[string]embed.Vector{}
 	for _, task := range corpusTasks {
-		dsEmb[task.Name] = transform.TableEmbedding(p, task.Frame)
+		dsEmb[task.Name] = p.TableEmbedding(task.Frame)
 	}
 	seeded := automl.New(usages, dsEmb, true)
 	unseeded := automl.New(usages, dsEmb, false)
@@ -59,7 +58,7 @@ func RunFigure9(corpusSize int) AutoMLComparison {
 	cmp := AutoMLComparison{Budget: AutoMLBudget}
 	var lidsScores, g4cScores []float64
 	for _, task := range lakegen.AutoMLSuite() {
-		emb := transform.TableEmbedding(p, task.Frame)
+		emb := p.TableEmbedding(task.Frame)
 		rL, errL := seeded.Fit(task.Frame, task.Target, emb, AutoMLBudget)
 		rG, errG := unseeded.Fit(task.Frame, task.Target, emb, AutoMLBudget)
 		if errL != nil || errG != nil {

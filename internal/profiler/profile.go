@@ -82,6 +82,18 @@ func (p *Profiler) EmbedColumn(s *dataframe.Series) (embed.Type, embed.Vector) {
 	return fgt, p.CoLR.EncodeColumn(s.Strings(), fgt)
 }
 
+// TableEmbedding embeds a frame as a table: each column under its
+// inferred type, then the per-type means concatenated (the query side of
+// get_path_to_table and the transformation recommender's input).
+func (p *Profiler) TableEmbedding(df *dataframe.DataFrame) embed.Vector {
+	byType := map[embed.Type][]embed.Vector{}
+	for i := 0; i < df.NumCols(); i++ {
+		t, emb := p.EmbedColumn(df.ColumnAt(i))
+		byType[t] = append(byType[t], emb)
+	}
+	return embed.TableEmbedding(byType)
+}
+
 // ProfileTable profiles all columns of one resident table: a one-table
 // Frames source through ProfileTableStream.
 func (p *Profiler) ProfileTable(dataset string, df *dataframe.DataFrame) []*ColumnProfile {

@@ -40,23 +40,6 @@ func (w *writer) vec(v embed.Vector) {
 	}
 }
 
-// term encodes an RDF term, recursing into quoted triples. It is the
-// encoding of a cached result's terms, which are not dictionary entries.
-func (w *writer) term(t rdf.Term) {
-	w.u8(byte(t.Kind))
-	switch t.Kind {
-	case rdf.KindLiteral:
-		w.str(t.Value)
-		w.str(t.Datatype)
-	case rdf.KindQuoted:
-		w.term(t.Quoted.Subject)
-		w.term(t.Quoted.Predicate)
-		w.term(t.Quoted.Object)
-	default: // IRI, blank node
-		w.str(t.Value)
-	}
-}
-
 // dict encodes the DICT section from Dictionary.Pages: the terms in ID
 // order, each a kind byte and its value (and datatype, for a literal),
 // except that a quoted triple is written as the IDs of its components,
@@ -93,17 +76,6 @@ func uvarintSize(v uint64) int   { return (bits.Len64(v|1) + 6) / 7 }
 func varintSize(v int64) int     { return uvarintSize(uint64(v<<1 ^ v>>63)) }
 func strSize(s string) int       { return uvarintSize(uint64(len(s))) + len(s) }
 func vecSize(v embed.Vector) int { return uvarintSize(uint64(len(v))) + 8*len(v) }
-
-func termSize(t rdf.Term) int {
-	switch t.Kind {
-	case rdf.KindLiteral:
-		return 1 + strSize(t.Value) + strSize(t.Datatype)
-	case rdf.KindQuoted:
-		return 1 + termSize(t.Quoted.Subject) + termSize(t.Quoted.Predicate) + termSize(t.Quoted.Object)
-	default:
-		return 1 + strSize(t.Value)
-	}
-}
 
 func dictSize(pages [][]rdf.Term, quoted []store.TripleIDs) int {
 	n, size := 0, 0
@@ -307,28 +279,4 @@ func (r *reader) ref(id int) store.TermID {
 		return 0
 	}
 	return store.TermID(v)
-}
-
-func (r *reader) term(depth int) rdf.Term {
-	if depth > maxQuotedDepth {
-		r.fail("quoted-triple nesting deeper than %d", maxQuotedDepth)
-		return rdf.Term{}
-	}
-	kind := rdf.TermKind(r.u8())
-	switch kind {
-	case rdf.KindIRI, rdf.KindBlank:
-		return rdf.Term{Kind: kind, Value: r.str()}
-	case rdf.KindLiteral:
-		return rdf.Term{Kind: kind, Value: r.str(), Datatype: r.str()}
-	case rdf.KindQuoted:
-		t := rdf.Triple{
-			Subject:   r.term(depth + 1),
-			Predicate: r.term(depth + 1),
-			Object:    r.term(depth + 1),
-		}
-		return rdf.Term{Kind: kind, Quoted: &t}
-	default:
-		r.fail("unknown term kind %d at byte %d", kind, r.off-1)
-		return rdf.Term{}
-	}
 }

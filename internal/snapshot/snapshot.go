@@ -8,9 +8,8 @@
 // insertion order, and the HNSW approximate index graph — plus the raw
 // pipeline scripts, which are re-abstracted on load (deterministic and
 // cheap; their triples are already in the store, so re-linking deduplicates
-// to a no-op). The SPARQL result cache rides along: current-generation
-// entries are saved and re-pinned to the restored store's generation, so a
-// restarted server answers hot discovery queries warm.
+// to a no-op). The SPARQL result cache is not saved: a restored platform
+// starts with a cold cache.
 //
 // A save pauses live ingestion only while it captures the platform's
 // state, not while it encodes it: the sections are encoded afterwards, in
@@ -46,7 +45,7 @@
 //	7    ANN     HNSW graph: parameters, entry, nodes with per-level links
 //	8    SCRIPT  pipeline scripts: id, source, metadata
 //	9    CONF    bootstrap config: α/β/θ thresholds, label-skip flag
-//	10   QCACHE  SPARQL result cache: query text, result vars and rows
+//	10   retired (QCACHE, a SPARQL result cache); skipped like any unknown tag
 //	11   REPL    replication: store generation + changelog position
 //
 // Truncated files, checksum mismatches, unknown versions, and structurally
@@ -81,7 +80,6 @@ import (
 	"kglids/internal/profiler"
 	"kglids/internal/rdf"
 	"kglids/internal/schema"
-	"kglids/internal/sparql"
 	"kglids/internal/store"
 	"kglids/internal/vectorindex"
 )
@@ -104,10 +102,9 @@ const (
 	secANN     = 7
 	secScripts = 8
 	secConfig  = 9
-	// secQueryCache persists the current-generation SPARQL result cache so
-	// a restarted server answers hot discovery queries warm. Older readers
-	// skip the unknown tag; the snapshot stays loadable either way.
-	secQueryCache = 10
+	// Tag 10 is retired: it held the SPARQL result cache, which is no
+	// longer saved. The reader skips it like any unknown tag.
+
 	// secRepl persists the store mutation generation and the changelog
 	// position at save time, anchoring followers booted from this snapshot
 	// to the primary's mutation stream. Older readers skip it.
@@ -209,7 +206,6 @@ type state struct {
 	ann        *vectorindex.Graph
 	cfg        core.Config
 	scripts    []pipeline.Script
-	cache      []sparql.CacheEntry
 	generation uint64
 	logPos     uint64
 }
@@ -231,7 +227,6 @@ func capture(p *core.Platform) *state {
 		order:    p.TableIndex.IDs(),
 		cfg:      p.Config(),
 		scripts:  p.Scripts(),
-		cache:    p.Discovery.CacheExport(),
 		// Generation and changelog position are read once, under the
 		// ingest lock, so the REPL section is consistent with the quads
 		// and the post-write compaction floor matches what was persisted.
@@ -281,8 +276,6 @@ func (st *state) sections() []section {
 			func(w *writer) { encodeConfig(w, st.cfg) }},
 		section{secScripts, func() int { return scriptsSize(st.scripts) },
 			func(w *writer) { encodeScripts(w, st.scripts) }},
-		section{secQueryCache, func() int { return queryCacheSize(st.cache) },
-			func(w *writer) { encodeQueryCache(w, st.cache) }},
 		section{secRepl, func() int { return uvarintSize(st.generation) + uvarintSize(st.logPos) },
 			func(w *writer) {
 				w.uvarint(st.generation)
@@ -398,53 +391,6 @@ func encodeConfig(w *writer, cfg core.Config) {
 	w.u8(skip)
 }
 
-// encodeQueryCache writes the cached results. Rows encode in Vars order
-// with a presence flag per cell, so identical caches produce
-// byte-identical snapshots despite Binding being a map.
-func encodeQueryCache(w *writer, entries []sparql.CacheEntry) {
-	w.uint(len(entries))
-	for _, e := range entries {
-		w.str(e.Query)
-		w.uint(len(e.Res.Vars))
-		for _, v := range e.Res.Vars {
-			w.str(v)
-		}
-		w.uint(len(e.Res.Rows))
-		for _, row := range e.Res.Rows {
-			for _, v := range e.Res.Vars {
-				t, ok := row[v]
-				if !ok {
-					w.u8(0)
-					continue
-				}
-				w.u8(1)
-				w.term(t)
-			}
-		}
-	}
-}
-
-// queryCacheSize is the length of encodeQueryCache's output.
-func queryCacheSize(entries []sparql.CacheEntry) int {
-	n := uvarintSize(uint64(len(entries)))
-	for _, e := range entries {
-		n += strSize(e.Query) + uvarintSize(uint64(len(e.Res.Vars)))
-		for _, v := range e.Res.Vars {
-			n += strSize(v)
-		}
-		n += uvarintSize(uint64(len(e.Res.Rows)))
-		for _, row := range e.Res.Rows {
-			for _, v := range e.Res.Vars {
-				n++
-				if t, ok := row[v]; ok {
-					n += termSize(t)
-				}
-			}
-		}
-	}
-	return n
-}
-
 // Save writes the platform snapshot to path atomically (temp file + rename),
 // so a crash mid-save never leaves a truncated snapshot in place.
 func Save(path string, p *core.Platform) error {
@@ -529,14 +475,13 @@ func Load(path string) (*core.Platform, error) {
 // makes a decoder allocate in proportion to the bytes that carry it: a
 // term is a kind byte and a length, a quad four IDs, an HNSW node a string,
 // a vector length and a level count, a script five strings, a vote count
-// and a float, a cached result a query string and two counts. Profiles,
-// edges and table embeddings are encoded as in a platform delta.
+// and a float. Profiles, edges and table embeddings are encoded as in a
+// platform delta.
 const (
-	minTermBytes       = 2
-	minIDQuadBytes     = 4
-	minNodeBytes       = 3
-	minScriptBytes     = 5 + 1 + 8
-	minCacheEntryBytes = 3
+	minTermBytes   = 2
+	minIDQuadBytes = 4
+	minNodeBytes   = 3
+	minScriptBytes = 5 + 1 + 8
 )
 
 func decodePayload(payload []byte) (*core.RestoredState, error) {
@@ -549,7 +494,6 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 	}
 	top := &reader{b: payload}
 	var sections []rawSection
-	seenTags := map[byte]bool{}
 	for top.err == nil && top.off < len(top.b) {
 		tag := top.u8()
 		length := top.uvarint()
@@ -559,15 +503,6 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 		if length > uint64(len(top.b)-top.off) {
 			top.fail("section %d length %d exceeds remaining %d bytes", tag, length, len(top.b)-top.off)
 			break
-		}
-		// Known tags must be unique: duplicate sections would hand the same
-		// output variables to two decoder goroutines.
-		if tag >= secDict && tag <= secRepl {
-			if seenTags[tag] {
-				top.fail("duplicate section tag %d", tag)
-				break
-			}
-			seenTags[tag] = true
 		}
 		sections = append(sections, rawSection{tag: tag, body: top.b[top.off : top.off+int(length)]})
 		top.off += int(length)
@@ -587,6 +522,7 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 
 	var wg sync.WaitGroup
 	errs := make([]error, len(sections))
+	seenTags := map[byte]bool{}
 	for i := range sections {
 		sec := sections[i]
 		var decode func(r *reader)
@@ -664,41 +600,23 @@ func decodePayload(payload []byte) (*core.RestoredState, error) {
 			}
 		case secScripts:
 			decode = func(r *reader) { st.Scripts = decodeScripts(r) }
-		case secQueryCache:
-			decode = func(r *reader) {
-				n := r.countOf(minCacheEntryBytes)
-				st.QueryCache = make([]sparql.CacheEntry, 0, n)
-				for i := 0; i < n && r.err == nil; i++ {
-					ent := sparql.CacheEntry{Query: r.str(), Res: &sparql.Result{}}
-					nv := r.count()
-					ent.Res.Vars = make([]string, 0, nv)
-					for v := 0; v < nv && r.err == nil; v++ {
-						ent.Res.Vars = append(ent.Res.Vars, r.str())
-					}
-					// A row is a presence byte per variable.
-					nr := r.countOf(max(nv, 1))
-					ent.Res.Rows = make([]sparql.Binding, 0, nr)
-					for j := 0; j < nr && r.err == nil; j++ {
-						row := make(sparql.Binding, nv)
-						for _, v := range ent.Res.Vars {
-							if r.u8() == 1 {
-								row[v] = r.term(0)
-							}
-						}
-						ent.Res.Rows = append(ent.Res.Rows, row)
-					}
-					st.QueryCache = append(st.QueryCache, ent)
-				}
-			}
 		case secRepl:
 			decode = func(r *reader) {
 				st.Generation = r.uvarint()
 				st.ChangelogPos = r.uvarint()
 			}
 		default:
-			// Unknown optional section from a newer writer: skip.
+			// A retired tag, or an optional section from a newer writer:
+			// skip.
 			continue
 		}
+		// Decoded tags must be unique: duplicate sections would hand the
+		// same output variables to two decoder goroutines.
+		if seenTags[sec.tag] {
+			errs[i] = fmt.Errorf("snapshot: duplicate section tag %d", sec.tag)
+			break
+		}
+		seenTags[sec.tag] = true
 		wg.Add(1)
 		go func(i int, body []byte, decode func(*reader)) {
 			defer wg.Done()

@@ -104,38 +104,70 @@ func TestRoundTripDiscoveryIdentical(t *testing.T) {
 	}
 }
 
-// TestRoundTripWarmQueryCache: results cached before the save come back
-// warm — the restored platform's first repeat of a saved query is a cache
-// hit (no re-execution) with identical rows, re-pinned to the restored
-// store's generation.
-func TestRoundTripWarmQueryCache(t *testing.T) {
+// retiredCacheFrame is a QCACHE frame (tag 10) as version-3 writers saved
+// the SPARQL result cache before it was retired: one entry holding the
+// query text, its one variable, and one row binding it to an IRI.
+func retiredCacheFrame() []byte {
+	var body writer
+	body.uint(1)
+	body.str(`SELECT ?t WHERE { ?t a kglids:Table . }`)
+	body.uint(1)
+	body.str("t")
+	body.uint(1)
+	body.u8(1) // the cell is bound
+	body.u8(byte(rdf.KindIRI))
+	body.str(rdf.ResourceNS + "health/patients.csv")
+	w := writer{buf: []byte{10}}
+	w.uvarint(uint64(len(body.buf)))
+	w.buf = append(w.buf, body.buf...)
+	return w.buf
+}
+
+// withRetiredCacheFrame inserts retiredCacheFrame into payload before the
+// REPL section, where those writers put it.
+func withRetiredCacheFrame(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	var out []byte
+	for r := (&reader{b: payload}); r.off < len(r.b); {
+		start := r.off
+		tag := r.u8()
+		n := r.uvarint()
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		r.off += int(n)
+		if tag == secRepl {
+			out = append(out, retiredCacheFrame()...)
+		}
+		out = append(out, payload[start:r.off]...)
+	}
+	return out
+}
+
+// TestReadSkipsRetiredQueryCache: a payload that carries a QCACHE frame
+// decodes and restores to a platform with an empty result cache, which
+// saves the same bytes as the platform restored without the frame.
+func TestReadSkipsRetiredQueryCache(t *testing.T) {
 	plat, _ := fixture(t)
-	const sq = `SELECT ?t ?n WHERE { ?t a kglids:Table ; kglids:name ?n . }`
-	want, err := plat.Query(sq)
-	if err != nil {
-		t.Fatal(err)
+	payload := payloadOf(t, plat, 0)
+	restore := func(payload []byte) *core.Platform {
+		t.Helper()
+		st, err := decodePayload(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := core.Restore(*st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	restored := roundTrip(t, plat)
-
-	before := restored.Discovery.CacheStats()
-	got, err := restored.Query(sq)
-	if err != nil {
-		t.Fatal(err)
+	withFrame := restore(withRetiredCacheFrame(t, payload))
+	if n := withFrame.Discovery.CacheStats().Entries; n != 0 {
+		t.Fatalf("restored cache holds %d entries, want none", n)
 	}
-	after := restored.Discovery.CacheStats()
-	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
-		t.Fatalf("saved query should hit the restored cache: before %+v, after %+v", before, after)
-	}
-	if !reflect.DeepEqual(got.Rows, want.Rows) {
-		t.Fatalf("warm cached rows differ:\n got %v\nwant %v", got.Rows, want.Rows)
-	}
-
-	// A query never run before the save must still miss.
-	if _, err := restored.Query(`SELECT ?c WHERE { ?c a kglids:Column . }`); err != nil {
-		t.Fatal(err)
-	}
-	if final := restored.Discovery.CacheStats(); final.Misses != after.Misses+1 {
-		t.Fatalf("unsaved query should miss: %+v", final)
+	if !bytes.Equal(save(t, withFrame), save(t, restore(payload))) {
+		t.Fatal("the retired frame changed the restored platform")
 	}
 }
 
@@ -329,9 +361,9 @@ func payloadOf(t testing.TB, p *core.Platform, logPos uint64) []byte {
 }
 
 // payloadSeeds are the payload of a small platform — two tables, one
-// pipeline, one cached query — each of its sections alone, the payload
-// with a table order that leaves a table out, and the back-reference
-// seeds.
+// pipeline — each of its sections alone, the payload with a table order
+// that leaves a table out, the payload with a retired QCACHE frame, and
+// the back-reference seeds.
 func payloadSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	var tables []core.Table
@@ -348,9 +380,6 @@ func payloadSeeds(t testing.TB) [][]byte {
 	}
 	plat := core.Bootstrap(core.Config{}, tables)
 	plat.AddPipelines([]pipeline.Script{{ID: "p1", Source: "import pandas as pd\ndf = pd.read_csv('patients.csv')\n"}})
-	if _, err := plat.Query(`SELECT ?t WHERE { ?t a kglids:Table . }`); err != nil {
-		t.Fatal(err)
-	}
 	// Two-dimensional embeddings keep the seeds, and every input the fuzzer
 	// derives from them, a few kilobytes long.
 	for _, cp := range plat.Profiles {
@@ -373,7 +402,7 @@ func payloadSeeds(t testing.TB) [][]byte {
 		r.off += int(n)
 		seeds = append(seeds, payload[start:r.off])
 	}
-	seeds = append(seeds, omitFirstOrderedTable(t, payload))
+	seeds = append(seeds, omitFirstOrderedTable(t, payload), withRetiredCacheFrame(t, payload))
 	return append(seeds, backRefSeeds()...)
 }
 
@@ -417,7 +446,6 @@ func TestDecodePayloadRejectsInflatedCounts(t *testing.T) {
 		{secEdges, 0, minEdgeBytes},
 		{secANN, 5, minNodeBytes},
 		{secScripts, 0, minScriptBytes},
-		{secQueryCache, 0, minCacheEntryBytes},
 	} {
 		body := binary.AppendUvarint(make([]byte, c.prefix), uint64(len(zeros)/c.min+1))
 		body = append(body, zeros...)

@@ -20,7 +20,9 @@ type CacheStats struct {
 // entry pinned to the store generation it was computed at. A lookup whose
 // generation no longer matches is a miss and evicts the stale entry, so
 // live ingestion invalidates the whole cache for free — no subscription,
-// no epoch scanning, just the comparison that was needed anyway.
+// no epoch scanning, just the comparison that was needed anyway. The
+// cache lives only in memory: snapshots do not carry it, so a restored
+// platform starts cold and refills at one execution per distinct query.
 type queryCache struct {
 	mu        sync.Mutex
 	cap       int
@@ -44,29 +46,6 @@ type cacheEntry struct {
 	key string
 	gen uint64
 	res *Result
-}
-
-// CacheEntry is one persistable query-cache entry: query text and its
-// shareable result. The snapshot layer stores current-generation entries
-// so a restarted server answers hot discovery queries warm.
-type CacheEntry struct {
-	Query string
-	Res   *Result
-}
-
-// export returns the entries computed at gen, least-recently-used first,
-// so importing with put() in order reproduces the recency order.
-func (c *queryCache) export(gen uint64) []CacheEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]CacheEntry, 0, c.ll.Len())
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		ent := el.Value.(*cacheEntry)
-		if ent.gen == gen {
-			out = append(out, CacheEntry{Query: ent.key, Res: ent.res})
-		}
-	}
-	return out
 }
 
 func newQueryCache(capacity int) *queryCache {

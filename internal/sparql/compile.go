@@ -10,7 +10,8 @@ import (
 // store's dictionary. It can never appear in an index (IDs are dense from
 // 1 and 2^32-1 terms would not fit in memory), so every probe constrained
 // by it is naturally empty — which is exactly the semantics of matching
-// against an unknown term, with no special-casing in the executor.
+// against an unknown term, with no special-casing in the executor. The IDs
+// below it number an execution's computed terms (see computedTerms).
 const unmatchable = ^store.TermID(0)
 
 // cNode is a compiled triple-pattern position: a variable slot or a
@@ -52,6 +53,8 @@ type compiledQuery struct {
 	// planDur accumulates the time spent in planPatterns across all
 	// groups, so the "plan" stage can be reported apart from lowering.
 	planDur time.Duration
+	// computed holds the aggregate values this execution computed.
+	computed computedTerms
 }
 
 // compile lowers q against the view: every variable in the query (patterns,

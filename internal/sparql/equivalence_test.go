@@ -239,6 +239,9 @@ var fixtureQueries = []string{
 	`SELECT ?t WHERE { ?t a kglids:Table . FILTER(?missing > 1) }`,
 	`SELECT ?t WHERE { ?t a <http://example.org/not-in-store> . }`,
 	`SELECT ?x WHERE { GRAPH <http://example.org/no-such-graph> { ?x a kglids:Statement . } }`,
+	`SELECT DISTINCT (COUNT(?c) AS ?n) WHERE { ?c kglids:dataType ?typ . } GROUP BY ?typ`,
+	`SELECT ?p (COUNT(?o) AS ?n) WHERE { ?s ?p ?o . } GROUP BY ?p ORDER BY DESC(?n) ?p LIMIT 3 OFFSET 1`,
+	`SELECT (MIN(?rc) AS ?lo) (MAX(?rc) AS ?hi) (COUNT(?rc) AS ?n) WHERE { ?t a <http://example.org/not-in-store> ; kglids:rowCount ?rc . }`,
 }
 
 // discoveryQueries are the discovery-shaped queries a serving platform

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"regexp"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,29 +71,6 @@ func (e *Engine) CacheStats() CacheStats { return e.cache.stats() }
 // Deprecated: there is no execution width to set. The method remains only
 // so existing callers compile, and will be removed.
 func (e *Engine) SetWorkers(int) {}
-
-// CacheExport returns the cached results computed at the store's current
-// generation, least-recently-used first, so re-importing in order
-// reproduces the recency order. Snapshot persistence calls this under the
-// platform's ingest lock, where the current generation covers every live
-// entry.
-func (e *Engine) CacheExport() []CacheEntry {
-	return e.cache.export(e.st.Generation())
-}
-
-// CacheImport seeds the cache with previously exported entries, pinning
-// them to the store's current generation: a restored store re-derives its
-// own generation counter, so entries re-key on import rather than
-// carrying a stale saved generation.
-func (e *Engine) CacheImport(entries []CacheEntry) {
-	gen := e.st.Generation()
-	for _, ent := range entries {
-		if ent.Query == "" || ent.Res == nil {
-			continue
-		}
-		e.cache.put(ent.Query, gen, ent.Res)
-	}
-}
 
 // Query parses and executes src on the compiled ID-space path, serving
 // repeated queries from the generation-keyed result cache.
@@ -234,52 +210,6 @@ func (e *Engine) ExecContext(ctx context.Context, q *Query) (*Result, error) {
 	return compileTimed(obs.FromContext(ctx), q, v).execute(ctx, v)
 }
 
-// finishRows applies the solution-modifier tail to term-space solutions:
-// projection, DISTINCT, ORDER BY, OFFSET/LIMIT. The compiled engine runs it
-// on aggregated rows; the test-only reference evaluator on every result.
-func finishRows(q *Query, sols []Binding) *Result {
-	vars := projectionVars(q, sols)
-	rows := make([]Binding, 0, len(sols))
-	for _, s := range sols {
-		row := Binding{}
-		for _, v := range vars {
-			if t, ok := s[v]; ok {
-				row[v] = t
-			}
-		}
-		rows = append(rows, row)
-	}
-	if q.Distinct {
-		rows = distinctRows(vars, rows)
-	}
-	if len(q.OrderBy) > 0 {
-		sort.SliceStable(rows, func(i, j int) bool {
-			for _, k := range q.OrderBy {
-				c := compareTerms(rows[i][k.Var], rows[j][k.Var])
-				if c == 0 {
-					continue
-				}
-				if k.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-	}
-	if q.Offset > 0 {
-		if q.Offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && q.Limit < len(rows) {
-		rows = rows[:q.Limit]
-	}
-	return &Result{Vars: vars, Rows: rows}
-}
-
 func hasAggregates(q *Query) bool {
 	for _, p := range q.Projection {
 		if p.Agg != nil {
@@ -287,48 +217,6 @@ func hasAggregates(q *Query) bool {
 		}
 	}
 	return false
-}
-
-func projectionVars(q *Query, sols []Binding) []string {
-	if !q.Star {
-		vars := make([]string, len(q.Projection))
-		for i, p := range q.Projection {
-			vars[i] = p.Var
-		}
-		return vars
-	}
-	seen := map[string]bool{}
-	var vars []string
-	for _, s := range sols {
-		for v := range s {
-			if !seen[v] {
-				seen[v] = true
-				vars = append(vars, v)
-			}
-		}
-	}
-	sort.Strings(vars)
-	return vars
-}
-
-func distinctRows(vars []string, rows []Binding) []Binding {
-	seen := map[string]bool{}
-	out := rows[:0]
-	for _, r := range rows {
-		var sb strings.Builder
-		for _, v := range vars {
-			if t, ok := r[v]; ok {
-				sb.WriteString(t.Key())
-			}
-			sb.WriteByte(0)
-		}
-		k := sb.String()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // aggFromValues computes an aggregate over collected values (the ID-space

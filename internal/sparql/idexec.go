@@ -99,16 +99,12 @@ func (c *compiledQuery) execute(ctx context.Context, v *store.View) (*Result, er
 	}
 
 	matStart := time.Now()
-	var res *Result
 	if len(q.GroupBy) > 0 || hasAggregates(q) {
-		sols, err := c.aggregateIDs(v, rows)
-		if err != nil {
+		if rows, err = c.aggregateIDs(v, rows); err != nil {
 			return nil, err
 		}
-		res = finishRows(q, sols)
-	} else {
-		res = c.materialize(v, rows)
 	}
+	res := c.materialize(v, rows)
 	matDur := time.Since(matStart)
 	mStage.WithLabelValues("materialize").Observe(matDur.Seconds())
 	tr.AddSpan("materialize", matStart, matDur)
@@ -244,8 +240,8 @@ func (g *cGroup) runFilters(es *execState, emit func() error) error {
 	return emit()
 }
 
-// materialize turns ID rows into the final Result for non-aggregate
-// queries: DISTINCT and OFFSET/LIMIT operate on raw IDs, ORDER BY decodes
+// materialize turns ID rows into the final Result of every query, grouped
+// or not: DISTINCT and OFFSET/LIMIT operate on raw IDs, ORDER BY decodes
 // only its key columns, and projection decodes only projected slots.
 func (c *compiledQuery) materialize(v *store.View, rows [][]store.TermID) *Result {
 	q := c.q
@@ -281,7 +277,7 @@ func (c *compiledQuery) materialize(v *store.View, rows [][]store.TermID) *Resul
 					continue
 				}
 				if s, ok := c.slots[k.Var]; ok && row[s] != 0 {
-					ks[j] = dict.Term(row[s])
+					ks[j] = c.term(dict, row[s])
 				}
 			}
 			keys[i] = ks
@@ -327,7 +323,7 @@ func (c *compiledQuery) materialize(v *store.View, rows [][]store.TermID) *Resul
 		b := make(Binding, len(slots))
 		for j, s := range slots {
 			if s >= 0 && row[s] != 0 {
-				b[vars[j]] = dict.Term(row[s])
+				b[vars[j]] = c.term(dict, row[s])
 			}
 		}
 		out[i] = b
@@ -365,8 +361,10 @@ func (c *compiledQuery) resultVars(rows [][]store.TermID) []string {
 
 // aggregateIDs implements GROUP BY + aggregates over ID rows, grouping by
 // raw IDs (term-key equality and ID equality coincide under interning) and
-// decoding only aggregate inputs and group keys.
-func (c *compiledQuery) aggregateIDs(v *store.View, rows [][]store.TermID) ([]Binding, error) {
+// decoding only aggregate inputs. Each group becomes one row in the
+// query's slot layout: its group keys keep their IDs, and each aggregate
+// alias holds the ID of its value in c.computed.
+func (c *compiledQuery) aggregateIDs(v *store.View, rows [][]store.TermID) ([][]store.TermID, error) {
 	q := c.q
 	dict := v.Dict()
 	groupSlots := c.slotsOf(q.GroupBy)
@@ -384,15 +382,13 @@ func (c *compiledQuery) aggregateIDs(v *store.View, rows [][]store.TermID) ([]Bi
 		orderKeys = append(orderKeys, "")
 		groups[""] = nil
 	}
-	var out []Binding
+	out := make([][]store.TermID, 0, len(orderKeys))
 	for _, k := range orderKeys {
 		members := groups[k]
-		row := Binding{}
-		for i, name := range q.GroupBy {
-			if len(members) > 0 && groupSlots[i] >= 0 {
-				if id := members[0][groupSlots[i]]; id != 0 {
-					row[name] = dict.Term(id)
-				}
+		row := make([]store.TermID, len(c.names))
+		if len(members) > 0 {
+			for _, s := range groupSlots {
+				row[s] = members[0][s]
 			}
 		}
 		for _, p := range q.Projection {
@@ -415,11 +411,45 @@ func (c *compiledQuery) aggregateIDs(v *store.View, rows [][]store.TermID) ([]Bi
 			if err != nil {
 				return nil, err
 			}
-			row[p.Var] = t
+			// MIN/MAX over no values is the zero Term: interned like any
+			// other value, so the alias stays bound to it.
+			row[c.slots[p.Var]] = c.computed.id(t)
 		}
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// computedTerms numbers the terms an execution computes rather than reads
+// from the store (aggregate values) down from unmatchable-1, a range no
+// dictionary ID reaches, so that they ride in the same slot rows as stored
+// terms. Interning by Key keeps ID equality term equality, as DISTINCT
+// needs.
+type computedTerms struct {
+	ids   map[string]store.TermID
+	terms []rdf.Term
+}
+
+func (ct *computedTerms) id(t rdf.Term) store.TermID {
+	k := t.Key()
+	if id, ok := ct.ids[k]; ok {
+		return id
+	}
+	if ct.ids == nil {
+		ct.ids = map[string]store.TermID{}
+	}
+	id := unmatchable - 1 - store.TermID(len(ct.terms))
+	ct.ids[k] = id
+	ct.terms = append(ct.terms, t)
+	return id
+}
+
+// term decodes a bound slot ID: a computed term, else a dictionary entry.
+func (c *compiledQuery) term(dict *store.Dictionary, id store.TermID) rdf.Term {
+	if i := unmatchable - 1 - id; i < store.TermID(len(c.computed.terms)) {
+		return c.computed.terms[i]
+	}
+	return dict.Term(id)
 }
 
 // idKey packs slot IDs into a map key (little-endian, one separator byte).

@@ -11,6 +11,13 @@ import (
 	"unicode"
 )
 
+// literalEscaper inverts the lexer's string unescaping.
+var literalEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\t", `\t`)
+
+// QuoteString returns s as a string literal that the lexer reads back as
+// s exactly, for splicing a value into query text.
+func QuoteString(s string) string { return `"` + literalEscaper.Replace(s) + `"` }
+
 type tokenKind int
 
 const (

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"sort"
 	"strings"
 
 	"kglids/internal/rdf"
@@ -12,8 +13,9 @@ import (
 // ID-space engine against. Bindings are maps of terms, joins clone them,
 // and join order is a static most-bound-first heuristic — slow, but short
 // enough to read as the definition of what a query means. Beyond the
-// parser and FILTER evaluation, it shares only the solution-modifier tail
-// (finishRows) and aggregate arithmetic (aggFromValues) with production.
+// parser and FILTER evaluation, it shares only the aggregate arithmetic
+// (aggFromValues) with production: its solution-modifier tail (finishRows)
+// works on terms, where the compiled engine's works on IDs.
 
 // value implements binder for the reference evaluator's FILTERs.
 func (b Binding) value(name string) (rdf.Term, bool) {
@@ -130,7 +132,7 @@ func (e *Engine) evalGraphPattern(gp *GraphPattern, in []Binding) ([]Binding, er
 			out = append(out, sub...)
 			continue
 		}
-		for _, gt := range e.st.Graphs() {
+		for _, gt := range e.graphs() {
 			nb := cloneBinding(b)
 			nb[gp.Graph.Var] = gt
 			sub, err := e.evalGroup(gp.Pattern, gt, []Binding{nb})
@@ -141,6 +143,18 @@ func (e *Engine) evalGraphPattern(gp *GraphPattern, in []Binding) ([]Binding, er
 		}
 	}
 	return out, nil
+}
+
+// graphs returns the store's named graphs in ID order.
+func (e *Engine) graphs() []rdf.Term {
+	v := e.st.AcquireView()
+	ids := v.GraphIDs()
+	v.Close()
+	out := make([]rdf.Term, len(ids))
+	for i, id := range ids {
+		out[i] = e.st.DecodeTerm(id)
+	}
+	return out
 }
 
 // orderPatterns sorts triple patterns so that patterns with more bound
@@ -296,4 +310,91 @@ func evalAggregate(a *Aggregate, members []Binding) (rdf.Term, error) {
 		}
 	}
 	return aggFromValues(a, values)
+}
+
+// finishRows applies the solution-modifier tail to term-space solutions:
+// projection, DISTINCT, ORDER BY, OFFSET/LIMIT.
+func finishRows(q *Query, sols []Binding) *Result {
+	vars := projectionVars(q, sols)
+	rows := make([]Binding, 0, len(sols))
+	for _, s := range sols {
+		row := Binding{}
+		for _, v := range vars {
+			if t, ok := s[v]; ok {
+				row[v] = t
+			}
+		}
+		rows = append(rows, row)
+	}
+	if q.Distinct {
+		rows = distinctRows(vars, rows)
+	}
+	if len(q.OrderBy) > 0 {
+		sort.SliceStable(rows, func(i, j int) bool {
+			for _, k := range q.OrderBy {
+				c := compareTerms(rows[i][k.Var], rows[j][k.Var])
+				if c == 0 {
+					continue
+				}
+				if k.Desc {
+					return c > 0
+				}
+				return c < 0
+			}
+			return false
+		})
+	}
+	if q.Offset > 0 {
+		if q.Offset >= len(rows) {
+			rows = nil
+		} else {
+			rows = rows[q.Offset:]
+		}
+	}
+	if q.Limit >= 0 && q.Limit < len(rows) {
+		rows = rows[:q.Limit]
+	}
+	return &Result{Vars: vars, Rows: rows}
+}
+
+func projectionVars(q *Query, sols []Binding) []string {
+	if !q.Star {
+		vars := make([]string, len(q.Projection))
+		for i, p := range q.Projection {
+			vars[i] = p.Var
+		}
+		return vars
+	}
+	seen := map[string]bool{}
+	var vars []string
+	for _, s := range sols {
+		for v := range s {
+			if !seen[v] {
+				seen[v] = true
+				vars = append(vars, v)
+			}
+		}
+	}
+	sort.Strings(vars)
+	return vars
+}
+
+func distinctRows(vars []string, rows []Binding) []Binding {
+	seen := map[string]bool{}
+	out := rows[:0]
+	for _, r := range rows {
+		var sb strings.Builder
+		for _, v := range vars {
+			if t, ok := r[v]; ok {
+				sb.WriteString(t.Key())
+			}
+			sb.WriteByte(0)
+		}
+		k := sb.String()
+		if !seen[k] {
+			seen[k] = true
+			out = append(out, r)
+		}
+	}
+	return out
 }

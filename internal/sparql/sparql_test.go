@@ -331,3 +331,17 @@ func TestBoundAndNegation(t *testing.T) {
 		t.Fatalf("unmatched columns = %d, want 5", len(res.Rows))
 	}
 }
+
+// TestQuoteStringRoundTrip: a quoted value parses back to the value itself,
+// whatever quotes, backslashes and control characters it holds.
+func TestQuoteStringRoundTrip(t *testing.T) {
+	for _, s := range []string{"", "plain", `say "hi"`, `C:\x`, `a\\"b`, `nope" . } } #`, "tab\there\nline", `\`, `"`} {
+		q, err := Parse(`SELECT ?x WHERE { ?x kglids:task ` + QuoteString(s) + ` . }`)
+		if err != nil {
+			t.Fatalf("%q: %v", s, err)
+		}
+		if got := q.Where.Triples[0].O.Term.Value; got != s {
+			t.Errorf("%q parsed back as %q", s, got)
+		}
+	}
+}

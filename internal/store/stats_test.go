@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -94,6 +95,71 @@ func TestStatsRebuiltByBulkLoad(t *testing.T) {
 	checkStats(t, dst, "after bulk load")
 	if dst.Generation() == 0 {
 		t.Fatal("bulk load did not bump the generation")
+	}
+}
+
+// countsByWalk recounts NodeCount, PredicateCount and GraphCount by a
+// walk of every stored triple: its distinct subjects and objects, its
+// distinct predicates, and the named graphs that hold it.
+func countsByWalk(st *Store) (nodes, predicates, graphs int) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	n, p, g := map[TermID]bool{}, map[TermID]bool{}, map[TermID]bool{}
+	for q, gs := range st.graphsOf {
+		n[q.S], n[q.O], p[q.P] = true, true, true
+		for _, id := range gs {
+			if id != unionGraph {
+				g[id] = true
+			}
+		}
+	}
+	return len(n), len(p), len(g)
+}
+
+// TestCountsMatchRecount: NodeCount, PredicateCount and GraphCount, which
+// read what the store maintains, equal a walk of every stored triple after
+// bulk loads, per-quad adds, batch removals and graph removals.
+func TestCountsMatchRecount(t *testing.T) {
+	u := newBulkUniverse()
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st := New()
+		for step := 0; step < 60; step++ {
+			var op string
+			switch rng.Intn(4) {
+			case 0:
+				op = "bulk load" // a batch at least the store's size takes the bulk path
+				st.AddBatch(u.quads(rng, st.Len()+1+rng.Intn(100)))
+			case 1:
+				op = "per-quad adds"
+				for _, q := range u.quads(rng, 1+rng.Intn(20)) {
+					st.AddQuad(q)
+				}
+			case 2:
+				// Every stored quad of one predicate, or about half of them.
+				op = "RemoveBatch"
+				pred := u.predicates[rng.Intn(len(u.predicates))]
+				half := rng.Intn(2) == 0
+				var batch []rdf.Quad
+				for _, q := range st.EncodedQuads() {
+					if st.DecodeTerm(q.P) == pred && (!half || rng.Intn(2) == 0) {
+						batch = append(batch, rdf.Quad{
+							Triple: rdf.T(st.DecodeTerm(q.S), pred, st.DecodeTerm(q.O)),
+							Graph:  st.DecodeTerm(q.G), // the zero term, DefaultGraph, for G == 0
+						})
+					}
+				}
+				st.RemoveBatch(batch)
+			default:
+				op = "RemoveGraph"
+				st.RemoveGraph(u.graphs[rng.Intn(len(u.graphs))])
+			}
+			n, p, g := countsByWalk(st)
+			if st.NodeCount() != n || st.PredicateCount() != p || st.GraphCount() != g {
+				t.Fatalf("seed %d, step %d (%s): NodeCount/PredicateCount/GraphCount = %d/%d/%d, recount %d/%d/%d",
+					seed, step, op, st.NodeCount(), st.PredicateCount(), st.GraphCount(), n, p, g)
+			}
+		}
 	}
 }
 

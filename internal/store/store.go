@@ -204,27 +204,8 @@ func (st *Store) GraphLen(g rdf.Term) int {
 	return st.graphs[id]
 }
 
-// Graphs returns all named graphs in the store.
-func (st *Store) Graphs() []rdf.Term {
-	st.mu.RLock()
-	ids := make([]TermID, 0, len(st.graphs))
-	for g := range st.graphs {
-		if g != unionGraph {
-			ids = append(ids, g)
-		}
-	}
-	st.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]rdf.Term, len(ids))
-	for i, id := range ids {
-		out[i] = st.dict.Term(id)
-	}
-	return out
-}
-
 // GraphCount returns the number of named graphs (the union pseudo-graph
-// excluded) without decoding their terms — cheap enough for a metrics
-// scrape, unlike Graphs.
+// excluded) without decoding their terms.
 func (st *Store) GraphCount() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -236,28 +217,30 @@ func (st *Store) GraphCount() int {
 }
 
 // NodeCount returns the number of distinct subjects and objects across all
-// quads (the "unique nodes" statistic of Table 3).
+// quads (the "unique nodes" statistic of Table 3): the union index's
+// subject keys, plus its object keys that are not among them. removeIdx
+// prunes emptied levels, so the keys are exact.
 func (st *Store) NodeCount() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	seen := map[TermID]struct{}{}
-	for q := range st.graphsOf {
-		seen[q.S] = struct{}{}
-		seen[q.O] = struct{}{}
+	subjects := st.spo[unionGraph]
+	n := len(subjects)
+	for o := range st.osp[unionGraph] {
+		if _, ok := subjects[o]; !ok {
+			n++
+		}
 	}
-	return len(seen)
+	return n
 }
 
 // PredicateCount returns the number of distinct predicates (the "unique
-// edges" statistic of Table 3).
+// edges" statistic of Table 3): statRemove drops a predicate's stats with
+// its last triple, and the bulk loader adds stats only for predicates that
+// have triples.
 func (st *Store) PredicateCount() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	seen := map[TermID]struct{}{}
-	for q := range st.graphsOf {
-		seen[q.P] = struct{}{}
-	}
-	return len(seen)
+	return len(st.pstat)
 }
 
 // EncodedQuads returns every (s, p, o, g) combination in the store,
@@ -669,7 +652,7 @@ func removeSorted(s []TermID, v TermID) []TermID {
 }
 
 // removeIdx deletes (a, b, c) from one index ordering of graph g, pruning
-// emptied levels so Graphs() and full scans never see ghost entries.
+// emptied levels so NodeCount and full scans never see ghost entries.
 func removeIdx(idx index, g, a, b, c TermID) {
 	l1 := idx[g]
 	if l1 == nil {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -221,5 +222,23 @@ func (st *Store) Subjects(p, o, g rdf.Term) []rdf.Term {
 		}
 		return true
 	})
+	return out
+}
+
+// Graphs returns all named graphs in the store.
+func (st *Store) Graphs() []rdf.Term {
+	st.mu.RLock()
+	ids := make([]TermID, 0, len(st.graphs))
+	for g := range st.graphs {
+		if g != unionGraph {
+			ids = append(ids, g)
+		}
+	}
+	st.mu.RUnlock()
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	out := make([]rdf.Term, len(ids))
+	for i, id := range ids {
+		out[i] = st.dict.Term(id)
+	}
 	return out
 }

@@ -182,17 +182,6 @@ func Train(scalerExamples []ScalerExample, unaryExamples []UnaryExample) *Recomm
 	return r
 }
 
-// TableEmbedding computes the 1800-d embedding of a frame for the scaler
-// model (all columns contribute, per type).
-func TableEmbedding(p *profiler.Profiler, df *dataframe.DataFrame) embed.Vector {
-	byType := map[embed.Type][]embed.Vector{}
-	for i := 0; i < df.NumCols(); i++ {
-		t, emb := p.EmbedColumn(df.ColumnAt(i))
-		byType[t] = append(byType[t], emb)
-	}
-	return embed.TableEmbedding(byType)
-}
-
 // ScalerRecommendation pairs a scaler with model confidence.
 type ScalerRecommendation struct {
 	Op    ScalerOp
@@ -208,7 +197,7 @@ type UnaryRecommendation struct {
 
 // RecommendScaler ranks scaling transformations for df.
 func (r *Recommender) RecommendScaler(df *dataframe.DataFrame) []ScalerRecommendation {
-	probs := r.scalerModel.PredictVector(TableEmbedding(r.profiler, df))
+	probs := r.scalerModel.PredictVector(r.profiler.TableEmbedding(df))
 	out := make([]ScalerRecommendation, len(Scalers))
 	for i, op := range Scalers {
 		out[i] = ScalerRecommendation{Op: op, Score: probs[i]}

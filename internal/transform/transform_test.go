@@ -172,7 +172,7 @@ func trainingExamples(t *testing.T) ([]ScalerExample, []UnaryExample) {
 			s.Cells = append(s.Cells, dataframe.NumberCell(rng.Float64()*scale))
 		}
 		df.AddColumn(s)
-		se = append(se, ScalerExample{Embedding: TableEmbedding(p, df), Op: op})
+		se = append(se, ScalerExample{Embedding: p.TableEmbedding(df), Op: op})
 
 		// Unary examples: skewed columns get log, moderate get sqrt,
 		// centered get none.

@@ -23,7 +23,10 @@ type Graph struct {
 }
 
 // GraphNode is one serialized HNSW node. Vec is the normalized vector as
-// stored; Links[level] lists neighbour node indexes at that layer.
+// stored, shared with the index rather than copied: nothing writes a node
+// vector after insertion (a re-add swaps in a new slice), so neither may a
+// holder of a Graph. Links[level] lists neighbour node indexes at that
+// layer.
 type GraphNode struct {
 	ID    string
 	Vec   embed.Vector
@@ -67,7 +70,7 @@ func (h *HNSW) Export() Graph {
 		if lvl := len(n.links) - 1; lvl > g.MaxLevel {
 			g.MaxLevel = lvl
 		}
-		g.Nodes = append(g.Nodes, GraphNode{ID: n.id, Vec: n.vec.Clone(), Links: links})
+		g.Nodes = append(g.Nodes, GraphNode{ID: n.id, Vec: n.vec, Links: links})
 	}
 	if to, live := remap[h.entry]; live {
 		g.Entry = to
@@ -89,7 +92,7 @@ func (h *HNSW) Export() Graph {
 // returned. The level-assignment RNG is reseeded deterministically; nodes
 // added after an import may therefore land on different levels than they
 // would have on the original index, which only affects approximation
-// quality, never correctness.
+// quality, never correctness. The index adopts the graph's vectors.
 func ImportHNSW(g Graph) (*HNSW, error) {
 	if g.M <= 1 || g.EfConstruction < 1 || g.EfSearch < 1 {
 		return nil, fmt.Errorf("vectorindex: invalid HNSW parameters m=%d efc=%d efs=%d", g.M, g.EfConstruction, g.EfSearch)
@@ -128,7 +131,7 @@ func ImportHNSW(g Graph) (*HNSW, error) {
 			}
 			links[l] = append([]int(nil), ns...)
 		}
-		h.nodes[i] = hnswNode{id: gn.ID, vec: gn.Vec.Clone(), links: links}
+		h.nodes[i] = hnswNode{id: gn.ID, vec: gn.Vec, links: links}
 		h.byID[gn.ID] = i
 	}
 	return h, nil

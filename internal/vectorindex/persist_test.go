@@ -45,6 +45,35 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExportSharesUnchangingVectors: Export shares the node vectors rather
+// than copying them, so what it returned must not change under later
+// writes to the index: a re-add under the same ID, a removal, and the
+// compaction that enough removals trigger.
+func TestExportSharesUnchangingVectors(t *testing.T) {
+	h := NewHNSW(4, 16, 16)
+	vecs := randVecs(24, 8)
+	for i, v := range vecs {
+		h.Add(fmt.Sprintf("v%02d", i), v)
+	}
+	g := h.Export()
+	want := make([]embed.Vector, len(g.Nodes))
+	for i, n := range g.Nodes {
+		want[i] = n.Vec.Clone()
+	}
+	h.Add("v00", vecs[1])
+	for i := 2; i < 20; i++ {
+		h.Remove(fmt.Sprintf("v%02d", i))
+	}
+	if n := len(h.nodes); n >= len(vecs) {
+		t.Fatalf("index still holds %d nodes: no compaction ran", n)
+	}
+	for i, n := range g.Nodes {
+		if !reflect.DeepEqual(n.Vec, want[i]) {
+			t.Fatalf("exported vector of %s changed under later writes", n.ID)
+		}
+	}
+}
+
 func TestImportRejectsInvalidGraphs(t *testing.T) {
 	vec := randVecs(1, 4)[0]
 	cases := []struct {

@@ -394,7 +394,7 @@ func (p *Platform) AutoML(df *DataFrame, target string, budget time.Duration) (A
 }
 
 func (p *Platform) tableEmbedding(df *DataFrame) embed.Vector {
-	return transform.TableEmbedding(p.core.Profiler(), df)
+	return p.core.Profiler().TableEmbedding(df)
 }
 
 // SimilarTables finds tables similar to a frame by embedding (the

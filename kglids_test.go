@@ -154,7 +154,7 @@ func trainedPlatform(t testing.TB) *Platform {
 			Op:        cleaning.Ops[i%len(cleaning.Ops)],
 		})
 		sexamples = append(sexamples, transform.ScalerExample{
-			Embedding: transform.TableEmbedding(p, task.Frame),
+			Embedding: p.TableEmbedding(task.Frame),
 			Op:        transform.Scalers[i%len(transform.Scalers)],
 		})
 		_, emb := p.EmbedColumn(task.Frame.ColumnAt(0))
